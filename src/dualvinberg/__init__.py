@@ -73,7 +73,6 @@ from .metric import (
 from .semigroup import (
     GRADING_ELEMENT,
     InvariantConeElement,
-    SemigroupFactors,
     compression_factors,
     cross_check_membership,
     exp_lie,

@@ -1,7 +1,7 @@
 """Command line front end.
 
-Payload JSON goes to stdout, diagnostics to stderr; the exit code is 0
-exactly when the command status is ok.  Inputs are JSON documents read
+Payload JSON goes to stdout with exit code 0; failures go to stderr as a
+JSON status with a nonzero exit code.  Inputs are JSON documents read
 from a file path argument or stdin ("-").
 """
 
@@ -10,21 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import cone, group, metric, semigroup, serialize
 from .errors import ConvergenceError, DomainError, InconsistencyError, PatternError
+from .linalg import maxabs
 
-
-@dataclass(frozen=True)
-class CommandResult:
-    status: str  # ok | domain_error | convergence_error | inconsistency
-    payload: dict
-
-
-_EXIT = {"ok": 0, "domain_error": 1, "convergence_error": 3, "inconsistency": 4}
+_EXIT = {"domain_error": 1, "convergence_error": 3, "inconsistency": 4}
 _PARSE_EXIT = 2
 
 # what -> (input kind, reason function of (value, tol))
@@ -56,12 +49,10 @@ def _read_json(path: str):
 
 
 def _relative_residual(recomposed, g) -> float:
-    from .linalg import maxabs
-
     return float(maxabs(recomposed - g) / (1.0 + maxabs(g)))
 
 
-def _cmd_check(args) -> CommandResult:
+def _cmd_check(args) -> dict:
     kind, reason_fn = _CHECKS[args.what]
     obj = _read_json(args.input)
     value = serialize.load_vector5(obj) if kind == "vector" else serialize.load_matrix6(obj)
@@ -69,10 +60,10 @@ def _cmd_check(args) -> CommandResult:
     payload = {"what": args.what, "result": reason is None}
     if reason is not None:
         payload["reason"] = reason
-    return CommandResult("ok", payload)
+    return payload
 
 
-def _cmd_decompose(args) -> CommandResult:
+def _cmd_decompose(args) -> dict:
     g = serialize.load_matrix6(_read_json(args.input))
     if args.mode == "triple":
         f = group.triple_decompose(g)
@@ -81,33 +72,29 @@ def _cmd_decompose(args) -> CommandResult:
     elif args.mode == "gamma":
         f = semigroup.compression_factors(g, args.tol)
         payload = {"mode": "gamma", **serialize.dump_semigroup_factors(f)}
-        recomposed = group.triple_compose(group.TripleFactors(v=f.v, L=f.A, u=f.u))
-        payload["residual"] = _relative_residual(recomposed, g)
+        payload["residual"] = _relative_residual(group.triple_compose(f), g)
     else:
         A, X = semigroup.polar_factor(g)
         payload = {"mode": "polar", **serialize.dump_polar(A, X)}
         payload["residual"] = _relative_residual(semigroup.polar_compose(A, X), g)
-    return CommandResult("ok", payload)
+    return payload
 
 
-def _cmd_counterexample(args) -> CommandResult:
+def _cmd_counterexample(args) -> dict:
     rec = metric.counterexample()
     before = metric.cone_metric(rec.x, rec.v, rec.v)
     jv = metric.action_jacobian(rec.g, rec.x, rec.v)
     after = metric.cone_metric(group.act_real(rec.g, rec.x), jv, jv)
-    return CommandResult(
-        "ok",
-        {"before": before, "after": after, "ratio": rec.ratio, "violated": rec.violated},
-    )
+    return {"before": before, "after": after, "ratio": rec.ratio, "violated": rec.violated}
 
 
-def _cmd_search(args) -> CommandResult:
+def _cmd_search(args) -> dict:
     rng = np.random.default_rng(args.seed)
     records, summary = metric.search_violations(rng, args.samples)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as f:
             serialize.write_records_csv(f, records)
-    return CommandResult("ok", serialize.dump_summary(summary))
+    return serialize.dump_summary(summary)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,7 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp, with_input=True):
-        sp.add_argument("--tol", type=float, default=1e-9, help="membership tolerance")
+        sp.add_argument(
+            "--tol", type=float, default=cone.MEMBERSHIP_TOL, help="membership tolerance"
+        )
         if with_input:
             sp.add_argument(
                 "input", nargs="?", default="-", help="JSON file path, or - for stdin"
@@ -159,7 +148,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result = args.func(args)
+        payload = args.func(args)
     except ConvergenceError as exc:
         return _fail("convergence_error", exc)
     except InconsistencyError as exc:
@@ -170,8 +159,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _PARSE_EXIT
-    print(json.dumps(result.payload))
-    return _EXIT[result.status]
+    print(json.dumps(payload))
+    return 0
 
 
 def _fail(status: str, exc: Exception) -> int:

@@ -17,6 +17,8 @@ not self-dual.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, PatternError
@@ -24,10 +26,19 @@ from .linalg import maxabs
 
 IDENTITY_POINT = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 
+# Scale-relative tolerance of structural (pattern) zeros, which exact
+# constructors and group operations preserve.
 PATTERN_TOL = 1e-12
 
+# Default scale-relative tolerance of the spectral membership tests
+# (closed cone, semigroup certificates, invariant wedge).
+MEMBERSHIP_TOL = 1e-9
+
 # Zero slots of the triangular automorphism pattern [[a1,0,0],[0,a2,0],[a4,a5,a3]].
-_TRIANGULAR_ZEROS = ((0, 1), (0, 2), (1, 0), (1, 2))
+TRIANGULAR_ZEROS = ((0, 1), (0, 2), (1, 0), (1, 2))
+
+# Zero slots of the flat slice diag(u1, u2, 0).
+FLAT_ZEROS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
 
 
 def embed(x) -> np.ndarray:
@@ -106,17 +117,29 @@ def in_open_cone(x) -> bool:
     return open_cone_reason(x) is None
 
 
-def closed_cone_reason(x, tol: float = 1e-9) -> str | None:
+def closed_cone_reason(x, tol: float = MEMBERSHIP_TOL) -> str | None:
     m = embed(np.asarray(x, dtype=float))
+    scale = maxabs(m)
+    if not math.isfinite(scale):
+        return "coordinate not finite"
     lo = float(np.linalg.eigvalsh(m).min())
-    if lo < -tol * (1.0 + maxabs(m)):
+    # written so that a NaN bound rejects
+    if not lo >= -tol * (1.0 + scale):
         return f"eigenvalue {lo:.3e} below -tol"
     return None
 
 
-def in_closed_cone(x, tol: float = 1e-9) -> bool:
+def in_closed_cone(x, tol: float = MEMBERSHIP_TOL) -> bool:
     """Positive semidefiniteness of embed(x), within a scale-relative tol."""
     return closed_cone_reason(x, tol) is None
+
+
+def _open_cone_point(x) -> np.ndarray:
+    """x as a float array, or DomainError naming the failing minor."""
+    x = np.asarray(x, dtype=float)
+    if (reason := open_cone_reason(x)) is not None:
+        raise DomainError(f"point outside the open cone: {reason}")
+    return x
 
 
 def relative_invariant(x, powers) -> float:
@@ -126,9 +149,7 @@ def relative_invariant(x, powers) -> float:
     * d3**s3, and it scales by a1**(2 s1) * a2**(2 s2) * a3**(2 s3) under
     the triangular congruence action.
     """
-    x = np.asarray(x, dtype=float)
-    if (reason := open_cone_reason(x)) is not None:
-        raise DomainError(f"point outside the open cone: {reason}")
+    x = _open_cone_point(x)
     s1, s2, s3 = powers
     d3 = minors(x)[2]
     return float(x[0] ** (s1 - s3) * x[1] ** (s2 - s3) * d3 ** s3)
@@ -140,18 +161,14 @@ def char_function(x) -> float:
     Normalized to 1 at (1,1,1,0,0).  Under an automorphism g of the cone it
     transforms by 1/|det g|, which makes its log-Hessian an invariant metric.
     """
-    x = np.asarray(x, dtype=float)
-    if (reason := open_cone_reason(x)) is not None:
-        raise DomainError(f"point outside the open cone: {reason}")
+    x = _open_cone_point(x)
     d3 = minors(x)[2]
     return float(np.sqrt(x[0] * x[1]) * d3 ** -2.0)
 
 
 def log_char_function(x) -> float:
     """log of char_function, kept separate for finite differencing."""
-    x = np.asarray(x, dtype=float)
-    if (reason := open_cone_reason(x)) is not None:
-        raise DomainError(f"point outside the open cone: {reason}")
+    x = _open_cone_point(x)
     d3 = minors(x)[2]
     return float(0.5 * (np.log(x[0]) + np.log(x[1])) - 2.0 * np.log(d3))
 
@@ -180,7 +197,12 @@ def is_triangular_pattern(A, atol: float | None = None) -> bool:
         return False
     if atol is None:
         atol = PATTERN_TOL * (1.0 + maxabs(A))
-    return all(abs(A[i, j]) <= atol for i, j in _TRIANGULAR_ZEROS)
+    return all(abs(A[i, j]) <= atol for i, j in TRIANGULAR_ZEROS)
+
+
+def is_flat_pattern(U, atol: float) -> bool:
+    """U equals diag(u1, u2, 0) within atol."""
+    return all(abs(U[i, j]) <= atol for i, j in FLAT_ZEROS)
 
 
 def in_triangular_group(A) -> bool:

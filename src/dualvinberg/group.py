@@ -22,14 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import (
+    PATTERN_TOL,
     diag_pair,
     embed,
     embed_diag_pair,
     in_open_cone,
+    is_flat_pattern,
+    is_triangular_pattern,
     unembed,
 )
 from .errors import DomainError, SingularityError
-from .linalg import adjugate3, det3, inv3, maxabs
+from .linalg import inv3, is_singular3, maxabs
 
 SYMPLECTIC_FORM = np.block(
     [[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]]
@@ -39,7 +42,7 @@ SYMPLECTIC_FORM = np.block(
 BASE_POINT = 1j * np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 
 SYMPLECTIC_TOL = 1e-10
-PATTERN_TOL = 1e-12
+# pattern tolerance of computed action results, which carry round-off
 ACTION_PATTERN_TOL = 1e-9
 
 
@@ -70,80 +73,68 @@ def symplectic_defect_dual(g) -> float:
     return max(maxabs(r1 - r1.T), maxabs(r2 - r2.T), maxabs(r3))
 
 
-def is_symplectic(g, tol: float = SYMPLECTIC_TOL) -> bool:
-    """Block test at tolerance tol * (1 + maxabs(g)**2); equivalent to
-    g J g^T = J for the standard form J."""
-    return symplectic_defect(g) <= tol * (1.0 + maxabs(g) ** 2)
+def is_symplectic(g) -> bool:
+    """Block test at tolerance SYMPLECTIC_TOL * (1 + maxabs(g)**2);
+    equivalent to g J g^T = J for the standard form J."""
+    return symplectic_defect(g) <= SYMPLECTIC_TOL * (1.0 + maxabs(g) ** 2)
 
 
-def _pattern_residue(M, slots) -> float:
-    return max(abs(M[i, j]) for i, j in slots)
-
-
-_CORNER_SLOTS = ((0, 1), (0, 2), (1, 0), (1, 2))  # zeros of triangular-with-corner
-_FLAT_SLOTS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
-
-
-def tube_group_reason(g, tol: float = PATTERN_TOL) -> str | None:
-    """None when g lies in the tube automorphism group; otherwise the first
-    failing block constraint."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (6, 6):
-        raise ValueError(f"expected a 6x6 matrix, got shape {g.shape}")
+def _linear_part_reason(g, A, D, atol) -> str | None:
+    """The checks both tube-group descriptions share: g symplectic, and A
+    and D^T triangular-patterned with positive corner."""
     if not is_symplectic(g):
         return "not symplectic"
-    A, B, C, D = blocks(g)
-    atol = tol * (1.0 + maxabs(g))
-    if _pattern_residue(A, _CORNER_SLOTS) > atol:
+    if not is_triangular_pattern(A, atol):
         return "A off pattern"
     if not A[2, 2] > 0:
         return "A[3,3] not positive"
-    if _pattern_residue(D.T, _CORNER_SLOTS) > atol:
+    if not is_triangular_pattern(D.T, atol):
         return "D off pattern"
     if not D[2, 2] > 0:
         return "D[3,3] not positive"
+    return None
+
+
+def tube_group_reason(g) -> str | None:
+    """None when g lies in the tube automorphism group; otherwise the first
+    failing block constraint."""
+    g = np.asarray(g, dtype=float)
+    A, B, C, D = blocks(g)
+    atol = PATTERN_TOL * (1.0 + maxabs(g))
+    if (reason := _linear_part_reason(g, A, D, atol)) is not None:
+        return reason
     if max(abs(B[0, 1]), abs(B[1, 0])) > atol:
         return "B off pattern"
-    if _pattern_residue(C, _FLAT_SLOTS) > atol:
+    if not is_flat_pattern(C, atol):
         return "C off pattern"
     return None
 
 
-def in_tube_group(g, tol: float = PATTERN_TOL) -> bool:
-    return tube_group_reason(g, tol) is None
+def in_tube_group(g) -> bool:
+    return tube_group_reason(g) is None
 
 
-def tube_group_alt_reason(g, tol: float = PATTERN_TOL) -> str | None:
+def tube_group_alt_reason(g) -> str | None:
     """Same group through product constraints: A and D^T patterned with
     positive corner, D^T B in the patterned subspace, C D^T in the flat
     slice.  Must agree with tube_group_reason on every matrix."""
     g = np.asarray(g, dtype=float)
-    if g.shape != (6, 6):
-        raise ValueError(f"expected a 6x6 matrix, got shape {g.shape}")
-    if not is_symplectic(g):
-        return "not symplectic"
     A, B, C, D = blocks(g)
-    atol = tol * (1.0 + maxabs(g))
-    atol2 = tol * (1.0 + maxabs(g) ** 2)
-    if _pattern_residue(A, _CORNER_SLOTS) > atol:
-        return "A off pattern"
-    if not A[2, 2] > 0:
-        return "A[3,3] not positive"
-    if _pattern_residue(D.T, _CORNER_SLOTS) > atol:
-        return "D off pattern"
-    if not D[2, 2] > 0:
-        return "D[3,3] not positive"
+    scale = maxabs(g)
+    atol = PATTERN_TOL * (1.0 + scale)
+    if (reason := _linear_part_reason(g, A, D, atol)) is not None:
+        return reason
+    atol2 = PATTERN_TOL * (1.0 + scale ** 2)
     S = D.T @ B
     if max(maxabs(S - S.T), abs(S[0, 1]), abs(S[1, 0])) > atol2:
         return "D^T B leaves the patterned subspace"
-    P = C @ D.T
-    if _pattern_residue(P, _FLAT_SLOTS) > atol2:
+    if not is_flat_pattern(C @ D.T, atol2):
         return "C D^T not in the flat slice"
     return None
 
 
-def in_tube_group_alt(g, tol: float = PATTERN_TOL) -> bool:
-    return tube_group_alt_reason(g, tol) is None
+def in_tube_group_alt(g) -> bool:
+    return tube_group_alt_reason(g) is None
 
 
 def translation(v) -> np.ndarray:
@@ -199,14 +190,15 @@ def isotropy_rotation(theta: float, phi: float) -> np.ndarray:
     return g
 
 
-def _mobius(g, Z):
-    """(A Z + B)(C Z + D)^{-1} for an embedded argument Z."""
+def mobius(g, Z) -> tuple[np.ndarray, np.ndarray]:
+    """The fractional-linear kernel: (A Z + B)(C Z + D)^{-1} and
+    (C Z + D)^{-1} for a 3x3 argument Z, real or complex.
+
+    SingularityError where C Z + D is singular (linalg.inv3's rule).
+    """
     A, B, C, D = blocks(g)
-    M = C @ Z + D
-    d = det3(M)
-    if abs(d) <= 1e-12 * (1.0 + maxabs(M) ** 3):
-        raise SingularityError("C z + D is singular")
-    return (A @ Z + B) @ (adjugate3(M) / d)
+    Mi = inv3(C @ Z + D)
+    return (A @ Z + B) @ Mi, Mi
 
 
 def act(g, z) -> np.ndarray:
@@ -218,22 +210,21 @@ def act(g, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if not in_open_cone(z.imag):
         raise DomainError("imaginary part outside the open cone")
-    W = _mobius(g, embed(z))
+    W, _ = mobius(g, embed(z))
     return unembed(W, atol=ACTION_PATTERN_TOL * (1.0 + maxabs(W)))
 
 
 def act_real(g, x) -> np.ndarray:
     """Real form of the action, defined wherever C embed(x) + D is
     invertible."""
-    W = _mobius(g, embed(np.asarray(x, dtype=float)))
+    W, _ = mobius(g, embed(np.asarray(x, dtype=float)))
     return unembed(W, atol=ACTION_PATTERN_TOL * (1.0 + maxabs(W)))
 
 
 def has_triple_decomposition(g) -> bool:
-    """Membership in the dense chart: |det D| above the singularity
-    threshold."""
-    D = blocks(g)[3]
-    return bool(abs(det3(D)) > 1e-12 * (1.0 + maxabs(D) ** 3))
+    """Membership in the dense chart: D not singular by
+    linalg.is_singular3."""
+    return not is_singular3(blocks(g)[3])
 
 
 @dataclass(frozen=True)

@@ -42,13 +42,21 @@ def adjugate3(m: np.ndarray) -> np.ndarray:
     )
 
 
-def inv3(m: np.ndarray) -> np.ndarray:
-    """Inverse via adjugate over determinant.
+def _singular(m, d) -> bool:
+    # written so that a NaN determinant counts as singular
+    return not abs(d) > SINGULAR_TOL * (1.0 + maxabs(m) ** 3)
 
-    Raises SingularityError when |det| <= 1e-12 * (1 + maxabs(m)**3), the
-    same threshold every fractional-linear formula in the package uses.
-    """
+
+def is_singular3(m) -> bool:
+    """The package's one singularity rule for 3x3 matrices:
+    |det m| <= 1e-12 * (1 + maxabs(m)**3), or a NaN determinant."""
+    return _singular(m, det3(m))
+
+
+def inv3(m: np.ndarray) -> np.ndarray:
+    """Inverse via adjugate over determinant; SingularityError when
+    is_singular3(m)."""
     d = det3(m)
-    if abs(d) <= SINGULAR_TOL * (1.0 + maxabs(m) ** 3):
+    if _singular(m, d):
         raise SingularityError("matrix is singular to working precision")
     return adjugate3(m) / d

@@ -17,19 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .cone import (
     IDENTITY_POINT,
+    MEMBERSHIP_TOL,
     embed,
     in_open_cone,
     log_char_function,
     sample_cone,
     unembed,
 )
-from .errors import DomainError, SingularityError
-from .group import act_real, blocks, translation
-from .linalg import adjugate3, det3, inv3, maxabs
+from .errors import DomainError
+from .group import ACTION_PATTERN_TOL, act_real, mobius, translation
+from .linalg import adjugate3, det3, maxabs
 from .semigroup import (
     compression_reason,
     sample_semigroup,
@@ -47,7 +47,9 @@ def cone_metric(x, v, w) -> float:
     w = np.asarray(w, dtype=float)
     if not in_open_cone(x):
         raise DomainError("base point outside the open cone")
-    Xi = inv3(embed(x))
+    # positive minors certify invertibility, so no singularity threshold
+    X = embed(x)
+    Xi = adjugate3(X) / det3(X)
     first = -0.5 * (v[0] * w[0] / x[0] ** 2 + v[1] * w[1] / x[1] ** 2)
     second = 2.0 * np.trace(Xi @ embed(v) @ Xi @ embed(w))
     return float(first + second)
@@ -56,6 +58,8 @@ def cone_metric(x, v, w) -> float:
 def spd_metric(x, v, w) -> float:
     """2 tr(x^{-1} v x^{-1} w) on the full positive definite cone,
     computed through a Cholesky factor for stability."""
+    import scipy.linalg  # deferred: the patterned-cone paths never need scipy
+
     x = np.asarray(x, dtype=float)
     try:
         L = np.linalg.cholesky(x)
@@ -86,14 +90,9 @@ def cone_metric_fd(x, v, w, h: float = 1e-4) -> float:
 def action_jacobian(g, x, v) -> np.ndarray:
     """Pushforward of the real fractional action:
     V -> M^{-T} V M^{-1} with M = C embed(x) + D."""
-    _, _, C, D = blocks(g)
-    M = C @ embed(np.asarray(x, dtype=float)) + D
-    d = det3(M)
-    if abs(d) <= 1e-12 * (1.0 + maxabs(M) ** 3):
-        raise SingularityError("C x + D is singular")
-    Mi = adjugate3(M) / d
+    _, Mi = mobius(g, embed(np.asarray(x, dtype=float)))
     J = Mi.T @ embed(np.asarray(v, dtype=float)) @ Mi
-    return unembed(J, atol=1e-9 * (1.0 + maxabs(J)))
+    return unembed(J, atol=ACTION_PATTERN_TOL * (1.0 + maxabs(J)))
 
 
 def action_jacobian_fd(g, x, v, h: float = 1e-4) -> np.ndarray:
@@ -114,7 +113,7 @@ class ContractionRecord:
     seed_index: int = 0
 
 
-def contraction_ratio(g, x, v, tol: float = 1e-9) -> ContractionRecord:
+def contraction_ratio(g, x, v, tol: float = MEMBERSHIP_TOL) -> ContractionRecord:
     """(Jv|Jv) at g.x over (v|v) at x for a semigroup element g.
 
     The ratio is invariant under scaling v; a value beyond
@@ -138,7 +137,7 @@ def contraction_ratio(g, x, v, tol: float = 1e-9) -> ContractionRecord:
     )
 
 
-def contraction_ratio_spd(g, x, v, tol: float = 1e-9) -> float:
+def contraction_ratio_spd(g, x, v, tol: float = MEMBERSHIP_TOL) -> float:
     """Same stretch for the full positive definite cone and its metric;
     never exceeds 1 for a symplectic compression."""
     g = np.asarray(g, dtype=float)
@@ -146,13 +145,7 @@ def contraction_ratio_spd(g, x, v, tol: float = 1e-9) -> float:
     v = np.asarray(v, dtype=float)
     if (reason := symplectic_semigroup_reason(g, tol)) is not None:
         raise DomainError(f"not in the symplectic semigroup: {reason}")
-    A, B, C, D = blocks(g)
-    M = C @ x + D
-    d = det3(M)
-    if abs(d) <= 1e-12 * (1.0 + maxabs(M) ** 3):
-        raise SingularityError("C x + D is singular")
-    Mi = adjugate3(M) / d
-    y = (A @ x + B) @ Mi
+    y, Mi = mobius(g, x)
     y = (y + y.T) / 2
     jv = Mi.T @ v @ Mi
     return spd_metric(y, jv, jv) / spd_metric(x, v, v)

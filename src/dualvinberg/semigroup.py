@@ -22,13 +22,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cone import (
+    MEMBERSHIP_TOL,
+    TRIANGULAR_ZEROS,
     closed_cone_reason,
     diag_pair,
     embed,
     embed_diag_pair,
+    is_flat_pattern,
     is_triangular_pattern,
     sample_cone,
     sample_positive_triangular,
@@ -39,7 +41,6 @@ from .errors import (
     DomainError,
     InconsistencyError,
     PatternError,
-    SingularityError,
     SpectrumError,
 )
 from .group import (
@@ -54,21 +55,26 @@ from .group import (
     triple_decompose,
     tube_group_reason,
 )
-from .linalg import det3, inv3, maxabs
+from .linalg import is_singular3, maxabs
 
 GRADING_ELEMENT = np.diag([0.5, 0.5, 0.5, -0.5, -0.5, -0.5])
 
-_TRIANGULAR_ZEROS = ((0, 1), (0, 2), (1, 0), (1, 2))
+# cross_check_membership relaxes or tightens tol by this factor before a
+# disagreement of the two membership routes counts as real
+CROSS_CHECK_SLACK = 50.0
+
+# scale-relative off-algebra residue above which log_group refuses
+LOG_PATTERN_TOL = 1e-6
 
 
-def symplectic_semigroup_reason(g, tol: float = 1e-9) -> str | None:
+def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the full positive definite cone: symplectic,
     D invertible, and both D^T B and C D^T positive semidefinite."""
     g = np.asarray(g, dtype=float)
     if not is_symplectic(g):
         return "not symplectic"
     _, B, C, D = blocks(g)
-    if abs(det3(D)) <= 1e-12 * (1.0 + maxabs(D) ** 3):
+    if is_singular3(D):
         return "det D = 0"
     for name, S in (("D^T B", D.T @ B), ("C D^T", C @ D.T)):
         S = (S + S.T) / 2
@@ -77,11 +83,11 @@ def symplectic_semigroup_reason(g, tol: float = 1e-9) -> str | None:
     return None
 
 
-def in_symplectic_semigroup(g, tol: float = 1e-9) -> bool:
+def in_symplectic_semigroup(g, tol: float = MEMBERSHIP_TOL) -> bool:
     return symplectic_semigroup_reason(g, tol) is None
 
 
-def compression_reason(g, tol: float = 1e-9) -> str | None:
+def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the patterned cone, via the chart
     certificates."""
     g = np.asarray(g, dtype=float)
@@ -104,23 +110,14 @@ def compression_reason(g, tol: float = 1e-9) -> str | None:
     return None
 
 
-def in_compression_semigroup(g, tol: float = 1e-9) -> bool:
+def in_compression_semigroup(g, tol: float = MEMBERSHIP_TOL) -> bool:
     return compression_reason(g, tol) is None
 
 
-@dataclass(frozen=True)
-class SemigroupFactors:
-    """Certified chart factors of a semigroup element: v in the closed
-    cone, A triangular, u nonnegative."""
-
-    v: np.ndarray
-    A: np.ndarray
-    u: np.ndarray
-
-
-def compression_factors(g, tol: float = 1e-9) -> SemigroupFactors:
+def compression_factors(g, tol: float = MEMBERSHIP_TOL) -> TripleFactors:
     """Triple factors with the semigroup certificates re-checked on each
-    factor; any certificate failing beyond tol raises DomainError."""
+    factor (v in the closed cone, L triangular, u nonnegative); any
+    certificate failing beyond tol raises DomainError."""
     if (reason := compression_reason(g, tol)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
     f = triple_decompose(g)
@@ -130,25 +127,25 @@ def compression_factors(g, tol: float = 1e-9) -> SemigroupFactors:
         raise DomainError("factor L off the triangular pattern")
     if float(f.u.min()) < -tol * (1.0 + maxabs(f.u)):
         raise DomainError("factor u has a negative entry")
-    return SemigroupFactors(v=f.v, A=f.L, u=f.u)
+    return f
 
 
-def cross_check_membership(g, tol: float = 1e-9, slack: float = 50.0) -> bool:
+def cross_check_membership(g, tol: float = MEMBERSHIP_TOL) -> bool:
     """Two routes to membership must agree: the chart certificates, and
     symplectic-semigroup intersect tube group.
 
     Exactly on the membership boundary the two routes may flip within
     round-off of the shared tolerance; a disagreement is therefore only
     fatal when the direct route still disagrees after relaxing or
-    tightening tol by the slack factor.
+    tightening tol by CROSS_CHECK_SLACK.
     """
     direct = in_compression_semigroup(g, tol)
     via = in_symplectic_semigroup(g, tol) and in_tube_group(g)
     if direct == via:
         return via
-    if via and in_compression_semigroup(g, slack * tol):
+    if via and in_compression_semigroup(g, CROSS_CHECK_SLACK * tol):
         return via
-    if not via and not in_compression_semigroup(g, tol / slack):
+    if not via and not in_compression_semigroup(g, tol / CROSS_CHECK_SLACK):
         return via
     raise InconsistencyError(
         "chart certificates and symplectic-intersection membership disagree "
@@ -179,7 +176,7 @@ def project_lie(X) -> tuple[np.ndarray, float]:
     """Nearest graded-algebra element and the off-algebra residue."""
     X = np.asarray(X, dtype=float)
     A = (X[:3, :3] - X[3:, 3:].T) / 2
-    for i, j in _TRIANGULAR_ZEROS:
+    for i, j in TRIANGULAR_ZEROS:
         A[i, j] = 0.0
     B = X[:3, 3:]
     B = (B + B.T) / 2
@@ -213,26 +210,26 @@ class InvariantConeElement:
         return lie_element(np.zeros((3, 3)), self.v, self.u)
 
 
-def invariant_cone_reason(X, tol: float = 1e-9) -> str | None:
+def invariant_cone_reason(X, tol: float = MEMBERSHIP_TOL) -> str | None:
     X = np.asarray(X, dtype=float)
-    scale = 1.0 + maxabs(X)
-    if max(maxabs(X[:3, :3]), maxabs(X[3:, 3:])) > tol * scale:
+    atol = tol * (1.0 + maxabs(X))
+    if max(maxabs(X[:3, :3]), maxabs(X[3:, 3:])) > atol:
         return "grade-zero part not zero"
-    B = X[:3, 3:]
-    if max(abs(B[0, 1]), abs(B[1, 0]), abs(B[0, 2] - B[2, 0]), abs(B[1, 2] - B[2, 1])) > tol * scale:
+    try:
+        v = unembed(X[:3, 3:], atol=atol)
+    except PatternError:
         return "translation part off pattern"
-    v = unembed((B + B.T) / 2, atol=np.inf)
     if closed_cone_reason(v, tol) is not None:
         return "translation part outside the closed cone"
     U = X[3:, :3]
-    if max(abs(U[i, j]) for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))) > tol * scale:
+    if not is_flat_pattern(U, atol):
         return "dual part not in the flat slice"
-    if min(U[0, 0], U[1, 1]) < -tol * scale:
+    if min(U[0, 0], U[1, 1]) < -atol:
         return "dual part has a negative entry"
     return None
 
 
-def in_invariant_cone(X, tol: float = 1e-9) -> bool:
+def in_invariant_cone(X, tol: float = MEMBERSHIP_TOL) -> bool:
     return invariant_cone_reason(X, tol) is None
 
 
@@ -240,17 +237,21 @@ def exp_lie(X) -> np.ndarray:
     """Matrix exponential (scaling and squaring with Pade approximants).
     On nilpotent translation generators it matches the unipotent closed
     form to machine precision."""
+    import scipy.linalg  # deferred: only the polar and exponential routes need scipy
+
     return scipy.linalg.expm(np.asarray(X, dtype=float))
 
 
-def log_group(g, pattern_tol: float = 1e-6) -> np.ndarray:
+def log_group(g) -> np.ndarray:
     """Principal logarithm projected onto the graded algebra.
 
     Raises SpectrumError when an eigenvalue touches the closed negative
     real axis, and PatternError when the log exists but its off-algebra
-    residue exceeds pattern_tol (scale-relative), meaning g is not an
+    residue exceeds LOG_PATTERN_TOL (scale-relative), meaning g is not an
     exponential from this algebra.
     """
+    import scipy.linalg
+
     g = np.asarray(g, dtype=float)
     lam = np.linalg.eigvals(g)
     on_axis = (lam.real <= 0) & (np.abs(lam.imag) <= 1e-10 * (1.0 + np.abs(lam)))
@@ -266,7 +267,7 @@ def log_group(g, pattern_tol: float = 1e-6) -> np.ndarray:
     Xr = np.real(X)
     proj, residue = project_lie(Xr)
     residue = max(residue, imag_residue)
-    if residue > pattern_tol * (1.0 + maxabs(Xr)):
+    if residue > LOG_PATTERN_TOL * (1.0 + maxabs(Xr)):
         raise PatternError(f"off-algebra residue {residue:.3e}")
     return proj
 
@@ -277,9 +278,9 @@ def polar_compose(A, X: InvariantConeElement) -> np.ndarray:
 
 
 def _exp_triangular(A) -> np.ndarray:
-    E = scipy.linalg.expm(A)
+    E = exp_lie(A)
     # the pattern is closed under exp; discard solver round-off in the zeros
-    for i, j in _TRIANGULAR_ZEROS:
+    for i, j in TRIANGULAR_ZEROS:
         E[i, j] = 0.0
     return E
 
@@ -298,7 +299,7 @@ def polar_factor(g, max_iter: int = 100, tol: float = 1e-10):
     the wedge certificates beyond 10*tol raises DomainError.
     """
     g = np.asarray(g, dtype=float)
-    if (reason := compression_reason(g, max(tol, 1e-9))) is not None:
+    if (reason := compression_reason(g, max(tol, MEMBERSHIP_TOL))) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
     A = triple_decompose(g).L
     for _ in range(max_iter):

@@ -17,7 +17,7 @@ import numpy as np
 from .cone import triangular, triangular_params
 from .group import TripleFactors
 from .metric import ContractionRecord, SearchSummary
-from .semigroup import InvariantConeElement, SemigroupFactors
+from .semigroup import InvariantConeElement
 
 CSV_COLUMNS = ("seed_index", "ratio", "violated", "g_json", "x_json", "v_json")
 
@@ -63,19 +63,6 @@ def dump_triangular(A) -> list[float]:
     return [float(e) for e in triangular_params(A)]
 
 
-def dump_tube_point(z) -> dict:
-    z = np.asarray(z, dtype=complex)
-    return {"re": [float(e) for e in z.real], "im": [float(e) for e in z.imag]}
-
-
-def load_tube_point(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ValueError("tube point: expected an object with re/im arrays")
-    re = _as_floats(obj.get("re"), 5, "tube point re")
-    im = _as_floats(obj.get("im"), 5, "tube point im")
-    return re + 1j * im
-
-
 def dump_triple_factors(f: TripleFactors) -> dict:
     return {"v": dump_vector5(f.v), "L": dump_triangular(f.L), "u": dump_pair(f.u)}
 
@@ -90,16 +77,17 @@ def load_triple_factors(obj) -> TripleFactors:
     )
 
 
-def dump_semigroup_factors(f: SemigroupFactors) -> dict:
-    return {"v": dump_vector5(f.v), "A": dump_triangular(f.A), "u": dump_pair(f.u)}
+def dump_semigroup_factors(f: TripleFactors) -> dict:
+    """Certified factors; the linear part travels under the key "A"."""
+    return {"v": dump_vector5(f.v), "A": dump_triangular(f.L), "u": dump_pair(f.u)}
 
 
-def load_semigroup_factors(obj) -> SemigroupFactors:
+def load_semigroup_factors(obj) -> TripleFactors:
     if not isinstance(obj, dict):
         raise ValueError("semigroup factors: expected an object with v/A/u")
-    return SemigroupFactors(
+    return TripleFactors(
         v=load_vector5(obj.get("v")),
-        A=load_triangular(obj.get("A")),
+        L=load_triangular(obj.get("A")),
         u=load_pair(obj.get("u")),
     )
 

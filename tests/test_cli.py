@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +51,19 @@ def test_check_closed_cone_honors_tol(tmp_path, capsys):
         capsys, "check", "--what", "closed-cone", "--tol", "1e-3", path
     )
     assert code == 0 and json.loads(out)["result"] is True
+
+
+@pytest.mark.parametrize("text", ["[NaN, 1, 1, 0, 0]", "[Infinity, 1, 1, 0, 0]"])
+def test_check_closed_cone_rejects_non_finite_input(tmp_path, capsys, text):
+    path = tmp_path / "x.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", "--what", "closed-cone", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "what": "closed-cone",
+        "result": False,
+        "reason": "coordinate not finite",
+    }
 
 
 def test_check_matrix_predicates_from_stdin(monkeypatch, capsys):
@@ -115,7 +131,7 @@ def test_decompose_gamma_payload(tmp_path, capsys):
     assert payload["mode"] == "gamma"
     f = serialize.load_semigroup_factors(payload)
     assert dv.in_closed_cone(f.v)
-    assert dv.in_positive_triangular(f.A)
+    assert dv.in_positive_triangular(f.L)
     assert payload["residual"] <= 1e-10
 
 
@@ -209,3 +225,47 @@ def test_search_rejects_nonpositive_samples(capsys):
     code, out, err = run_cli(capsys, "search", "--samples", "0")
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import dualvinberg
+from dualvinberg.cli import main
+
+vec, mat, out = sys.argv[1:4]
+runs = {
+    "check": [["check", "--what", w, vec] for w in ("cone", "closed-cone")]
+    + [["check", "--what", w, mat] for w in ("symplectic", "G", "upsilon", "gamma", "gamma-sp")],
+    "counterexample": [["counterexample"]],
+    "search": [["search", "--samples", "20", "--out", out]],
+}
+loaded = {"import": "scipy.linalg" in sys.modules}
+for name, argvs in runs.items():
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    loaded[name] = "scipy.linalg" in sys.modules
+dualvinberg.spd_metric(dualvinberg.embed(dualvinberg.IDENTITY_POINT), [[1.0]*3]*3, [[1.0]*3]*3)
+loaded["spd_metric"] = "scipy.linalg" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_is_loaded_only_by_its_users(tmp_path):
+    vec = write_json(tmp_path, "x.json", [1, 1, 1, 0, 0])
+    mat = write_json(
+        tmp_path, "g.json", serialize.dump_matrix6(dv.translation([1.0, 1.0, 1.01, -1.0, 0.0]))
+    )
+    src = os.path.dirname(os.path.dirname(dv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, vec, mat, str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == {
+        "import": False,
+        "check": False,
+        "counterexample": False,
+        "search": False,
+        "spd_metric": True,
+    }

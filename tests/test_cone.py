@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 import dualvinberg as dv
 from dualvinberg.cone import (
     IDENTITY_POINT,
+    closed_cone_reason,
     diag_pair,
     embed,
     embed_diag_pair,
@@ -103,6 +104,19 @@ def test_closed_cone_frozen_cases():
     assert dv.in_closed_cone([1, 1, 1, 1, 0])
     assert dv.in_closed_cone(np.zeros(5))
     assert dv.in_closed_cone(IDENTITY_POINT)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", range(5))
+def test_closed_cone_rejects_non_finite_coordinates(slot, bad):
+    x = IDENTITY_POINT.copy()
+    x[slot] = bad
+    assert closed_cone_reason(x) == "coordinate not finite"
+    assert not dv.in_closed_cone(x)
+
+
+def test_closed_cone_rejects_a_nan_tolerance():
+    assert closed_cone_reason(IDENTITY_POINT, tol=np.nan) is not None
 
 
 def test_open_cone_implies_closed():

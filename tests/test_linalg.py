@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import dualvinberg as dv
 from dualvinberg.errors import SingularityError
-from dualvinberg.linalg import adjugate3, det3, inv3
+from dualvinberg.linalg import SINGULAR_TOL, adjugate3, det3, inv3, is_singular3
+from dualvinberg.semigroup import symplectic_semigroup_reason
 
 
 def test_det_and_adjugate_match_lapack():
@@ -28,3 +30,33 @@ def test_singular_raises():
     m = np.ones((3, 3))
     with pytest.raises(SingularityError):
         inv3(m)
+
+
+def test_nan_counts_as_singular():
+    m = np.full((3, 3), np.nan)
+    assert is_singular3(m)
+    with pytest.raises(SingularityError):
+        inv3(m)
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0, 1.0 + 1e-6, 2.0])
+def test_one_singularity_rule_decides_every_route(factor):
+    # D = diag(1, 1, t) has det t and maxabs 1, so the rule's boundary
+    # |det| <= SINGULAR_TOL * (1 + 1) sits at factor 1
+    t = factor * 2.0 * SINGULAR_TOL
+    D = np.diag([1.0, 1.0, t])
+    g = np.zeros((6, 6))
+    g[:3, :3] = np.diag([1.0, 1.0, 1.0 / t])
+    g[3:, 3:] = D
+    singular = factor <= 1.0
+    assert is_singular3(D) == singular
+    assert dv.has_triple_decomposition(g) == (not singular)
+    assert symplectic_semigroup_reason(g) == ("det D = 0" if singular else None)
+    if singular:
+        with pytest.raises(SingularityError):
+            inv3(D)
+        with pytest.raises(SingularityError):
+            dv.act_real(g, dv.IDENTITY_POINT)
+    else:
+        assert np.array_equal(inv3(D), np.diag([1.0, 1.0, 1.0 / t]))
+        assert dv.in_open_cone(dv.act_real(g, dv.IDENTITY_POINT))

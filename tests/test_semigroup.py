@@ -80,10 +80,9 @@ def test_compression_factors_certificates():
         g = dv.sample_semigroup(rng, interior=(i % 2 == 0), sigma=0.8)
         f = dv.compression_factors(g)
         assert dv.in_closed_cone(f.v)
-        assert dv.in_positive_triangular(f.A)
+        assert dv.in_positive_triangular(f.L)
         assert f.u.min() >= -1e-12
-        recomposed = dv.triple_compose(dv.TripleFactors(v=f.v, L=f.A, u=f.u))
-        assert rel_err(recomposed, g) <= 1e-10
+        assert rel_err(dv.triple_compose(f), g) <= 1e-10
 
 
 def test_compression_factors_rejects_non_members():

@@ -36,11 +36,8 @@ def test_triangular_round_trip(params):
     assert wire == [float(p) for p in params]
 
 
-def test_pair_and_tube_point_round_trip():
+def test_pair_round_trip():
     assert np.array_equal(serialize.load_pair(serialize.dump_pair(np.array([1.5, -2.5]))), [1.5, -2.5])
-    z = np.array([1.0, -2.0, 0.5, 0.0, 3.0]) + 1j * np.array([1.0, 1.0, 2.0, 0.25, 0.0])
-    wire = json.loads(json.dumps(serialize.dump_tube_point(z)))
-    assert np.array_equal(serialize.load_tube_point(wire), z)
 
 
 @pytest.mark.parametrize(
@@ -52,8 +49,8 @@ def test_pair_and_tube_point_round_trip():
         (serialize.load_matrix6, list(range(35))),
         (serialize.load_pair, [1.0]),
         (serialize.load_triangular, {"a": 1}),
-        (serialize.load_tube_point, [1, 2]),
-        (serialize.load_tube_point, {"re": [0] * 5}),
+        (serialize.load_triple_factors, {"v": [0] * 5, "L": [1, 1, 1, 0, 0]}),
+        (serialize.load_polar, {"A": [1, 1, 1, 0, 0], "X": [0] * 7}),
         (serialize.load_triple_factors, [1, 2, 3]),
         (serialize.load_semigroup_factors, {"v": [0] * 5}),
         (serialize.load_polar, {"A": [1, 1, 1, 0, 0]}),
@@ -75,7 +72,7 @@ def test_factor_records_round_trip():
     sf = dv.compression_factors(dv.sample_semigroup(rng, interior=True))
     sf2 = serialize.load_semigroup_factors(json.loads(json.dumps(serialize.dump_semigroup_factors(sf))))
     assert np.array_equal(sf2.v, sf.v)
-    assert np.array_equal(sf2.A, sf.A)
+    assert np.array_equal(sf2.L, sf.L)
     assert np.array_equal(sf2.u, sf.u)
 
     A, X = dv.polar_factor(dv.sample_semigroup(rng, interior=True, sigma=0.6))
