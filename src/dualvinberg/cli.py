@@ -41,6 +41,13 @@ _CHECKS = {
 }
 
 
+def tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {text!r}")
+    return tol
+
+
 def _read_json(path: str):
     if path == "-":
         return json.load(sys.stdin)
@@ -104,14 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_input=True):
+    def add_common(sp):
         sp.add_argument(
-            "--tol", type=float, default=cone.MEMBERSHIP_TOL, help="membership tolerance"
+            "--tol", type=tolerance, default=cone.MEMBERSHIP_TOL, help="membership tolerance"
         )
-        if with_input:
-            sp.add_argument(
-                "input", nargs="?", default="-", help="JSON file path, or - for stdin"
-            )
+        sp.add_argument("input", nargs="?", default="-", help="JSON file path, or - for stdin")
 
     sp = sub.add_parser("check", help="membership predicates with failure reasons")
     sp.add_argument("--what", required=True, choices=sorted(_CHECKS))
@@ -148,7 +152,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = args.func(args)
+        # the certificates decide on inf/NaN results; warnings would garble stderr
+        with np.errstate(all="ignore"):
+            payload = args.func(args)
     except ConvergenceError as exc:
         return _fail("convergence_error", exc)
     except InconsistencyError as exc:

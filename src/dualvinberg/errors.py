@@ -19,7 +19,7 @@ class PatternError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration exhausted its budget before reaching tolerance."""
+    """A numerical route failed the certificate that backs its answer."""
 
 
 class InconsistencyError(RuntimeError):

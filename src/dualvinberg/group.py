@@ -74,9 +74,10 @@ def symplectic_defect_dual(g) -> float:
 
 
 def is_symplectic(g) -> bool:
-    """Block test at tolerance SYMPLECTIC_TOL * (1 + maxabs(g)**2);
-    equivalent to g J g^T = J for the standard form J."""
-    return symplectic_defect(g) <= SYMPLECTIC_TOL * (1.0 + maxabs(g) ** 2)
+    """Block test at tolerance SYMPLECTIC_TOL * (1 + maxabs(g)**2), False when
+    that overflows; equivalent to g J g^T = J for the standard form J."""
+    bound = float(SYMPLECTIC_TOL * (1.0 + np.float64(maxabs(g)) ** 2))
+    return bound < np.inf and symplectic_defect(g) <= bound
 
 
 def _linear_part_reason(g, A, D, atol) -> str | None:
@@ -124,7 +125,7 @@ def tube_group_alt_reason(g) -> str | None:
     atol = PATTERN_TOL * (1.0 + scale)
     if (reason := _linear_part_reason(g, A, D, atol)) is not None:
         return reason
-    atol2 = PATTERN_TOL * (1.0 + scale ** 2)
+    atol2 = PATTERN_TOL * (1.0 + np.float64(scale) ** 2)
     S = D.T @ B
     if max(maxabs(S - S.T), abs(S[0, 1]), abs(S[1, 0])) > atol2:
         return "D^T B leaves the patterned subspace"
@@ -244,7 +245,7 @@ def triple_decompose(g) -> TripleFactors:
     if not has_triple_decomposition(g):
         raise SingularityError("det D = 0")
     Dinv = inv3(D)
-    v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + maxabs(g) ** 2))
+    v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + np.float64(maxabs(g)) ** 2))
     return TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
 
 

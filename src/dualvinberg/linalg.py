@@ -43,13 +43,13 @@ def adjugate3(m: np.ndarray) -> np.ndarray:
 
 
 def _singular(m, d) -> bool:
-    # written so that a NaN determinant counts as singular
-    return not abs(d) > SINGULAR_TOL * (1.0 + maxabs(m) ** 3)
+    # a NaN determinant and an overflowed float64 bound both count as singular
+    return not abs(d) > SINGULAR_TOL * (1.0 + np.float64(maxabs(m)) ** 3)
 
 
 def is_singular3(m) -> bool:
-    """The package's one singularity rule for 3x3 matrices:
-    |det m| <= 1e-12 * (1 + maxabs(m)**3), or a NaN determinant."""
+    """The package's one singularity rule for 3x3 matrices: |det m| <=
+    1e-12 * (1 + maxabs(m)**3), a NaN determinant, or an overflowed bound."""
     return _singular(m, det3(m))
 
 

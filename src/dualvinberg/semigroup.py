@@ -25,15 +25,17 @@ import numpy as np
 
 from .cone import (
     MEMBERSHIP_TOL,
-    TRIANGULAR_ZEROS,
     closed_cone_reason,
     diag_pair,
     embed,
     embed_diag_pair,
+    in_positive_triangular,
     is_flat_pattern,
     is_triangular_pattern,
     sample_cone,
     sample_positive_triangular,
+    triangular,
+    triangular_params,
     unembed,
 )
 from .errors import (
@@ -66,6 +68,9 @@ CROSS_CHECK_SLACK = 50.0
 # scale-relative off-algebra residue above which log_group refuses
 LOG_PATTERN_TOL = 1e-6
 
+# scale-relative recomposition residual above which polar_factor refuses
+POLAR_RESIDUAL_TOL = 1e-8
+
 
 def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the full positive definite cone: symplectic,
@@ -78,7 +83,8 @@ def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
         return "det D = 0"
     for name, S in (("D^T B", D.T @ B), ("C D^T", C @ D.T)):
         S = (S + S.T) / 2
-        if float(np.linalg.eigvalsh(S).min()) < -tol * (1.0 + maxabs(S)):
+        # the bound tests here and below are written so that a NaN tol rejects
+        if not float(np.linalg.eigvalsh(S).min()) >= -tol * (1.0 + maxabs(S)):
             return f"{name} not positive semidefinite"
     return None
 
@@ -105,7 +111,7 @@ def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     if closed_cone_reason(vS, tol) is not None:
         return "D^T B outside the closed cone"
     P = C @ D.T
-    if min(P[0, 0], P[1, 1]) < -tol * (1.0 + maxabs(P)):
+    if not min(P[0, 0], P[1, 1]) >= -tol * (1.0 + maxabs(P)):
         return "C D^T has a negative diagonal entry"
     return None
 
@@ -125,7 +131,7 @@ def compression_factors(g, tol: float = MEMBERSHIP_TOL) -> TripleFactors:
         raise DomainError(f"factor v outside the closed cone: {reason}")
     if not is_triangular_pattern(f.L):
         raise DomainError("factor L off the triangular pattern")
-    if float(f.u.min()) < -tol * (1.0 + maxabs(f.u)):
+    if not float(f.u.min()) >= -tol * (1.0 + maxabs(f.u)):
         raise DomainError("factor u has a negative entry")
     return f
 
@@ -175,14 +181,10 @@ def lie_parts(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def project_lie(X) -> tuple[np.ndarray, float]:
     """Nearest graded-algebra element and the off-algebra residue."""
     X = np.asarray(X, dtype=float)
-    A = (X[:3, :3] - X[3:, 3:].T) / 2
-    for i, j in TRIANGULAR_ZEROS:
-        A[i, j] = 0.0
-    B = X[:3, 3:]
-    B = (B + B.T) / 2
-    v = np.array([B[0, 0], B[1, 1], B[2, 2], B[0, 2], B[1, 2]])
-    u = diag_pair(X[3:, :3])
-    proj = lie_element(A, v, u)
+    A = triangular(triangular_params((X[:3, :3] - X[3:, 3:].T) / 2))
+    # unembed averages the mirror pairs, which is the symmetric projection
+    v = unembed(X[:3, 3:], atol=np.inf)
+    proj = lie_element(A, v, diag_pair(X[3:, :3]))
     return proj, maxabs(X - proj)
 
 
@@ -212,8 +214,11 @@ class InvariantConeElement:
 
 def invariant_cone_reason(X, tol: float = MEMBERSHIP_TOL) -> str | None:
     X = np.asarray(X, dtype=float)
-    atol = tol * (1.0 + maxabs(X))
-    if max(maxabs(X[:3, :3]), maxabs(X[3:, 3:])) > atol:
+    scale = maxabs(X)
+    if not scale < np.inf:  # an infinite scale would make every bound vacuous
+        return "entry not finite"
+    atol = tol * (1.0 + scale)
+    if not max(maxabs(X[:3, :3]), maxabs(X[3:, 3:])) <= atol:
         return "grade-zero part not zero"
     try:
         v = unembed(X[:3, 3:], atol=atol)
@@ -224,7 +229,7 @@ def invariant_cone_reason(X, tol: float = MEMBERSHIP_TOL) -> str | None:
     U = X[3:, :3]
     if not is_flat_pattern(U, atol):
         return "dual part not in the flat slice"
-    if min(U[0, 0], U[1, 1]) < -atol:
+    if not min(U[0, 0], U[1, 1]) >= -atol:
         return "dual part has a negative entry"
     return None
 
@@ -262,12 +267,10 @@ def log_group(g) -> np.ndarray:
         # round trip is checked by the callers and the test suite instead
         warnings.simplefilter("ignore")
         X = scipy.linalg.logm(g)
-    X = np.asarray(X)
-    imag_residue = maxabs(X.imag) if np.iscomplexobj(X) else 0.0
     Xr = np.real(X)
     proj, residue = project_lie(Xr)
-    residue = max(residue, imag_residue)
-    if residue > LOG_PATTERN_TOL * (1.0 + maxabs(Xr)):
+    residue = max(residue, maxabs(np.imag(X)))
+    if not residue <= LOG_PATTERN_TOL * (1.0 + maxabs(Xr)):  # NaN fails too
         raise PatternError(f"off-algebra residue {residue:.3e}")
     return proj
 
@@ -277,41 +280,30 @@ def polar_compose(A, X: InvariantConeElement) -> np.ndarray:
     return congruence_embed(A) @ exp_lie(X.matrix())
 
 
-def _exp_triangular(A) -> np.ndarray:
-    E = exp_lie(A)
-    # the pattern is closed under exp; discard solver round-off in the zeros
-    for i, j in TRIANGULAR_ZEROS:
-        E[i, j] = 0.0
-    return E
+def polar_factor(g):
+    """Split an interior semigroup element as g = congruence_embed(A) @ exp(X).
 
-
-def polar_factor(g, max_iter: int = 100, tol: float = 1e-10):
-    """Split an interior semigroup element as unit times exponential.
-
-    Iterates A <- A exp(Y0) where Y0 is the grade-zero part of
-    log(congruence_embed(A)^{-1} g), seeded from the chart factor L.  The
-    grading pushes the grade-zero error to higher commutator order each
-    sweep, so convergence is fast once the remaining wedge part is
-    moderate (in particular on elements composed from a unit and a wedge
-    generator of norm <= 1); far from the unit the sweep can stall, which
-    is reported as ConvergenceError rather than a wrong answer.  Returns
-    (A, X) with X in the invariant wedge; the recovered generator failing
-    the wedge certificates beyond 10*tol raises DomainError.
+    tau(g) = S g S with S = diag(I, -I) fixes the units and negates the
+    wedge, so tau(g)^{-1} g = exp(2X): one principal log gives X, and A is
+    the triangular part of the top-left block of g exp(-X).  Certified or
+    raised: X outside the wedge is a DomainError; A not positive triangular
+    or a recomposition residual above POLAR_RESIDUAL_TOL a ConvergenceError.
     """
     g = np.asarray(g, dtype=float)
-    if (reason := compression_reason(g, max(tol, MEMBERSHIP_TOL))) is not None:
+    if (reason := compression_reason(g)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
-    A = triple_decompose(g).L
-    for _ in range(max_iter):
-        Z = log_group(inverse(congruence_embed(A)) @ g)
-        Y0 = Z[:3, :3]
-        if maxabs(Y0) <= tol:
-            X = InvariantConeElement(v=unembed(Z[:3, 3:]), u=diag_pair(Z[3:, :3]))
-            if (reason := invariant_cone_reason(X.matrix(), 10.0 * tol)) is not None:
-                raise DomainError(f"recovered generator outside the wedge: {reason}")
-            return A, X
-        A = A @ _exp_triangular(Y0)
-    raise ConvergenceError(f"polar iteration did not reach {tol} in {max_iter} sweeps")
+    S = 2.0 * GRADING_ELEMENT
+    Z = log_group(S @ inverse(g) @ S @ g) / 2
+    X = InvariantConeElement(v=unembed(Z[:3, 3:]), u=diag_pair(Z[3:, :3]))
+    if (reason := invariant_cone_reason(X.matrix())) is not None:
+        raise DomainError(f"recovered generator outside the wedge: {reason}")
+    A = triangular(triangular_params((g @ exp_lie(-X.matrix()))[:3, :3]))
+    if not in_positive_triangular(A):
+        raise ConvergenceError(f"polar unit factor has diagonal {np.diag(A)}")
+    residual = maxabs(polar_compose(A, X) - g) / (1.0 + maxabs(g))
+    if not residual <= POLAR_RESIDUAL_TOL:  # a NaN residual fails too
+        raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
+    return A, X
 
 
 def sample_semigroup(rng, interior: bool = True, sigma: float = 1.0) -> np.ndarray:

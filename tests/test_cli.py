@@ -215,6 +215,28 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert "expected an array of 5 numbers" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_negative_or_non_finite_tol_exits_two(tmp_path, capsys, tol):
+    vec = write_json(tmp_path, "x.json", [1, 1, 1, 0, 0])
+    mat = write_json(tmp_path, "g.json", serialize.dump_matrix6(dv.translation([-1, -1, -1, 0, 0])))
+    for argv in (
+        ("check", "--what", "closed-cone", "--tol", tol, vec),
+        ("check", "--what", "gamma-sp", "--tol", tol, mat),
+        ("decompose", "--mode", "gamma", "--tol", tol, mat),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--tol: expected a finite tolerance >= 0" in err
+
+
+def test_overflow_sized_matrix_is_a_domain_error(tmp_path, capsys):
+    path = write_json(tmp_path, "g.json", serialize.dump_matrix6(1e200 * np.eye(6)))
+    for argv in (("decompose", "--mode", "polar", path), ("decompose", "--mode", "triple", path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["status"] == "domain_error"
+
+
 def test_argparse_failures_exit_two(capsys):
     assert run_cli(capsys, "check", "--what", "nonsense")[0] == 2
     assert run_cli(capsys, "frobnicate")[0] == 2

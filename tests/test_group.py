@@ -9,6 +9,7 @@ from dualvinberg.group import (
     TripleFactors,
     symplectic_defect,
     symplectic_defect_dual,
+    tube_group_alt_reason,
     tube_group_reason,
 )
 from dualvinberg.linalg import maxabs
@@ -46,6 +47,18 @@ def test_symplectic_defect_matches_form_residual():
         g = rng.standard_normal((6, 6))
         assert (symplectic_defect(g) < 1e-6) == (maxabs(g @ J @ g.T - J) < 1e-5)
         assert not dv.is_symplectic(g)
+
+
+def test_overflow_sized_entries_get_answers_not_exceptions():
+    # maxabs(g)**2 = 1e400 overflows float64: the symplectic bound is then
+    # not finite and nothing is certified symplectic
+    big = 1e200 * np.eye(6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert dv.is_symplectic(big) is False
+        assert tube_group_reason(big) == "not symplectic"
+        assert tube_group_alt_reason(big) == "not symplectic"
+        v = np.array([1e200, 1.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(dv.triple_decompose(dv.translation(v)).v, v)
 
 
 def test_generators_lie_in_tube_group():

@@ -60,3 +60,12 @@ def test_one_singularity_rule_decides_every_route(factor):
     else:
         assert np.array_equal(inv3(D), np.diag([1.0, 1.0, 1.0 / t]))
         assert dv.in_open_cone(dv.act_real(g, dv.IDENTITY_POINT))
+
+
+def test_an_overflowing_bound_counts_as_singular():
+    # maxabs(m)**3 = 1e330 overflows float64; the rule must answer, not raise
+    m = 1e110 * np.eye(3)
+    with np.errstate(over="ignore"):
+        assert is_singular3(m)
+        with pytest.raises(SingularityError):
+            inv3(m)

@@ -49,6 +49,44 @@ def test_symplectic_semigroup_frozen_cases():
     assert symplectic_semigroup_reason(np.arange(36, dtype=float).reshape(6, 6)) == "not symplectic"
 
 
+_NAN = float("nan")
+_WEDGE_MEMBER = InvariantConeElement(v=IDENTITY, u=np.array([0.5, 0.25])).matrix()
+
+
+def test_nan_tol_rejects_a_non_member_of_the_symplectic_semigroup():
+    # eigvalsh(D^T B).min() = -1 is below any finite -tol * scale
+    assert symplectic_semigroup_reason(dv.translation(-IDENTITY), _NAN) is not None
+
+
+@pytest.mark.parametrize(
+    "reason_fn, member, expected",
+    [
+        (symplectic_semigroup_reason, dv.translation(IDENTITY), "D^T B not positive semidefinite"),
+        # the C D^T test sits behind the closed-cone test, which a NaN tol fails first
+        (compression_reason, dv.dual_translation([-0.5, -2.0]), "D^T B outside the closed cone"),
+        (invariant_cone_reason, _WEDGE_MEMBER, "grade-zero part not zero"),
+    ],
+)
+def test_nan_tol_rejects_members_at_each_bound_test(reason_fn, member, expected):
+    assert reason_fn(member) is None
+    assert reason_fn(member, _NAN) == expected
+
+
+def test_compression_factors_refuses_a_nan_tol():
+    g = dv.dual_translation([-0.5, -2.0])
+    assert dv.compression_factors(g).u.min() > 0.0
+    with pytest.raises(DomainError):
+        dv.compression_factors(g, _NAN)
+
+
+@pytest.mark.parametrize("entry", [(3, 0), (4, 1), (0, 0), (5, 5)])
+@pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
+def test_invariant_cone_rejects_non_finite_entries(entry, value):
+    X = _WEDGE_MEMBER.copy()
+    X[entry] = value
+    assert invariant_cone_reason(X) == "entry not finite"
+
+
 def test_sampled_elements_are_members():
     rng = np.random.default_rng(40)
     for i in range(200):
@@ -268,22 +306,44 @@ def test_polar_factor_round_trips_chart_samples_near_the_unit():
         assert rel_err(dv.polar_compose(A, X), g) <= 1e-8
 
 
-def test_polar_factor_reports_a_stall_instead_of_a_wrong_answer():
-    # Far from the unit the grade-zero sweep can plateau; the contract is
-    # an explicit convergence error, never a silently bad factorization.
+def assert_certified_polar_pair(g, A, X):
+    assert dv.in_positive_triangular(A)
+    assert dv.in_invariant_cone(X.matrix())
+    assert rel_err(dv.polar_compose(A, X), g) <= 1e-8
+
+
+def test_polar_factor_factors_the_element_the_grade_zero_sweep_stalled_on():
+    # the third sigma = 0.6 draw of rng 51 made the earlier fixed-point
+    # sweep stall; the closed form factors it
     rng = np.random.default_rng(51)
     for _ in range(3):
         g = dv.sample_semigroup(rng, interior=True, sigma=0.6)
-    with pytest.raises(ConvergenceError):
-        dv.polar_factor(g)
+    A, X = dv.polar_factor(g)
+    assert_certified_polar_pair(g, A, X)
 
 
-def test_polar_factor_rejects_non_members_and_reports_non_convergence():
+@pytest.mark.parametrize("sigma", [0.6, 1.0])
+def test_polar_factor_certifies_every_chart_sample(sigma):
+    rng = np.random.default_rng(54)
+    for _ in range(40):
+        g = dv.sample_semigroup(rng, interior=True, sigma=sigma)
+        A, X = dv.polar_factor(g)
+        assert_certified_polar_pair(g, A, X)
+
+
+def test_polar_factor_rejects_non_members_and_fails_its_certificate_loudly():
     with pytest.raises(DomainError):
         dv.polar_factor(dv.translation(-IDENTITY))
-    g = dv.sample_semigroup(np.random.default_rng(52), interior=True)
-    with pytest.raises(ConvergenceError):
-        dv.polar_factor(g, max_iter=0)
+    # unit times the exponential of a wedge generator of norm 31, a member
+    # whose involution quotient exp(2X) is too ill-conditioned for the
+    # principal log to recompose it within POLAR_RESIDUAL_TOL
+    rng = np.random.default_rng(111)
+    A = dv.sample_positive_triangular(rng, 0.7)
+    X = InvariantConeElement(v=dv.sample_cone(rng, 0.7), u=np.exp(0.7 * rng.standard_normal(2)))
+    g = dv.polar_compose(A, X)
+    assert dv.in_compression_semigroup(g)
+    with pytest.raises(ConvergenceError, match="residual"):
+        dv.polar_factor(g)
 
 
 def test_degenerate_boundary_sampler_returns_identity():
