@@ -76,6 +76,7 @@ from .semigroup import (
     compression_factors,
     cross_check_membership,
     exp_lie,
+    exp_wedge,
     grade,
     in_compression_semigroup,
     in_invariant_cone,
@@ -83,6 +84,7 @@ from .semigroup import (
     lie_element,
     lie_parts,
     log_group,
+    log_wedge,
     polar_compose,
     polar_factor,
     sample_semigroup,

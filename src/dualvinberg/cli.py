@@ -29,10 +29,7 @@ _CHECKS = {
         lambda g, tol: None if group.is_symplectic(g) else "not symplectic",
     ),
     "G": ("matrix", lambda g, tol: group.tube_group_reason(g)),
-    "upsilon": (
-        "matrix",
-        lambda g, tol: None if group.has_triple_decomposition(g) else "det D = 0",
-    ),
+    "upsilon": ("matrix", lambda g, tol: group.triple_decomposition_reason(g)),
     "gamma": ("matrix", lambda g, tol: semigroup.compression_reason(g, tol)),
     "gamma-sp": (
         "matrix",
@@ -111,26 +108,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument(
-            "--tol", type=tolerance, default=cone.MEMBERSHIP_TOL, help="membership tolerance"
-        )
+    def add_tol(sp, text):
+        sp.add_argument("--tol", type=tolerance, default=cone.MEMBERSHIP_TOL, help=text)
+
+    def add_input(sp):
         sp.add_argument("input", nargs="?", default="-", help="JSON file path, or - for stdin")
 
     sp = sub.add_parser("check", help="membership predicates with failure reasons")
     sp.add_argument("--what", required=True, choices=sorted(_CHECKS))
-    add_common(sp)
+    add_tol(sp, "membership tolerance")
+    add_input(sp)
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("decompose", help="chart, semigroup or polar factors")
     sp.add_argument(
         "--mode", default="triple", choices=("triple", "gamma", "polar")
     )
-    add_common(sp)
+    add_tol(sp, "membership tolerance; acts on --mode gamma only")
+    add_input(sp)
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("polar", help="shorthand for decompose --mode polar")
-    add_common(sp)
+    add_input(sp)
     sp.set_defaults(func=_cmd_decompose, mode="polar")
 
     sp = sub.add_parser("counterexample", help="the frozen expansion witness")
@@ -154,7 +153,7 @@ def main(argv=None) -> int:
     try:
         # the certificates decide on inf/NaN results; warnings would garble stderr
         with np.errstate(all="ignore"):
-            payload = args.func(args)
+            text = _strict_json(args.func(args))
     except ConvergenceError as exc:
         return _fail("convergence_error", exc)
     except InconsistencyError as exc:
@@ -165,8 +164,17 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _PARSE_EXIT
-    print(json.dumps(payload))
+    print(text)
     return 0
+
+
+def _strict_json(payload) -> str:
+    """The payload as strict JSON: a number that overflowed to inf or
+    became NaN is a domain error, never `Infinity`/`NaN` on stdout."""
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError("result has a non-finite entry") from exc
 
 
 def _fail(status: str, exc: Exception) -> int:

@@ -222,10 +222,19 @@ def act_real(g, x) -> np.ndarray:
     return unembed(W, atol=ACTION_PATTERN_TOL * (1.0 + maxabs(W)))
 
 
-def has_triple_decomposition(g) -> bool:
-    """Membership in the dense chart: D not singular by
+def triple_decomposition_reason(g) -> str | None:
+    """None on the dense chart: every entry finite and D not singular by
     linalg.is_singular3."""
-    return not is_singular3(blocks(g)[3])
+    g = np.asarray(g, dtype=float)
+    if not maxabs(g) < np.inf:  # NaN fails too
+        return "entry not finite"
+    if is_singular3(blocks(g)[3]):
+        return "det D = 0"
+    return None
+
+
+def has_triple_decomposition(g) -> bool:
+    return triple_decomposition_reason(g) is None
 
 
 @dataclass(frozen=True)
@@ -239,13 +248,17 @@ class TripleFactors:
 
 def triple_decompose(g) -> TripleFactors:
     """Unique chart factors: v = B D^{-1}, L = D^{-T} (equal to
-    A - B D^{-1} C), u = diagonal pair of D^{-1} C."""
+    A - B D^{-1} C), u = diagonal pair of D^{-1} C.  DomainError on a
+    non-finite entry, SingularityError when det D = 0."""
     g = np.asarray(g, dtype=float)
     A, B, C, D = blocks(g)
-    if not has_triple_decomposition(g):
+    scale = maxabs(g)
+    if not scale < np.inf:  # NaN fails too
+        raise DomainError("entry not finite")
+    if is_singular3(D):
         raise SingularityError("det D = 0")
     Dinv = inv3(D)
-    v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + np.float64(maxabs(g)) ** 2))
+    v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + np.float64(scale) ** 2))
     return TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
 
 

@@ -13,11 +13,15 @@ wedge in the Lie algebra
     [[A, V], [U, -A^T]],  A triangular-patterned, V patterned, U flat,
 
 graded -1/0/+1 by the block position, with the wedge picked out by A = 0,
-V in the closed cone and U nonnegative.
+V in the closed cone and U nonnegative.  On the grade +-1 part the
+exponential and the logarithm reduce to scalar functions of u_i v_i and
+are computed in closed form (exp_wedge, log_wedge); exp_lie and log_group
+are the scipy routes for the whole algebra.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -49,7 +53,6 @@ from .group import (
     TripleFactors,
     blocks,
     congruence_embed,
-    has_triple_decomposition,
     in_tube_group,
     inverse,
     is_symplectic,
@@ -58,6 +61,10 @@ from .group import (
     tube_group_reason,
 )
 from .linalg import is_singular3, maxabs
+
+# Taylor coefficients 1/(2n+3)! of _s1; eight terms reach 1e-17 relative
+# on |t| <= 1, beyond which the closed form loses at most a few ulps
+_S1_SERIES = tuple(1.0 / math.factorial(2 * n + 3) for n in range(8))
 
 GRADING_ELEMENT = np.diag([0.5, 0.5, 0.5, -0.5, -0.5, -0.5])
 
@@ -100,7 +107,8 @@ def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     if (reason := tube_group_reason(g)) is not None:
         return reason
     _, B, C, D = blocks(g)
-    if not has_triple_decomposition(g):
+    # is_symplectic has already turned away non-finite entries
+    if is_singular3(D):
         return "det D = 0"
     S = D.T @ B
     S = (S + S.T) / 2
@@ -242,7 +250,7 @@ def exp_lie(X) -> np.ndarray:
     """Matrix exponential (scaling and squaring with Pade approximants).
     On nilpotent translation generators it matches the unipotent closed
     form to machine precision."""
-    import scipy.linalg  # deferred: only the polar and exponential routes need scipy
+    import scipy.linalg  # deferred: only the general-algebra exp and log need scipy
 
     return scipy.linalg.expm(np.asarray(X, dtype=float))
 
@@ -275,30 +283,122 @@ def log_group(g) -> np.ndarray:
     return proj
 
 
+def _sh(t: float) -> float:
+    """sinh(sqrt t)/sqrt t, continued as sin(sqrt -t)/sqrt -t for t < 0;
+    1 at t = 0."""
+    if t > 0:
+        r = math.sqrt(t)
+        try:
+            return math.sinh(r) / r
+        except OverflowError:
+            return math.inf
+    if t < 0:
+        r = math.sqrt(-t)
+        return math.sin(r) / r
+    return 1.0 if t == 0 else math.nan
+
+
+def _s1(t: float) -> float:
+    """(_sh(t) - 1)/t = sum of t^n/(2n+3)!, from the series near 0."""
+    if abs(t) > 1.0:
+        return (_sh(t) - 1.0) / t
+    acc = 0.0
+    for c in reversed(_S1_SERIES):
+        acc = acc * t + c
+    return acc
+
+
+def exp_wedge(X: InvariantConeElement) -> np.ndarray:
+    """Closed-form exp of [[0, V], [U, 0]] with V = embed(v), U = diag(u1, u2, 0).
+
+    With R = U^{1/2}, R V R = diag(k1, k2, 0) where k_i = u_i v_i, so every
+    power of X reduces to scalar functions of k_i:
+
+        exp(X) = [[I + V Dc, V + V Ds V], [U + U V Ds, (I + V Dc)^T]]
+
+    with Dc = diag(u_i c1(k_i), 0), Ds = diag(u_i s1(k_i), 0),
+    c1(t) = (cosh sqrt t - 1)/t and s1(t) = (sinh sqrt t / sqrt t - 1)/t.
+    Valid for any v and u (k_i < 0 takes the trigonometric branch), and
+    exactly unipotent when u = 0 or v = 0.
+    """
+    v = np.asarray(X.v, dtype=float)
+    u = np.asarray(X.u, dtype=float)
+    V = embed(v)
+    dc = np.zeros(3)
+    ds = np.zeros(3)
+    for i in range(2):
+        k = float(u[i] * v[i])
+        dc[i] = u[i] * 0.5 * _sh(k / 4.0) ** 2  # c1(t) = sh(t/4)^2 / 2
+        ds[i] = u[i] * _s1(k)
+    top = np.eye(3) + V * dc  # V @ diag(dc)
+    E = np.empty((6, 6))
+    E[:3, :3] = top
+    E[:3, 3:] = V + (V * ds) @ V
+    E[3:, :3] = embed_diag_pair(u) @ (np.eye(3) + V * ds)
+    E[3:, 3:] = top.T
+    return E
+
+
+def log_wedge(h) -> InvariantConeElement:
+    """The generator Y = (v, u) with exp_wedge(Y) = h, for h = exp_wedge of
+    a generator with u_i v_i >= 0.
+
+    Reads only the blocks H12 = h[:3, 3:] and H21 = h[3:, :3]: with
+    k_i = u_i v_i, H12[i,i] H21[i,i] = sinh^2(sqrt k_i), then
+    sh_i = sinh(sqrt k_i)/sqrt k_i gives v_i = H12[i,i]/sh_i,
+    u_i = H21[i,i]/sh_i, x4 = H12[2,0]/sh_1, x5 = H12[2,1]/sh_2 and
+    x3 = H12[2,2] - x4^2 u_1 s1(k_1) - x5^2 u_2 s1(k_2).  Nothing here is
+    certified: the caller recomposes.  A non-finite h gives NaN or inf
+    entries, never an exception.
+    """
+    h = np.asarray(h, dtype=float)
+    H12, H21 = h[:3, 3:], h[3:, :3]
+    v = np.zeros(5)
+    u = np.zeros(2)
+    s1 = [0.0, 0.0]
+    for i in range(2):
+        # round-off can push the product of a zero entry slightly negative
+        root = math.sqrt(max(float(H12[i, i] * H21[i, i]), 0.0))
+        a = math.asinh(root)  # sqrt k_i, well conditioned near 0
+        sh = root / a if a != 0 else 1.0
+        v[i] = H12[i, i] / sh
+        u[i] = H21[i, i] / sh
+        v[3 + i] = H12[2, i] / sh
+        s1[i] = _s1(a * a)
+    v[2] = H12[2, 2] - v[3] ** 2 * u[0] * s1[0] - v[4] ** 2 * u[1] * s1[1]
+    return InvariantConeElement(v=v, u=u)
+
+
 def polar_compose(A, X: InvariantConeElement) -> np.ndarray:
     """congruence_embed(A) @ exp of the wedge generator."""
-    return congruence_embed(A) @ exp_lie(X.matrix())
+    return congruence_embed(A) @ exp_wedge(X)
 
 
 def polar_factor(g):
     """Split an interior semigroup element as g = congruence_embed(A) @ exp(X).
 
     tau(g) = S g S with S = diag(I, -I) fixes the units and negates the
-    wedge, so tau(g)^{-1} g = exp(2X): one principal log gives X, and A is
-    the triangular part of the top-left block of g exp(-X).  Certified or
-    raised: X outside the wedge is a DomainError; A not positive triangular
-    or a recomposition residual above POLAR_RESIDUAL_TOL a ConvergenceError.
+    wedge, so tau(g)^{-1} g = exp(2X): log_wedge reads 2X off it in closed
+    form, and A is the triangular part of the top-left block of g exp(-X).
+    Certified or raised: a non-member is a DomainError; once membership
+    holds, X outside the wedge (NaN included), A not positive triangular or
+    a recomposition residual above POLAR_RESIDUAL_TOL is a ConvergenceError
+    that carries the measured value.
     """
     g = np.asarray(g, dtype=float)
     if (reason := compression_reason(g)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
     S = 2.0 * GRADING_ELEMENT
-    Z = log_group(S @ inverse(g) @ S @ g) / 2
-    X = InvariantConeElement(v=unembed(Z[:3, 3:]), u=diag_pair(Z[3:, :3]))
+    Y = log_wedge(S @ inverse(g) @ S @ g)
+    X = InvariantConeElement(v=Y.v / 2, u=Y.u / 2)
     if (reason := invariant_cone_reason(X.matrix())) is not None:
-        raise DomainError(f"recovered generator outside the wedge: {reason}")
-    A = triangular(triangular_params((g @ exp_lie(-X.matrix()))[:3, :3]))
-    if not in_positive_triangular(A):
+        raise ConvergenceError(
+            f"recovered generator outside the wedge: {reason} (v = {X.v}, u = {X.u})"
+        )
+    E = exp_wedge(InvariantConeElement(v=-X.v, u=-X.u))
+    A = triangular(triangular_params(g[:3] @ E[:, :3]))
+    # is_singular3 keeps congruence_embed's inverse from raising below
+    if not in_positive_triangular(A) or is_singular3(A):
         raise ConvergenceError(f"polar unit factor has diagonal {np.diag(A)}")
     residual = maxabs(polar_compose(A, X) - g) / (1.0 + maxabs(g))
     if not residual <= POLAR_RESIDUAL_TOL:  # a NaN residual fails too

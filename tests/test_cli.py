@@ -155,6 +155,64 @@ def test_polar_rejects_non_members(tmp_path, capsys):
     assert json.loads(err)["status"] == "domain_error"
 
 
+def test_polar_takes_no_tol_and_decompose_documents_its_scope(capsys):
+    assert run_cli(capsys, "polar", "--tol", "1e-3")[0] == 2
+    code, out, _ = run_cli(capsys, "decompose", "--help")
+    assert code == 0 and "acts on --mode gamma only" in " ".join(out.split())
+
+
+def test_nan_outside_d_is_off_the_chart(tmp_path, capsys):
+    g = np.eye(6)
+    g[0, 0] = np.nan
+    path = write_json(tmp_path, "g.json", serialize.dump_matrix6(g))
+    code, out, _ = run_cli(capsys, "check", "--what", "upsilon", path)
+    assert code == 0
+    assert json.loads(out) == {"what": "upsilon", "result": False, "reason": "entry not finite"}
+    code, out, err = run_cli(capsys, "decompose", "--mode", "triple", path)
+    assert code == 1 and out == ""
+    assert json.loads(err)["status"] == "domain_error"
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-strict JSON constant {name} on stdout")
+
+
+def _hostile_matrices():
+    for slot in ((0, 0), (0, 3), (3, 0), (5, 5)):
+        for value in (np.nan, np.inf, -np.inf):
+            g = np.eye(6)
+            g[slot] = value
+            yield g
+    # finite, but B D^{-1} overflows to inf
+    g = np.eye(6)
+    g[:3, 3:] = np.diag([1e307, 1.0, 1.0])
+    g[3:, 3:] = 1e-3 * np.eye(3)
+    yield g
+    yield 1e200 * np.eye(6)
+
+
+def test_no_stdout_carries_nan_or_infinity(tmp_path, capsys):
+    argvs = [["check", "--what", w] for w in ("symplectic", "G", "upsilon", "gamma", "gamma-sp")]
+    argvs += [["decompose", "--mode", m] for m in ("triple", "gamma", "polar")] + [["polar"]]
+    for i, g in enumerate(_hostile_matrices()):
+        # json.dumps writes NaN/Infinity for non-finite floats, as the CLI input may
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps(serialize.dump_matrix6(g)), encoding="utf-8")
+        for argv in argvs:
+            code, out, _ = run_cli(capsys, *argv, str(path))
+            assert code in (0, 1), argv
+            assert "NaN" not in out and "Infinity" not in out, (argv, out)
+            if out:
+                json.loads(out, parse_constant=_reject_constant)
+    for text in ("[NaN, 1, 1, 0, 0]", "[1, -Infinity, 1, 0, 0]", "[1, 1, 1, 1e308, 1e308]"):
+        path = tmp_path / "x.json"
+        path.write_text(text, encoding="utf-8")
+        for what in ("cone", "closed-cone"):
+            code, out, _ = run_cli(capsys, "check", "--what", what, str(path))
+            assert code == 0
+            json.loads(out, parse_constant=_reject_constant)
+
+
 def test_counterexample_payload(capsys):
     code, out, err = run_cli(capsys, "counterexample")
     assert code == 0 and err == ""
@@ -260,6 +318,7 @@ runs = {
     + [["check", "--what", w, mat] for w in ("symplectic", "G", "upsilon", "gamma", "gamma-sp")],
     "counterexample": [["counterexample"]],
     "search": [["search", "--samples", "20", "--out", out]],
+    "polar": [["polar", mat], ["decompose", "--mode", "polar", mat]],
 }
 loaded = {"import": "scipy.linalg" in sys.modules}
 for name, argvs in runs.items():
@@ -289,5 +348,6 @@ def test_scipy_is_loaded_only_by_its_users(tmp_path):
         "check": False,
         "counterexample": False,
         "search": False,
+        "polar": False,
         "spd_metric": True,
     }

@@ -185,6 +185,18 @@ def test_act_real_raises_on_singular_denominator():
         dv.act_real(dv.inversion(), [0.0, 1.0, 1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("slot", [(0, 0), (0, 3), (3, 0), (5, 5)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_leave_the_chart(slot, value):
+    # a NaN outside D never reaches the singularity rule; finiteness is
+    # checked on every entry
+    g = np.eye(6)
+    g[slot] = value
+    assert dv.has_triple_decomposition(g) is False
+    with pytest.raises(DomainError, match="entry not finite"):
+        dv.triple_decompose(g)
+
+
 def test_chart_membership_and_rotation_chart_boundary():
     assert dv.has_triple_decomposition(dv.translation([1, 2, 3, 4, 5]))
     assert dv.has_triple_decomposition(dv.inversion()) is False

@@ -331,19 +331,125 @@ def test_polar_factor_certifies_every_chart_sample(sigma):
         assert_certified_polar_pair(g, A, X)
 
 
-def test_polar_factor_rejects_non_members_and_fails_its_certificate_loudly():
-    with pytest.raises(DomainError):
-        dv.polar_factor(dv.translation(-IDENTITY))
-    # unit times the exponential of a wedge generator of norm 31, a member
-    # whose involution quotient exp(2X) is too ill-conditioned for the
-    # principal log to recompose it within POLAR_RESIDUAL_TOL
+def test_polar_factor_certifies_the_norm_31_member():
+    # unit times the exponential of a wedge generator of norm 31; the
+    # earlier 6x6 principal log missed its residual certificate (4.5e-6)
     rng = np.random.default_rng(111)
     A = dv.sample_positive_triangular(rng, 0.7)
     X = InvariantConeElement(v=dv.sample_cone(rng, 0.7), u=np.exp(0.7 * rng.standard_normal(2)))
     g = dv.polar_compose(A, X)
+    A2, X2 = dv.polar_factor(g)
+    assert_certified_polar_pair(g, A2, X2)
+    assert rel_err(X2.matrix(), X.matrix()) <= 1e-8
+
+
+def uncapped_probe():
+    """(sigma, g) for 1000 units times exponentials of interior wedge
+    generators with no norm cap, 200 per sigma, rng 9."""
+    rng = np.random.default_rng(9)
+    for sigma in (0.3, 0.5, 0.7, 1.0, 1.5):
+        for _ in range(200):
+            A = dv.sample_positive_triangular(rng, sigma)
+            X = InvariantConeElement(
+                v=dv.sample_cone(rng, sigma), u=np.exp(sigma * rng.standard_normal(2))
+            )
+            yield sigma, dv.polar_compose(A, X)
+
+
+def test_polar_factor_rejects_non_members_and_fails_its_certificate_loudly():
+    with pytest.raises(DomainError):
+        dv.polar_factor(dv.translation(-IDENTITY))
+    # the 16th sigma = 1.0 element of the uncapped probe: a member, wedge
+    # generator of norm 22, whose unit factor g exp(-X) loses 3e-6 to
+    # cancellation between entries of size exp(22)
+    g = [g for sigma, g in uncapped_probe() if sigma == 1.0][15]
     assert dv.in_compression_semigroup(g)
-    with pytest.raises(ConvergenceError, match="residual"):
+    with pytest.raises(ConvergenceError, match="residual 3.3"):
         dv.polar_factor(g)
+
+
+def test_every_member_of_the_uncapped_probe_factors_or_fails_its_certificate():
+    # once membership holds, the only failure is ConvergenceError: no
+    # DomainError, PatternError or SpectrumError reaches a member
+    factored = 0
+    for _, g in uncapped_probe():
+        if not dv.in_compression_semigroup(g):
+            continue
+        try:
+            A, X = dv.polar_factor(g)
+        except ConvergenceError:
+            continue
+        assert_certified_polar_pair(g, A, X)
+        factored += 1
+    assert factored >= 940  # 945 here; the 6x6 principal log factored 892
+
+
+def test_polar_factor_reads_the_principal_log_of_the_involution_quotient():
+    # oracle: X equals log_group(tau(g)^{-1} g) / 2 on criterion 6's family
+    rng = np.random.default_rng(56)
+    S = 2.0 * GRADING_ELEMENT
+    for _ in range(50):
+        A = dv.sample_positive_triangular(rng, 0.7)
+        v = dv.sample_cone(rng, 0.7)
+        u = np.exp(0.7 * rng.standard_normal(2))
+        nrm = np.linalg.norm(InvariantConeElement(v=v, u=u).matrix())
+        if nrm > 1.0:
+            v, u = v / nrm, u / nrm
+        g = dv.polar_compose(A, InvariantConeElement(v=v, u=u))
+        _, X = dv.polar_factor(g)
+        assert maxabs(X.matrix() - dv.log_group(S @ dv.inverse(g) @ S @ g) / 2) <= 1e-10
+
+
+def wedge_oracle_cases():
+    rng = np.random.default_rng(57)
+    boundary = [np.array([0.0, 1.0, 1.0, 0.0, 0.5]), np.array([1.0, 0.0, 2.0, 1.0, 0.0]),
+                np.array([0.0, 0.0, 1.0, 0.0, 0.0]), np.array([1.0, 1.0, 2.0, 1.0, 1.0])]
+    for norm in (1e-8, 1e-5, 1e-2, 0.3, 1.0, 3.0, 10.0, 30.0):
+        for k in range(8):
+            v = dv.sample_cone(rng, 0.7) if k < 4 else boundary[k - 4]
+            u = np.exp(0.7 * rng.standard_normal(2))
+            if k % 4 == 1:
+                u[0] = 0.0
+            elif k % 4 == 2:
+                u[1] = 0.0
+            elif k % 4 == 3:
+                u = -u  # k_i < 0: the trigonometric branch
+            X = InvariantConeElement(v=v, u=u)
+            s = norm / np.linalg.norm(X.matrix())
+            yield InvariantConeElement(v=s * v, u=s * u)
+
+
+def test_exp_wedge_matches_scipy_expm():
+    for X in wedge_oracle_cases():
+        M = X.matrix()
+        expected = scipy.linalg.expm(M)
+        bound = 1e-12 * (1.0 + np.linalg.norm(M) ** 2)
+        assert maxabs(dv.exp_wedge(X) - expected) / maxabs(expected) <= bound
+
+
+def test_exp_wedge_is_exactly_unipotent_off_one_grade():
+    v = np.array([1.0, 2.0, 3.0, -4.0, 0.5])
+    u = np.array([0.75, 0.25])
+    assert np.array_equal(dv.exp_wedge(InvariantConeElement(v=v, u=np.zeros(2))), dv.translation(v))
+    lower = np.eye(6)
+    lower[3:, :3] = np.diag([0.75, 0.25, 0.0])
+    assert np.array_equal(dv.exp_wedge(InvariantConeElement(v=np.zeros(5), u=u)), lower)
+
+
+def test_log_wedge_inverts_exp_wedge():
+    for X in wedge_oracle_cases():
+        if X.u.min() < 0 or np.linalg.norm(X.matrix()) > 10:
+            continue
+        Y = dv.log_wedge(dv.exp_wedge(X))
+        assert rel_err(Y.matrix(), X.matrix()) <= 1e-10
+
+
+def test_wedge_exp_and_log_answer_non_finite_values_without_raising():
+    with np.errstate(all="ignore"):
+        E = dv.exp_wedge(InvariantConeElement(v=1e6 * IDENTITY, u=np.array([1e6, 1e6])))
+        Y = dv.log_wedge(np.full((6, 6), np.nan))
+    assert not np.isfinite(E).all()
+    assert np.isnan(Y.v).all() and np.isnan(Y.u).all()
 
 
 def test_degenerate_boundary_sampler_returns_identity():
