@@ -75,7 +75,6 @@ from .semigroup import (
     InvariantConeElement,
     compression_factors,
     cross_check_membership,
-    exp_lie,
     exp_wedge,
     grade,
     in_compression_semigroup,
@@ -83,7 +82,6 @@ from .semigroup import (
     in_symplectic_semigroup,
     lie_element,
     lie_parts,
-    log_group,
     log_wedge,
     polar_compose,
     polar_factor,

@@ -202,6 +202,12 @@ def mobius(g, Z) -> tuple[np.ndarray, np.ndarray]:
     return (A @ Z + B) @ Mi, Mi
 
 
+def unembed_action(W) -> np.ndarray:
+    """Coordinates of a computed action result or pushforward, which
+    carries round-off: pattern tolerance ACTION_PATTERN_TOL, scale-relative."""
+    return unembed(W, atol=ACTION_PATTERN_TOL * (1.0 + maxabs(W)))
+
+
 def act(g, z) -> np.ndarray:
     """Fractional linear action on a tube point (imaginary part interior).
 
@@ -212,14 +218,14 @@ def act(g, z) -> np.ndarray:
     if not in_open_cone(z.imag):
         raise DomainError("imaginary part outside the open cone")
     W, _ = mobius(g, embed(z))
-    return unembed(W, atol=ACTION_PATTERN_TOL * (1.0 + maxabs(W)))
+    return unembed_action(W)
 
 
 def act_real(g, x) -> np.ndarray:
     """Real form of the action, defined wherever C embed(x) + D is
     invertible."""
     W, _ = mobius(g, embed(np.asarray(x, dtype=float)))
-    return unembed(W, atol=ACTION_PATTERN_TOL * (1.0 + maxabs(W)))
+    return unembed_action(W)
 
 
 def triple_decomposition_reason(g) -> str | None:

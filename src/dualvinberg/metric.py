@@ -25,11 +25,10 @@ from .cone import (
     in_open_cone,
     log_char_function,
     sample_cone,
-    unembed,
 )
 from .errors import DomainError
-from .group import ACTION_PATTERN_TOL, act_real, mobius, translation
-from .linalg import adjugate3, det3, maxabs
+from .group import act_real, mobius, translation, unembed_action
+from .linalg import adjugate3, det3
 from .semigroup import (
     compression_reason,
     sample_semigroup,
@@ -58,8 +57,6 @@ def cone_metric(x, v, w) -> float:
 def spd_metric(x, v, w) -> float:
     """2 tr(x^{-1} v x^{-1} w) on the full positive definite cone,
     computed through a Cholesky factor for stability."""
-    import scipy.linalg  # deferred: the patterned-cone paths never need scipy
-
     x = np.asarray(x, dtype=float)
     try:
         L = np.linalg.cholesky(x)
@@ -67,8 +64,8 @@ def spd_metric(x, v, w) -> float:
         raise DomainError("base point not positive definite") from exc
 
     def whiten(m):
-        half = scipy.linalg.solve_triangular(L, np.asarray(m, dtype=float), lower=True)
-        return scipy.linalg.solve_triangular(L, half.T, lower=True)
+        half = np.linalg.solve(L, np.asarray(m, dtype=float))
+        return np.linalg.solve(L, half.T)
 
     av = whiten(v)
     aw = whiten(w)
@@ -91,8 +88,7 @@ def action_jacobian(g, x, v) -> np.ndarray:
     """Pushforward of the real fractional action:
     V -> M^{-T} V M^{-1} with M = C embed(x) + D."""
     _, Mi = mobius(g, embed(np.asarray(x, dtype=float)))
-    J = Mi.T @ embed(np.asarray(v, dtype=float)) @ Mi
-    return unembed(J, atol=ACTION_PATTERN_TOL * (1.0 + maxabs(J)))
+    return unembed_action(Mi.T @ embed(np.asarray(v, dtype=float)) @ Mi)
 
 
 def action_jacobian_fd(g, x, v, h: float = 1e-4) -> np.ndarray:
@@ -128,8 +124,10 @@ def contraction_ratio(g, x, v, tol: float = MEMBERSHIP_TOL) -> ContractionRecord
         raise DomainError("base point outside the open cone")
     if not np.any(v):
         raise DomainError("zero tangent vector")
-    y = act_real(g, x)
-    jv = action_jacobian(g, x, v)
+    # one kernel call gives both the image point and the pushforward
+    W, Mi = mobius(g, embed(x))
+    y = unembed_action(W)
+    jv = unembed_action(Mi.T @ embed(v) @ Mi)
     ratio = cone_metric(y, jv, jv) / cone_metric(x, v, v)
     return ContractionRecord(
         g=g, x=x, v=v, ratio=float(ratio),

@@ -15,14 +15,12 @@ wedge in the Lie algebra
 graded -1/0/+1 by the block position, with the wedge picked out by A = 0,
 V in the closed cone and U nonnegative.  On the grade +-1 part the
 exponential and the logarithm reduce to scalar functions of u_i v_i and
-are computed in closed form (exp_wedge, log_wedge); exp_lie and log_group
-are the scipy routes for the whole algebra.
+are computed in closed form (exp_wedge, log_wedge), with numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +37,6 @@ from .cone import (
     sample_cone,
     sample_positive_triangular,
     triangular,
-    triangular_params,
     unembed,
 )
 from .errors import (
@@ -47,7 +44,6 @@ from .errors import (
     DomainError,
     InconsistencyError,
     PatternError,
-    SpectrumError,
 )
 from .group import (
     TripleFactors,
@@ -71,9 +67,6 @@ GRADING_ELEMENT = np.diag([0.5, 0.5, 0.5, -0.5, -0.5, -0.5])
 # cross_check_membership relaxes or tightens tol by this factor before a
 # disagreement of the two membership routes counts as real
 CROSS_CHECK_SLACK = 50.0
-
-# scale-relative off-algebra residue above which log_group refuses
-LOG_PATTERN_TOL = 1e-6
 
 # scale-relative recomposition residual above which polar_factor refuses
 POLAR_RESIDUAL_TOL = 1e-8
@@ -186,16 +179,6 @@ def lie_parts(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return X[:3, :3].copy(), unembed(X[:3, 3:]), diag_pair(X[3:, :3])
 
 
-def project_lie(X) -> tuple[np.ndarray, float]:
-    """Nearest graded-algebra element and the off-algebra residue."""
-    X = np.asarray(X, dtype=float)
-    A = triangular(triangular_params((X[:3, :3] - X[3:, 3:].T) / 2))
-    # unembed averages the mirror pairs, which is the symmetric projection
-    v = unembed(X[:3, 3:], atol=np.inf)
-    proj = lie_element(A, v, diag_pair(X[3:, :3]))
-    return proj, maxabs(X - proj)
-
-
 def grade(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split into ad-eigenspaces of the grading element: the lower-left
     block (grade -1), block-diagonal part (grade 0), upper-right block
@@ -246,43 +229,6 @@ def in_invariant_cone(X, tol: float = MEMBERSHIP_TOL) -> bool:
     return invariant_cone_reason(X, tol) is None
 
 
-def exp_lie(X) -> np.ndarray:
-    """Matrix exponential (scaling and squaring with Pade approximants).
-    On nilpotent translation generators it matches the unipotent closed
-    form to machine precision."""
-    import scipy.linalg  # deferred: only the general-algebra exp and log need scipy
-
-    return scipy.linalg.expm(np.asarray(X, dtype=float))
-
-
-def log_group(g) -> np.ndarray:
-    """Principal logarithm projected onto the graded algebra.
-
-    Raises SpectrumError when an eigenvalue touches the closed negative
-    real axis, and PatternError when the log exists but its off-algebra
-    residue exceeds LOG_PATTERN_TOL (scale-relative), meaning g is not an
-    exponential from this algebra.
-    """
-    import scipy.linalg
-
-    g = np.asarray(g, dtype=float)
-    lam = np.linalg.eigvals(g)
-    on_axis = (lam.real <= 0) & (np.abs(lam.imag) <= 1e-10 * (1.0 + np.abs(lam)))
-    if bool(on_axis.any()):
-        raise SpectrumError("eigenvalue on the closed negative real axis")
-    with warnings.catch_warnings():
-        # the Schur-based logm warns about its own error estimate; the
-        # round trip is checked by the callers and the test suite instead
-        warnings.simplefilter("ignore")
-        X = scipy.linalg.logm(g)
-    Xr = np.real(X)
-    proj, residue = project_lie(Xr)
-    residue = max(residue, maxabs(np.imag(X)))
-    if not residue <= LOG_PATTERN_TOL * (1.0 + maxabs(Xr)):  # NaN fails too
-        raise PatternError(f"off-algebra residue {residue:.3e}")
-    return proj
-
-
 def _sh(t: float) -> float:
     """sinh(sqrt t)/sqrt t, continued as sin(sqrt -t)/sqrt -t for t < 0;
     1 at t = 0."""
@@ -294,7 +240,7 @@ def _sh(t: float) -> float:
             return math.inf
     if t < 0:
         r = math.sqrt(-t)
-        return math.sin(r) / r
+        return math.sin(r) / r if r < math.inf else 0.0  # the limit; sin(inf) raises
     return 1.0 if t == 0 else math.nan
 
 
@@ -319,7 +265,8 @@ def exp_wedge(X: InvariantConeElement) -> np.ndarray:
     with Dc = diag(u_i c1(k_i), 0), Ds = diag(u_i s1(k_i), 0),
     c1(t) = (cosh sqrt t - 1)/t and s1(t) = (sinh sqrt t / sqrt t - 1)/t.
     Valid for any v and u (k_i < 0 takes the trigonometric branch), and
-    exactly unipotent when u = 0 or v = 0.
+    exactly unipotent when u = 0 or v = 0.  Non-finite or overflowing
+    entries give inf or NaN entries, never an exception.
     """
     v = np.asarray(X.v, dtype=float)
     u = np.asarray(X.u, dtype=float)
@@ -328,7 +275,10 @@ def exp_wedge(X: InvariantConeElement) -> np.ndarray:
     ds = np.zeros(3)
     for i in range(2):
         k = float(u[i] * v[i])
-        dc[i] = u[i] * 0.5 * _sh(k / 4.0) ** 2  # c1(t) = sh(t/4)^2 / 2
+        sh = _sh(k / 4.0)
+        # c1(t) = sh(t/4)^2 / 2, squared by a product, which overflows to
+        # inf where a float power would raise
+        dc[i] = u[i] * 0.5 * (sh * sh)
         ds[i] = u[i] * _s1(k)
     top = np.eye(3) + V * dc  # V @ diag(dc)
     E = np.empty((6, 6))
@@ -379,7 +329,9 @@ def polar_factor(g):
 
     tau(g) = S g S with S = diag(I, -I) fixes the units and negates the
     wedge, so tau(g)^{-1} g = exp(2X): log_wedge reads 2X off it in closed
-    form, and A is the triangular part of the top-left block of g exp(-X).
+    form.  The top-left block of g is A (I + V Dc) = A [[e1, 0, 0],
+    [0, e2, 0], [f1, f2, 1]] with e_i >= 1 on the wedge, so A follows by
+    triangular substitution, with none of the cancellation of g exp(-X).
     Certified or raised: a non-member is a DomainError; once membership
     holds, X outside the wedge (NaN included), A not positive triangular or
     a recomposition residual above POLAR_RESIDUAL_TOL is a ConvergenceError
@@ -395,12 +347,16 @@ def polar_factor(g):
         raise ConvergenceError(
             f"recovered generator outside the wedge: {reason} (v = {X.v}, u = {X.u})"
         )
-    E = exp_wedge(InvariantConeElement(v=-X.v, u=-X.u))
-    A = triangular(triangular_params(g[:3] @ E[:, :3]))
+    E = exp_wedge(X)
+    (e1, _, _), (_, e2, _), (f1, f2, _) = E[:3, :3]
+    a3 = g[2, 2]
+    A = triangular(
+        [g[0, 0] / e1, g[1, 1] / e2, a3, (g[2, 0] - a3 * f1) / e1, (g[2, 1] - a3 * f2) / e2]
+    )
     # is_singular3 keeps congruence_embed's inverse from raising below
     if not in_positive_triangular(A) or is_singular3(A):
         raise ConvergenceError(f"polar unit factor has diagonal {np.diag(A)}")
-    residual = maxabs(polar_compose(A, X) - g) / (1.0 + maxabs(g))
+    residual = maxabs(congruence_embed(A) @ E - g) / (1.0 + maxabs(g))
     if not residual <= POLAR_RESIDUAL_TOL:  # a NaN residual fails too
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
     return A, X

@@ -1,0 +1,80 @@
+"""scipy routes kept as test oracles for the closed forms in the package.
+
+exp_lie and log_group are the general-algebra matrix exponential and
+principal logarithm; spd_metric_triangular whitens with two triangular
+solves.  The package needs none of them: its polar factorization runs on
+the closed-form exp_wedge/log_wedge and its spd_metric on numpy alone.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+import scipy.linalg
+
+import dualvinberg as dv
+from dualvinberg.cone import diag_pair
+from dualvinberg.errors import PatternError, SpectrumError
+from dualvinberg.linalg import maxabs
+
+# scale-relative off-algebra residue above which log_group refuses
+LOG_PATTERN_TOL = 1e-6
+
+
+def project_lie(X) -> tuple[np.ndarray, float]:
+    """Nearest graded-algebra element and the off-algebra residue."""
+    X = np.asarray(X, dtype=float)
+    A = dv.triangular(dv.triangular_params((X[:3, :3] - X[3:, 3:].T) / 2))
+    # unembed averages the mirror pairs, which is the symmetric projection
+    v = dv.unembed(X[:3, 3:], atol=np.inf)
+    proj = dv.lie_element(A, v, diag_pair(X[3:, :3]))
+    return proj, maxabs(X - proj)
+
+
+def exp_lie(X) -> np.ndarray:
+    """Matrix exponential (scaling and squaring with Pade approximants).
+    On nilpotent translation generators it matches the unipotent closed
+    form to machine precision."""
+    return scipy.linalg.expm(np.asarray(X, dtype=float))
+
+
+def log_group(g) -> np.ndarray:
+    """Principal logarithm projected onto the graded algebra.
+
+    Raises SpectrumError when an eigenvalue touches the closed negative
+    real axis, and PatternError when the log exists but its off-algebra
+    residue exceeds LOG_PATTERN_TOL (scale-relative), meaning g is not an
+    exponential from this algebra.
+    """
+    g = np.asarray(g, dtype=float)
+    lam = np.linalg.eigvals(g)
+    on_axis = (lam.real <= 0) & (np.abs(lam.imag) <= 1e-10 * (1.0 + np.abs(lam)))
+    if bool(on_axis.any()):
+        raise SpectrumError("eigenvalue on the closed negative real axis")
+    with warnings.catch_warnings():
+        # the Schur-based logm warns about its own error estimate; the
+        # round trip is checked by the tests instead
+        warnings.simplefilter("ignore")
+        X = scipy.linalg.logm(g)
+    Xr = np.real(X)
+    proj, residue = project_lie(Xr)
+    residue = max(residue, maxabs(np.imag(X)))
+    if not residue <= LOG_PATTERN_TOL * (1.0 + maxabs(Xr)):  # NaN fails too
+        raise PatternError(f"off-algebra residue {residue:.3e}")
+    return proj
+
+
+def spd_metric_triangular(x, v, w) -> tuple[float, float]:
+    """2 tr(x^{-1} v x^{-1} w), whitened by triangular solves against the
+    Cholesky factor L of x, and its Cauchy-Schwarz scale 2 |a_v| |a_w|
+    (Frobenius norms of the whitened a_m = L^{-1} m L^{-T}), which bounds
+    the value and sets the size of its round-off."""
+    L = np.linalg.cholesky(np.asarray(x, dtype=float))
+
+    def whiten(m):
+        half = scipy.linalg.solve_triangular(L, np.asarray(m, dtype=float), lower=True)
+        return scipy.linalg.solve_triangular(L, half.T, lower=True)
+
+    av, aw = whiten(v), whiten(w)
+    return float(2.0 * np.sum(av * aw.T)), float(2.0 * np.linalg.norm(av) * np.linalg.norm(aw))

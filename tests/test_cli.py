@@ -309,6 +309,8 @@ def test_search_rejects_nonpositive_samples(capsys):
 
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
+sys.modules["scipy"] = None  # from here on, any import of scipy raises ImportError
+import numpy as np
 import dualvinberg
 from dualvinberg.cli import main
 
@@ -316,9 +318,10 @@ vec, mat, out = sys.argv[1:4]
 runs = {
     "check": [["check", "--what", w, vec] for w in ("cone", "closed-cone")]
     + [["check", "--what", w, mat] for w in ("symplectic", "G", "upsilon", "gamma", "gamma-sp")],
+    "decompose": [["decompose", "--mode", m, mat] for m in ("triple", "gamma", "polar")],
+    "polar": [["polar", mat]],
     "counterexample": [["counterexample"]],
     "search": [["search", "--samples", "20", "--out", out]],
-    "polar": [["polar", mat], ["decompose", "--mode", "polar", mat]],
 }
 loaded = {"import": "scipy.linalg" in sys.modules}
 for name, argvs in runs.items():
@@ -326,13 +329,17 @@ for name, argvs in runs.items():
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
     loaded[name] = "scipy.linalg" in sys.modules
-dualvinberg.spd_metric(dualvinberg.embed(dualvinberg.IDENTITY_POINT), [[1.0]*3]*3, [[1.0]*3]*3)
+x = dualvinberg.embed(dualvinberg.IDENTITY_POINT)
+assert dualvinberg.spd_metric(x, np.ones((3, 3)), np.ones((3, 3))) == 18.0
 loaded["spd_metric"] = "scipy.linalg" in sys.modules
+g = dualvinberg.sample_symplectic_semigroup(np.random.default_rng(0))
+assert dualvinberg.contraction_ratio_spd(g, x, np.eye(3)) <= 1.0
+loaded["contraction_ratio_spd"] = "scipy.linalg" in sys.modules
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_is_loaded_only_by_its_users(tmp_path):
+def test_package_and_every_command_run_with_scipy_blocked(tmp_path):
     vec = write_json(tmp_path, "x.json", [1, 1, 1, 0, 0])
     mat = write_json(
         tmp_path, "g.json", serialize.dump_matrix6(dv.translation([1.0, 1.0, 1.01, -1.0, 0.0]))
@@ -346,8 +353,10 @@ def test_scipy_is_loaded_only_by_its_users(tmp_path):
     assert json.loads(proc.stdout) == {
         "import": False,
         "check": False,
+        "decompose": False,
+        "polar": False,
         "counterexample": False,
         "search": False,
-        "polar": False,
-        "spd_metric": True,
+        "spd_metric": False,
+        "contraction_ratio_spd": False,
     }

@@ -5,6 +5,8 @@ import dualvinberg as dv
 from dualvinberg.errors import DomainError
 from dualvinberg.linalg import maxabs
 
+from oracles import spd_metric_triangular
+
 IDENTITY = dv.IDENTITY_POINT
 
 
@@ -102,6 +104,14 @@ def test_spd_metric_matches_direct_trace_formula():
         xi = np.linalg.inv(x)
         direct = 2.0 * np.trace(xi @ v @ xi @ w)
         assert np.isclose(dv.spd_metric(x, v, w), direct, rtol=1e-10, atol=1e-12)
+
+
+def test_spd_metric_matches_the_triangular_solve_oracle():
+    rng = np.random.default_rng(67)
+    for _ in range(10_000):
+        x, v, w = random_spd(rng), random_sym(rng), random_sym(rng)
+        expected, scale = spd_metric_triangular(x, v, w)
+        assert abs(dv.spd_metric(x, v, w) - expected) <= 1e-13 * scale
 
 
 def test_spd_metric_requires_positive_definite_base():

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dualvinberg as dv
+from dualvinberg import semigroup
 from dualvinberg.errors import (
     ConvergenceError,
     DomainError,
@@ -15,11 +19,11 @@ from dualvinberg.semigroup import (
     InvariantConeElement,
     compression_reason,
     invariant_cone_reason,
-    project_lie,
     symplectic_semigroup_reason,
 )
 
 from conftest import ZeroRandomness, sample_chart_element
+from oracles import exp_lie, log_group, project_lie
 
 IDENTITY = dv.IDENTITY_POINT
 
@@ -231,9 +235,9 @@ def test_exp_log_round_trip_on_the_algebra():
             0.4 * rng.standard_normal(5),
             0.4 * rng.standard_normal(2),
         )
-        g = dv.exp_lie(X)
+        g = exp_lie(X)
         assert dv.is_symplectic(g)
-        assert rel_err(dv.log_group(g), X) <= 1e-8
+        assert rel_err(log_group(g), X) <= 1e-8
 
 
 def test_exp_of_wedge_lands_in_the_semigroup():
@@ -243,18 +247,18 @@ def test_exp_of_wedge_lands_in_the_semigroup():
             v=dv.sample_cone(rng, 0.6), u=np.exp(0.6 * rng.standard_normal(2))
         )
         assert dv.in_invariant_cone(X.matrix())
-        assert dv.in_compression_semigroup(dv.exp_lie(X.matrix()))
+        assert dv.in_compression_semigroup(exp_lie(X.matrix()))
 
 
 def test_exp_of_nilpotent_translations_matches_the_unipotent_form():
     v = np.array([1.0, 2.0, 3.0, -4.0, 0.5])
     X = dv.lie_element(np.zeros((3, 3)), v, np.zeros(2))
-    assert maxabs(dv.exp_lie(X) - dv.translation(v)) <= 1e-14 * (1.0 + maxabs(v))
+    assert maxabs(exp_lie(X) - dv.translation(v)) <= 1e-14 * (1.0 + maxabs(v))
 
 
 def test_log_group_spectrum_guard():
     with pytest.raises(SpectrumError):
-        dv.log_group(dv.congruence_embed(np.diag([-1.0, -1.0, 1.0])))
+        log_group(dv.congruence_embed(np.diag([-1.0, -1.0, 1.0])))
 
 
 def test_log_group_off_algebra_guard():
@@ -262,7 +266,7 @@ def test_log_group_off_algebra_guard():
     N[0, 1] = 1.0  # nilpotent, but its grade-zero part is off the pattern
     g = scipy.linalg.expm(N)
     with pytest.raises(PatternError):
-        dv.log_group(g)
+        log_group(g)
 
 
 def test_polar_factor_frozen_generators():
@@ -343,45 +347,63 @@ def test_polar_factor_certifies_the_norm_31_member():
     assert rel_err(X2.matrix(), X.matrix()) <= 1e-8
 
 
+def uncapped_draw(rng, sigma):
+    """A unit times the exponential of an interior wedge generator, with
+    no norm cap."""
+    A = dv.sample_positive_triangular(rng, sigma)
+    X = InvariantConeElement(v=dv.sample_cone(rng, sigma), u=np.exp(sigma * rng.standard_normal(2)))
+    return dv.polar_compose(A, X)
+
+
 def uncapped_probe():
-    """(sigma, g) for 1000 units times exponentials of interior wedge
-    generators with no norm cap, 200 per sigma, rng 9."""
+    """(sigma, g) for 1000 uncapped draws, 200 per sigma, rng 9."""
     rng = np.random.default_rng(9)
     for sigma in (0.3, 0.5, 0.7, 1.0, 1.5):
         for _ in range(200):
-            A = dv.sample_positive_triangular(rng, sigma)
-            X = InvariantConeElement(
-                v=dv.sample_cone(rng, sigma), u=np.exp(sigma * rng.standard_normal(2))
-            )
-            yield sigma, dv.polar_compose(A, X)
+            yield sigma, uncapped_draw(rng, sigma)
 
 
 def test_polar_factor_rejects_non_members_and_fails_its_certificate_loudly():
     with pytest.raises(DomainError):
         dv.polar_factor(dv.translation(-IDENTITY))
-    # the 16th sigma = 1.0 element of the uncapped probe: a member, wedge
-    # generator of norm 22, whose unit factor g exp(-X) loses 3e-6 to
-    # cancellation between entries of size exp(22)
-    g = [g for sigma, g in uncapped_probe() if sigma == 1.0][15]
+    # the 390th sigma = 2.5 draw of rng 9, the first member of 1000 such
+    # draws that does not factor: entries of g near 2e8 cancel in
+    # tau(g)^{-1} g, and the recovered x3 (4.0977, true 4.1047) leaves the
+    # closed cone
+    rng = np.random.default_rng(9)
+    with np.errstate(all="ignore"):  # a few earlier draws overflow to inf
+        for _ in range(390):
+            g = uncapped_draw(rng, 2.5)
     assert dv.in_compression_semigroup(g)
-    with pytest.raises(ConvergenceError, match="residual 3.3"):
+    with pytest.raises(ConvergenceError, match="outside the wedge: translation part"):
         dv.polar_factor(g)
 
 
-def test_every_member_of_the_uncapped_probe_factors_or_fails_its_certificate():
-    # once membership holds, the only failure is ConvergenceError: no
-    # DomainError, PatternError or SpectrumError reaches a member
+def test_polar_factor_residual_certificate_fires_on_a_wrong_generator(monkeypatch):
+    # a generator still in the wedge but 0.1 % off must fail the
+    # recomposition certificate instead of being returned
+    A = dv.triangular([1.2, 0.8, 1.1, 0.3, -0.2])
+    g = dv.polar_compose(A, InvariantConeElement(v=np.array([1.0, 0.5, 2.0, 0.3, 0.2]), u=np.array([0.4, 0.7])))
+    exact = semigroup.log_wedge
+
+    def perturbed(h):
+        Y = exact(h)
+        return InvariantConeElement(v=1.001 * Y.v, u=Y.u)
+
+    monkeypatch.setattr(semigroup, "log_wedge", perturbed)
+    with pytest.raises(ConvergenceError, match="recomposition residual"):
+        dv.polar_factor(g)
+
+
+def test_every_member_of_the_uncapped_probe_factors():
+    # once membership holds, polar_factor returns a certified pair; the
+    # unit factor g exp(-X) lost 22 of these members to cancellation
     factored = 0
     for _, g in uncapped_probe():
-        if not dv.in_compression_semigroup(g):
-            continue
-        try:
-            A, X = dv.polar_factor(g)
-        except ConvergenceError:
-            continue
-        assert_certified_polar_pair(g, A, X)
-        factored += 1
-    assert factored >= 940  # 945 here; the 6x6 principal log factored 892
+        if dv.in_compression_semigroup(g):
+            assert_certified_polar_pair(g, *dv.polar_factor(g))
+            factored += 1
+    assert factored == 967  # the other 33 are non-members (det D = 0)
 
 
 def test_polar_factor_reads_the_principal_log_of_the_involution_quotient():
@@ -397,7 +419,7 @@ def test_polar_factor_reads_the_principal_log_of_the_involution_quotient():
             v, u = v / nrm, u / nrm
         g = dv.polar_compose(A, InvariantConeElement(v=v, u=u))
         _, X = dv.polar_factor(g)
-        assert maxabs(X.matrix() - dv.log_group(S @ dv.inverse(g) @ S @ g) / 2) <= 1e-10
+        assert maxabs(X.matrix() - log_group(S @ dv.inverse(g) @ S @ g) / 2) <= 1e-10
 
 
 def wedge_oracle_cases():
@@ -450,6 +472,36 @@ def test_wedge_exp_and_log_answer_non_finite_values_without_raising():
         Y = dv.log_wedge(np.full((6, 6), np.nan))
     assert not np.isfinite(E).all()
     assert np.isnan(Y.v).all() and np.isnan(Y.u).all()
+
+
+def test_exp_wedge_squares_an_overflowing_sinh_to_inf():
+    # sinh(sqrt(k)/2) is finite at k = 800^2 but its square is not
+    with np.errstate(all="ignore"):
+        E = dv.exp_wedge(InvariantConeElement(v=np.array([800.0, 1, 1, 0, 0]), u=np.array([800.0, 1])))
+    assert np.isinf(E[0, 0])
+
+
+# every float64, with NaN, +-inf and overflow-sized values drawn often
+hostile = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, 5, elements=hostile), hnp.arrays(np.float64, 2, elements=hostile))
+def test_exp_wedge_never_raises(v, u):
+    with np.errstate(all="ignore"):
+        E = dv.exp_wedge(InvariantConeElement(v=v, u=u))
+    assert E.shape == (6, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, (6, 6), elements=hostile))
+def test_log_wedge_never_raises(h):
+    with np.errstate(all="ignore"):
+        Y = dv.log_wedge(h)
+    assert Y.v.shape == (5,) and Y.u.shape == (2,)
 
 
 def test_degenerate_boundary_sampler_returns_identity():
