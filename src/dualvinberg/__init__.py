@@ -35,7 +35,6 @@ from .errors import (
     InconsistencyError,
     PatternError,
     SingularityError,
-    SpectrumError,
 )
 from .group import (
     BASE_POINT,

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PatternError
-from .linalg import maxabs
+from .linalg import maxabs, scalar_pow
 
 IDENTITY_POINT = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -50,6 +50,23 @@ def embed(x) -> np.ndarray:
     m[2, 2] = x[2]
     m[0, 2] = m[2, 0] = x[3]
     m[1, 2] = m[2, 1] = x[4]
+    return m
+
+
+def embed_stack(x) -> np.ndarray:
+    """embed for one coordinate vector or a stack of them (..., 5), real or
+    complex.  embed keeps its own one-point form, which the stacked
+    indexing would make twice as slow; the membership and polar routes
+    embed one point at a time."""
+    x = np.asarray(x)
+    if x.ndim == 1:
+        return embed(x)
+    m = np.zeros(x.shape[:-1] + (3, 3), dtype=complex if np.iscomplexobj(x) else float)
+    m[..., 0, 0] = x[..., 0]
+    m[..., 1, 1] = x[..., 1]
+    m[..., 2, 2] = x[..., 2]
+    m[..., 0, 2] = m[..., 2, 0] = x[..., 3]
+    m[..., 1, 2] = m[..., 2, 1] = x[..., 4]
     return m
 
 
@@ -91,13 +108,15 @@ def diag_pair(m) -> np.ndarray:
     return np.array([m[0, 0], m[1, 1]])
 
 
-def minors(x) -> tuple[float, float, float]:
-    """The three nested principal minors of embed(x)."""
+def minors(x):
+    """The three nested principal minors of embed(x): floats for one point,
+    arrays for a stack (n, 5)."""
     x = np.asarray(x, dtype=float)
-    d1 = x[0]
-    d2 = x[0] * x[1]
-    d3 = x[0] * x[1] * x[2] - x[0] * x[4] ** 2 - x[1] * x[3] ** 2
-    return float(d1), float(d2), float(d3)
+    x1, x2, x3, x4, x5 = x.T
+    d3 = x1 * x2 * x3 - x1 * scalar_pow(x5, 2) - x2 * scalar_pow(x4, 2)
+    if x.ndim == 1:
+        return float(x1), float(x1 * x2), float(d3)
+    return x1, x1 * x2, d3
 
 
 def open_cone_reason(x) -> str | None:
@@ -112,9 +131,11 @@ def open_cone_reason(x) -> str | None:
     return None
 
 
-def in_open_cone(x) -> bool:
-    """Strict positivity of all three minors, with no tolerance."""
-    return open_cone_reason(x) is None
+def in_open_cone(x):
+    """Strict positivity of all three minors, with no tolerance: a bool for
+    one point, a mask for a stack (n, 5)."""
+    d1, d2, d3 = minors(x)
+    return (d1 > 0) & (d2 > 0) & (d3 > 0)
 
 
 def closed_cone_reason(x, tol: float = MEMBERSHIP_TOL) -> str | None:

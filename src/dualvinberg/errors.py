@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the deferred failures
+of stacked evaluations."""
+
+from __future__ import annotations
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -7,11 +12,6 @@ class DomainError(ValueError):
 
 class SingularityError(DomainError):
     """A matrix that must be invertible is singular to working precision."""
-
-
-class SpectrumError(DomainError):
-    """An eigenvalue sits on the closed negative real axis, so the
-    principal logarithm is undefined."""
 
 
 class PatternError(RuntimeError):
@@ -24,3 +24,34 @@ class ConvergenceError(RuntimeError):
 
 class InconsistencyError(RuntimeError):
     """Two independently computed routes to the same fact disagree."""
+
+
+class RowFailures:
+    """The failed checks of a stacked evaluation, kept in the order a loop
+    of one-row calls runs them.  Rows that fail a check carry garbage into
+    the later ones; raise_first raises what that loop raises first: for
+    the lowest failing row, the error of its first failing check."""
+
+    def __init__(self):
+        self._checks = []
+
+    def add(self, mask, error) -> None:
+        """error(row) builds the exception of a failing row."""
+        self._checks.append((np.reshape(mask, -1), error))
+
+    def raise_first(self) -> None:
+        rows = [hits[0] for mask, _ in self._checks if (hits := np.flatnonzero(mask)).size]
+        if rows:
+            row = min(rows)
+            for mask, error in self._checks:
+                if mask[row]:
+                    raise error(row)
+
+
+def check_rows(failures: RowFailures | None, mask, error) -> None:
+    """Defer a check's failing rows to failures, or, with failures None,
+    raise error(row) for its first failing row now."""
+    if failures is not None:
+        failures.add(mask, error)
+    elif (hits := np.flatnonzero(mask)).size:
+        raise error(hits[0])

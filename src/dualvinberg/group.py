@@ -31,8 +31,8 @@ from .cone import (
     is_triangular_pattern,
     unembed,
 )
-from .errors import DomainError, SingularityError
-from .linalg import inv3, is_singular3, maxabs
+from .errors import DomainError, PatternError, SingularityError, check_rows
+from .linalg import fold_max, inv3, inv3_stack, is_singular3, maxabs, stack_maxabs
 
 SYMPLECTIC_FORM = np.block(
     [[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]]
@@ -44,6 +44,18 @@ BASE_POINT = 1j * np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 SYMPLECTIC_TOL = 1e-10
 # pattern tolerance of computed action results, which carry round-off
 ACTION_PATTERN_TOL = 1e-9
+
+# failure reasons of tube_group_reason, in check order; the first five are
+# the linear-part checks that tube_group_alt_reason shares
+TUBE_GROUP_REASONS = (
+    "not symplectic",
+    "A off pattern",
+    "A[3,3] not positive",
+    "D off pattern",
+    "D[3,3] not positive",
+    "B off pattern",
+    "C off pattern",
+)
 
 
 def blocks(g) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -84,15 +96,15 @@ def _linear_part_reason(g, A, D, atol) -> str | None:
     """The checks both tube-group descriptions share: g symplectic, and A
     and D^T triangular-patterned with positive corner."""
     if not is_symplectic(g):
-        return "not symplectic"
+        return TUBE_GROUP_REASONS[0]
     if not is_triangular_pattern(A, atol):
-        return "A off pattern"
+        return TUBE_GROUP_REASONS[1]
     if not A[2, 2] > 0:
-        return "A[3,3] not positive"
+        return TUBE_GROUP_REASONS[2]
     if not is_triangular_pattern(D.T, atol):
-        return "D off pattern"
+        return TUBE_GROUP_REASONS[3]
     if not D[2, 2] > 0:
-        return "D[3,3] not positive"
+        return TUBE_GROUP_REASONS[4]
     return None
 
 
@@ -105,9 +117,9 @@ def tube_group_reason(g) -> str | None:
     if (reason := _linear_part_reason(g, A, D, atol)) is not None:
         return reason
     if max(abs(B[0, 1]), abs(B[1, 0])) > atol:
-        return "B off pattern"
+        return TUBE_GROUP_REASONS[5]
     if not is_flat_pattern(C, atol):
-        return "C off pattern"
+        return TUBE_GROUP_REASONS[6]
     return None
 
 
@@ -191,21 +203,55 @@ def isotropy_rotation(theta: float, phi: float) -> np.ndarray:
     return g
 
 
-def mobius(g, Z) -> tuple[np.ndarray, np.ndarray]:
+def mobius(g, Z, failures=None) -> tuple[np.ndarray, np.ndarray]:
     """The fractional-linear kernel: (A Z + B)(C Z + D)^{-1} and
-    (C Z + D)^{-1} for a 3x3 argument Z, real or complex.
+    (C Z + D)^{-1} for one g (6, 6) and Z (3, 3), real or complex, or row
+    by row for stacks (n, 6, 6) and (n, 3, 3).
 
-    SingularityError where C Z + D is singular (linalg.inv3's rule).
+    SingularityError where C Z + D is singular (linalg.is_singular3's
+    rule); with a RowFailures sink the failing rows are deferred to it.
     """
-    A, B, C, D = blocks(g)
-    Mi = inv3(C @ Z + D)
+    g = np.asarray(g, dtype=float)
+    if g.shape[-2:] != (6, 6):
+        raise ValueError(f"expected 6x6 matrices, got shape {g.shape}")
+    A, B, C, D = g[..., :3, :3], g[..., :3, 3:], g[..., 3:, :3], g[..., 3:, 3:]
+    Mi, singular = inv3_stack(C @ Z + D)
+    check_rows(
+        failures, singular, lambda r: SingularityError("matrix is singular to working precision")
+    )
     return (A @ Z + B) @ Mi, Mi
 
 
-def unembed_action(W) -> np.ndarray:
-    """Coordinates of a computed action result or pushforward, which
-    carries round-off: pattern tolerance ACTION_PATTERN_TOL, scale-relative."""
-    return unembed(W, atol=ACTION_PATTERN_TOL * (1.0 + maxabs(W)))
+def unembed_action(W, failures=None) -> np.ndarray:
+    """Coordinates of a computed action result or pushforward, one 3x3
+    matrix or a stack (n, 3, 3) (giving (n, 5)), which carries round-off: cone.unembed's
+    rule at pattern tolerance ACTION_PATTERN_TOL, scale-relative.  The
+    PatternError of a failing row is deferred to a RowFailures sink when
+    one is given."""
+    W = np.asarray(W)
+    off = fold_max(
+        np.abs(W[..., 0, 1]),
+        np.abs(W[..., 1, 0]),
+        np.abs(W[..., 0, 2] - W[..., 2, 0]),
+        np.abs(W[..., 1, 2] - W[..., 2, 1]),
+    )
+    atol = ACTION_PATTERN_TOL * (1.0 + stack_maxabs(W))
+    check_rows(
+        failures,
+        off > atol,
+        lambda r: PatternError(
+            f"matrix leaves the patterned subspace by {np.reshape(off, -1)[r]:.3e}"
+        ),
+    )
+    return np.array(
+        [
+            W[..., 0, 0],
+            W[..., 1, 1],
+            W[..., 2, 2],
+            (W[..., 0, 2] + W[..., 2, 0]) / 2,
+            (W[..., 1, 2] + W[..., 2, 1]) / 2,
+        ]
+    ).T
 
 
 def act(g, z) -> np.ndarray:

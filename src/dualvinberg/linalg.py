@@ -3,7 +3,9 @@
 Determinants and inverses go through explicit cofactors rather than LU:
 the formulas are dtype-generic (real or complex) and keep exact zeros and
 small-integer arithmetic exact, which the reference values in the test
-suite rely on.
+suite rely on.  The same formulas run on stacks (..., 3, 3) through
+inv3_stack, entry for entry as on one matrix, so a stacked evaluation
+agrees with a loop of single ones to the bit.
 """
 
 from __future__ import annotations
@@ -60,3 +62,70 @@ def inv3(m: np.ndarray) -> np.ndarray:
     if _singular(m, d):
         raise SingularityError("matrix is singular to working precision")
     return adjugate3(m) / d
+
+
+def stack_maxabs(m):
+    """maxabs of every matrix of a stack (..., r, c); a float64 for one matrix."""
+    return np.abs(m).max(axis=(-2, -1))
+
+
+def scalar_pow(a, p):
+    """a ** p entry by entry in float64 scalar arithmetic, that is through
+    libm's pow, which is not always the correctly rounded a * a.  numpy's
+    array power and square can differ from it in the last bit, so a
+    stacked formula that must match its one-point form to the bit raises
+    to a power here."""
+    if np.ndim(a) == 0:
+        return np.float64(a) ** p
+    a = np.asarray(a, dtype=float)
+    return np.array([t ** p for t in a.ravel()]).reshape(a.shape)
+
+
+def fold_max(first, *rest):
+    """Entrywise builtin max(first, *rest): a later value replaces the
+    running one only when strictly greater, so a NaN counts only in first
+    place."""
+    if np.ndim(first) == 0:
+        return max(first, *rest)
+    for r in rest:
+        first = np.where(r > first, r, first)
+    return first
+
+
+def fold_min(first, *rest):
+    """Entrywise builtin min(first, *rest), with fold_max's NaN rule."""
+    if np.ndim(first) == 0:
+        return min(first, *rest)
+    for r in rest:
+        first = np.where(r < first, r, first)
+    return first
+
+
+def _front(m):
+    """View of a stack (..., 3, 3) with the matrix axes first, so that
+    det3 and adjugate3 index it as one matrix of stacked entries."""
+    n = np.ndim(m)
+    return np.transpose(m, (n - 2, n - 1) + tuple(range(n - 2)))
+
+
+def singular3_stack(m):
+    """is_singular3 for every matrix of a stack (..., 3, 3)."""
+    return _singular_stack(m, det3(_front(m)))
+
+
+def _singular_stack(m, d):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~(np.abs(d) > SINGULAR_TOL * (1.0 + scalar_pow(stack_maxabs(m), 3)))
+
+
+def inv3_stack(m):
+    """adjugate3/det3 of every matrix of a stack (..., 3, 3), and the mask of
+    the matrices is_singular3 rejects, whose inverse is garbage.  Raises
+    nothing."""
+    m = np.asarray(m)
+    t = _front(m)
+    d = det3(t)
+    adj = np.ascontiguousarray(np.transpose(adjugate3(t), tuple(range(2, m.ndim)) + (0, 1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = adj / np.asarray(d)[..., None, None]
+    return inv, _singular_stack(m, d)

@@ -9,29 +9,31 @@ invariant under the cone's automorphisms.  The analogous metric on the
 full positive definite cone is 2 tr(x^{-1} v x^{-1} w); the symplectic
 compressions never expand that one, but the patterned semigroup does
 expand its own metric, and this module carries a frozen witness plus a
-random search around it.
+random search around it.  The ratio chain (cone_metric, contraction_ratios)
+takes one point or a stack of them; the search evaluates a whole sweep in
+one stacked pass, row for row the arithmetic of the one-point calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cone import (
     IDENTITY_POINT,
     MEMBERSHIP_TOL,
-    embed,
+    embed_stack,
     in_open_cone,
     log_char_function,
-    sample_cone,
 )
-from .errors import DomainError
+from .errors import DomainError, RowFailures, SingularityError, check_rows
 from .group import act_real, mobius, translation, unembed_action
-from .linalg import adjugate3, det3
+from .linalg import inv3_stack, scalar_pow
 from .semigroup import (
+    COMPRESSION_REASONS,
+    compression_codes,
     compression_reason,
-    sample_semigroup,
     symplectic_semigroup_reason,
 )
 
@@ -39,19 +41,26 @@ from .semigroup import (
 VIOLATION_THRESHOLD = 1e-12
 
 
-def cone_metric(x, v, w) -> float:
-    """The invariant bilinear form at an interior point x."""
+def cone_metric(x, v, w, failures=None):
+    """The invariant bilinear form at an interior point x: a float for one
+    point, an array row by row for stacks (n, 5).  DomainError for a base
+    point outside the open cone, deferred to a RowFailures sink when one
+    is given."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    if not in_open_cone(x):
-        raise DomainError("base point outside the open cone")
+    check_rows(
+        failures, ~np.asarray(in_open_cone(x)), lambda r: DomainError("base point outside the open cone")
+    )
     # positive minors certify invertibility, so no singularity threshold
-    X = embed(x)
-    Xi = adjugate3(X) / det3(X)
-    first = -0.5 * (v[0] * w[0] / x[0] ** 2 + v[1] * w[1] / x[1] ** 2)
-    second = 2.0 * np.trace(Xi @ embed(v) @ Xi @ embed(w))
-    return float(first + second)
+    Xi, _ = inv3_stack(embed_stack(x))
+    first = -0.5 * (
+        v[..., 0] * w[..., 0] / scalar_pow(x[..., 0], 2)
+        + v[..., 1] * w[..., 1] / scalar_pow(x[..., 1], 2)
+    )
+    second = 2.0 * np.trace(Xi @ embed_stack(v) @ Xi @ embed_stack(w), axis1=-2, axis2=-1)
+    form = first + second
+    return float(form) if x.ndim == 1 else form
 
 
 def spd_metric(x, v, w) -> float:
@@ -87,8 +96,8 @@ def cone_metric_fd(x, v, w, h: float = 1e-4) -> float:
 def action_jacobian(g, x, v) -> np.ndarray:
     """Pushforward of the real fractional action:
     V -> M^{-T} V M^{-1} with M = C embed(x) + D."""
-    _, Mi = mobius(g, embed(np.asarray(x, dtype=float)))
-    return unembed_action(Mi.T @ embed(np.asarray(v, dtype=float)) @ Mi)
+    _, Mi = mobius(g, embed_stack(np.asarray(x, dtype=float)))
+    return unembed_action(Mi.T @ embed_stack(np.asarray(v, dtype=float)) @ Mi)
 
 
 def action_jacobian_fd(g, x, v, h: float = 1e-4) -> np.ndarray:
@@ -109,29 +118,55 @@ class ContractionRecord:
     seed_index: int = 0
 
 
-def contraction_ratio(g, x, v, tol: float = MEMBERSHIP_TOL) -> ContractionRecord:
-    """(Jv|Jv) at g.x over (v|v) at x for a semigroup element g.
+def contraction_ratios(g, x, v, tol: float = MEMBERSHIP_TOL, failures=None):
+    """(Jv|Jv) at g.x over (v|v) at x for a semigroup element g: a float for
+    one (g, x, v), an array row by row for stacks (n, 6, 6), (n, 5), (n, 5).
 
-    The ratio is invariant under scaling v; a value beyond
-    1 + VIOLATION_THRESHOLD is recorded as a violation.
+    Every row runs every check of the one-row path: g in the compression
+    semigroup (one matrix takes the early-exit compression_reason, a stack
+    compression_codes), x in the open cone, v nonzero, C X + D
+    invertible, the image and the pushforward on the pattern, and the image
+    in the open cone.  A failing stack raises what a loop of one-row calls
+    raises first; a RowFailures sink passed in holds checks the caller ran
+    on the same rows before these.
     """
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if (reason := compression_reason(g, tol)) is not None:
-        raise DomainError(f"not in the compression semigroup: {reason}")
-    if not in_open_cone(x):
-        raise DomainError("base point outside the open cone")
-    if not np.any(v):
-        raise DomainError("zero tangent vector")
-    # one kernel call gives both the image point and the pushforward
-    W, Mi = mobius(g, embed(x))
-    y = unembed_action(W)
-    jv = unembed_action(Mi.T @ embed(v) @ Mi)
-    ratio = cone_metric(y, jv, jv) / cone_metric(x, v, v)
+    failures = RowFailures() if failures is None else failures
+    if g.ndim == 2:
+        if (reason := compression_reason(g, tol)) is not None:
+            raise DomainError(f"not in the compression semigroup: {reason}")
+    else:
+        codes = compression_codes(g, tol)
+        failures.add(
+            codes != 0,
+            lambda r: DomainError(
+                f"not in the compression semigroup: {COMPRESSION_REASONS[codes[r] - 1]}"
+            ),
+        )
+    with np.errstate(all="ignore"):  # failed rows run on until raise_first
+        before = cone_metric(x, v, v, failures)
+        failures.add(~np.any(v, axis=-1), lambda r: DomainError("zero tangent vector"))
+        # one kernel call gives both the image point and the pushforward
+        W, Mi = mobius(g, embed_stack(x), failures)
+        y = unembed_action(W, failures)
+        jv = unembed_action(np.swapaxes(Mi, -1, -2) @ embed_stack(v) @ Mi, failures)
+        after = cone_metric(y, jv, jv, failures)
+    failures.raise_first()
+    return after / before
+
+
+def contraction_ratio(g, x, v, tol: float = MEMBERSHIP_TOL) -> ContractionRecord:
+    """One probe of contraction_ratios as a record; a ratio beyond
+    1 + VIOLATION_THRESHOLD is a violation.  The ratio is invariant under
+    scaling v."""
+    g = np.asarray(g, dtype=float)
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    ratio = contraction_ratios(g, x, v, tol)
     return ContractionRecord(
-        g=g, x=x, v=v, ratio=float(ratio),
-        violated=bool(ratio > 1.0 + VIOLATION_THRESHOLD),
+        g=g, x=x, v=v, ratio=ratio, violated=bool(ratio > 1.0 + VIOLATION_THRESHOLD)
     )
 
 
@@ -149,6 +184,11 @@ def contraction_ratio_spd(g, x, v, tol: float = MEMBERSHIP_TOL) -> float:
     return spd_metric(y, jv, jv) / spd_metric(x, v, v)
 
 
+def _witness() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    g = translation([1.0, 1.0, 1.01, -1.0, 0.0])
+    return g, IDENTITY_POINT.copy(), np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+
+
 def counterexample() -> ContractionRecord:
     """The frozen expanding configuration.
 
@@ -157,10 +197,7 @@ def counterexample() -> ContractionRecord:
     (1, 0, 1, 1, 0): the form value moves from exactly 7.5 to
     -1/8 + 2 (6.01/3.02)^2, a ratio of about 1.0394.
     """
-    g = translation([1.0, 1.0, 1.01, -1.0, 0.0])
-    x = IDENTITY_POINT.copy()
-    v = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-    return contraction_ratio(g, x, v)
+    return contraction_ratio(*_witness())
 
 
 @dataclass(frozen=True)
@@ -170,36 +207,86 @@ class SearchSummary:
     n_samples: int
 
 
+# One sample's 22 standard normals, in the order sample_semigroup(rng,
+# interior=True), sample_cone(rng) and the tangent draw them one call at a
+# time: 3+2 for the unit, 3+2 for v, 2 for u, 3+2 for x, 5 for the tangent.
+_DRAWS = 22
+
+
+def _positive_triangular_rows(z) -> np.ndarray:
+    """sample_positive_triangular(rng, 1.0) on each row of normals (n, 5)."""
+    T = np.zeros((len(z), 3, 3))
+    T[:, [0, 1, 2], [0, 1, 2]] = np.exp(z[:, :3])
+    T[:, 2, :2] = z[:, 3:]
+    return T
+
+
+def _cone_rows(z) -> np.ndarray:
+    """sample_cone(rng, 1.0) on each row of normals (n, 5); the congruence of
+    a triangular unit keeps its pattern zeros exact."""
+    T = _positive_triangular_rows(z)
+    return unembed_action(T @ np.eye(3) @ np.swapaxes(T, 1, 2))
+
+
+def _sample_rows(z, failures: RowFailures):
+    """g, x and the unit tangent v of every row of normals (n, 22), as
+    sample_semigroup, sample_cone and the tangent normalisation build
+    them from the same draws one sample at a time, to the bit."""
+    n = len(z)
+    L = _positive_triangular_rows(z[:, 0:5])
+    upper = np.tile(np.eye(6), (n, 1, 1))
+    upper[:, :3, 3:] = embed_stack(_cone_rows(z[:, 5:10]))
+    Li, singular = inv3_stack(L)
+    check_rows(failures, singular, lambda r: SingularityError("matrix is singular to working precision"))
+    linear = np.zeros((n, 6, 6))
+    linear[:, :3, :3] = L
+    linear[:, 3:, 3:] = np.swapaxes(Li, 1, 2)
+    lower = np.tile(np.eye(6), (n, 1, 1))
+    lower[:, [3, 4], [0, 1]] = np.exp(z[:, 10:12])
+    g = upper @ linear @ lower
+    x = _cone_rows(z[:, 12:17])
+    t = z[:, 17:22]
+    # the BLAS dot of np.linalg.norm, row by row (a reduction along the
+    # axis sums in another order); a witness row of zeros gives NaN here
+    with np.errstate(invalid="ignore"):
+        return g, x, t / np.sqrt(t[:, None, :] @ t[:, :, None])[:, 0]
+
+
 def search_violations(
     rng, n_samples: int, include_counterexample: bool = True
 ) -> tuple[list[ContractionRecord], SearchSummary]:
     """Random sweep for metric expansion over the patterned cone.
 
-    Each sample draws an interior semigroup element, an interior base
-    point and a unit tangent from its own child generator, so records are
-    reproducible per seed independent of evaluation order.  Sample 0 is
-    the frozen counterexample unless disabled.  Returns the violating
-    records and the sweep summary.
+    Sample i draws an interior semigroup element, an interior base point
+    and a unit tangent from the i-th child generator of rng, so records
+    are reproducible per seed.  Row 0 is the frozen counterexample unless
+    disabled (its child draws nothing).  The sweep is certified and
+    measured in one stacked pass, and a failing sample raises what the
+    one-sample calls raise.  Returns the violating records, which own
+    their arrays, and the sweep summary.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    violations: list[ContractionRecord] = []
-    max_ratio = -np.inf
-    for i, child in enumerate(rng.spawn(n_samples)):
-        if i == 0 and include_counterexample:
-            rec = counterexample()
-        else:
-            g = sample_semigroup(child, interior=True)
-            x = sample_cone(child)
-            v = child.standard_normal(5)
-            v /= np.linalg.norm(v)
-            rec = contraction_ratio(g, x, v)
-        rec = replace(rec, seed_index=i)
-        max_ratio = max(max_ratio, rec.ratio)
-        if rec.violated:
-            violations.append(rec)
+    children = rng.spawn(n_samples)
+    first = 1 if include_counterexample else 0
+    z = np.zeros((n_samples, _DRAWS))
+    for i in range(first, n_samples):
+        z[i] = children[i].standard_normal(_DRAWS)
+    failures = RowFailures()
+    g, x, v = _sample_rows(z, failures)
+    if include_counterexample:
+        g[0], x[0], v[0] = _witness()
+    ratios = contraction_ratios(g, x, v, failures=failures)
+    violations = [
+        ContractionRecord(
+            g=g[i].copy(), x=x[i].copy(), v=v[i].copy(), ratio=float(ratios[i]),
+            violated=True, seed_index=int(i),
+        )
+        for i in np.flatnonzero(ratios > 1.0 + VIOLATION_THRESHOLD)
+    ]
     return violations, SearchSummary(
-        max_ratio=float(max_ratio),
+        # the builtin max of a loop over the ratios, which passes NaN over
+        max_ratio=float(np.fmax.reduce(ratios, initial=-np.inf)),
         violation_count=len(violations),
         n_samples=n_samples,
     )

@@ -26,11 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import (
+    FLAT_ZEROS,
     MEMBERSHIP_TOL,
+    PATTERN_TOL,
+    TRIANGULAR_ZEROS,
     closed_cone_reason,
     diag_pair,
     embed,
     embed_diag_pair,
+    embed_stack,
     in_positive_triangular,
     is_flat_pattern,
     is_triangular_pattern,
@@ -46,6 +50,8 @@ from .errors import (
     PatternError,
 )
 from .group import (
+    SYMPLECTIC_TOL,
+    TUBE_GROUP_REASONS,
     TripleFactors,
     blocks,
     congruence_embed,
@@ -56,7 +62,15 @@ from .group import (
     triple_decompose,
     tube_group_reason,
 )
-from .linalg import is_singular3, maxabs
+from .linalg import (
+    fold_max,
+    fold_min,
+    is_singular3,
+    maxabs,
+    scalar_pow,
+    singular3_stack,
+    stack_maxabs,
+)
 
 # Taylor coefficients 1/(2n+3)! of _s1; eight terms reach 1e-17 relative
 # on |t| <= 1, beyond which the closed form loses at most a few ulps
@@ -70,6 +84,15 @@ CROSS_CHECK_SLACK = 50.0
 
 # scale-relative recomposition residual above which polar_factor refuses
 POLAR_RESIDUAL_TOL = 1e-8
+
+# failure reasons of compression_reason in check order; compression_codes
+# returns k for the k-th
+COMPRESSION_REASONS = TUBE_GROUP_REASONS + (
+    "det D = 0",
+    "D^T B leaves the patterned subspace",
+    "D^T B outside the closed cone",
+    "C D^T has a negative diagonal entry",
+)
 
 
 def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
@@ -95,26 +118,93 @@ def in_symplectic_semigroup(g, tol: float = MEMBERSHIP_TOL) -> bool:
 
 def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the patterned cone, via the chart
-    certificates."""
+    certificates; otherwise the first failing one of COMPRESSION_REASONS."""
     g = np.asarray(g, dtype=float)
     if (reason := tube_group_reason(g)) is not None:
         return reason
     _, B, C, D = blocks(g)
     # is_symplectic has already turned away non-finite entries
     if is_singular3(D):
-        return "det D = 0"
+        return COMPRESSION_REASONS[7]
     S = D.T @ B
     S = (S + S.T) / 2
     try:
         vS = unembed(S, atol=tol * (1.0 + maxabs(S)))
     except PatternError:
-        return "D^T B leaves the patterned subspace"
+        return COMPRESSION_REASONS[8]
     if closed_cone_reason(vS, tol) is not None:
-        return "D^T B outside the closed cone"
+        return COMPRESSION_REASONS[9]
     P = C @ D.T
     if not min(P[0, 0], P[1, 1]) >= -tol * (1.0 + maxabs(P)):
-        return "C D^T has a negative diagonal entry"
+        return COMPRESSION_REASONS[10]
     return None
+
+
+def compression_codes(g, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """compression_reason over a stack (n, 6, 6): 0 for a member, k where
+    compression_reason returns COMPRESSION_REASONS[k - 1].
+
+    Every check runs on every row with no early exit, each written as the
+    one-matrix route writes it (the builtin max/min folds and the float64
+    scalar powers included), and a row's code is its first failing check.
+    The one-matrix route keeps its early exits, which make it the faster
+    of the two at n = 1.
+    """
+    g = np.asarray(g, dtype=float)
+    A, B, C, D = g[:, :3, :3], g[:, :3, 3:], g[:, 3:, :3], g[:, 3:, 3:]
+
+    def t(m):
+        return np.swapaxes(m, 1, 2)
+
+    def zeros_hold(m, slots, atol):
+        return np.logical_and.reduce([np.abs(m[:, i, j]) <= atol for i, j in slots])
+
+    with np.errstate(all="ignore"):  # failed rows run on with inf and NaN
+        scale = stack_maxabs(g)
+        atol = PATTERN_TOL * (1.0 + scale)
+        bound = SYMPLECTIC_TOL * (1.0 + scalar_pow(scale, 2))
+        r1, r2 = t(A) @ C, t(D) @ B
+        defect = fold_max(
+            stack_maxabs(r1 - t(r1)),
+            stack_maxabs(r2 - t(r2)),
+            stack_maxabs(t(D) @ A - t(B) @ C - np.eye(3)),
+        )
+        S = t(D) @ B
+        S = (S + t(S)) / 2
+        off = fold_max(
+            np.abs(S[:, 0, 1]),
+            np.abs(S[:, 1, 0]),
+            np.abs(S[:, 0, 2] - S[:, 2, 0]),
+            np.abs(S[:, 1, 2] - S[:, 2, 1]),
+        )
+        # embed(unembed(S)) as closed_cone_reason sees it
+        M = embed_stack(
+            np.stack(
+                [S[:, 0, 0], S[:, 1, 1], S[:, 2, 2], (S[:, 0, 2] + S[:, 2, 0]) / 2, (S[:, 1, 2] + S[:, 2, 1]) / 2],
+                axis=-1,
+            )
+        )
+        m_scale = stack_maxabs(M)
+        P = C @ t(D)
+        fails = [
+            ~((bound < np.inf) & (defect <= bound)),
+            ~zeros_hold(A, TRIANGULAR_ZEROS, atol),
+            ~(A[:, 2, 2] > 0),
+            ~zeros_hold(t(D), TRIANGULAR_ZEROS, atol),
+            ~(D[:, 2, 2] > 0),
+            fold_max(np.abs(B[:, 0, 1]), np.abs(B[:, 1, 0])) > atol,
+            ~zeros_hold(C, FLAT_ZEROS, atol),
+            singular3_stack(D),
+            off > tol * (1.0 + stack_maxabs(S)),
+        ]
+        # eigenvalues only where closed_cone_reason computes them: rows
+        # that reach it with finite entries
+        reached = np.isfinite(m_scale) & ~np.logical_or.reduce(fails)
+        lo = np.linalg.eigvalsh(np.where(reached[:, None, None], M, 0.0))[:, 0]
+        fails.append(~(reached & (lo >= -tol * (1.0 + m_scale))))
+        fails.append(~(fold_min(P[:, 0, 0], P[:, 1, 1]) >= -tol * (1.0 + stack_maxabs(P))))
+    fails = np.array(fails)
+    return np.where(fails.any(axis=0), fails.argmax(axis=0) + 1, 0)
 
 
 def in_compression_semigroup(g, tol: float = MEMBERSHIP_TOL) -> bool:

@@ -15,11 +15,16 @@ import scipy.linalg
 
 import dualvinberg as dv
 from dualvinberg.cone import diag_pair
-from dualvinberg.errors import PatternError, SpectrumError
+from dualvinberg.errors import DomainError, PatternError
 from dualvinberg.linalg import maxabs
 
 # scale-relative off-algebra residue above which log_group refuses
 LOG_PATTERN_TOL = 1e-6
+
+
+class SpectrumError(DomainError):
+    """An eigenvalue sits on the closed negative real axis, so the
+    principal logarithm is undefined."""
 
 
 def project_lie(X) -> tuple[np.ndarray, float]:

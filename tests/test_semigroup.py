@@ -11,7 +11,6 @@ from dualvinberg.errors import (
     ConvergenceError,
     DomainError,
     PatternError,
-    SpectrumError,
 )
 from dualvinberg.linalg import maxabs
 from dualvinberg.semigroup import (
@@ -23,7 +22,7 @@ from dualvinberg.semigroup import (
 )
 
 from conftest import ZeroRandomness, sample_chart_element
-from oracles import exp_lie, log_group, project_lie
+from oracles import SpectrumError, exp_lie, log_group, project_lie
 
 IDENTITY = dv.IDENTITY_POINT
 
