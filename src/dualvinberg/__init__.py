@@ -65,6 +65,7 @@ from .metric import (
     cone_metric_fd,
     contraction_ratio,
     contraction_ratio_spd,
+    contraction_ratios,
     counterexample,
     search_violations,
     spd_metric,

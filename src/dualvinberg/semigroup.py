@@ -344,6 +344,21 @@ def _s1(t: float) -> float:
     return acc
 
 
+def _wedge_diagonals(v, u) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of exp_wedge's Dc and Ds: u_i c1(k_i) and u_i s1(k_i)
+    with k_i = u_i v_i, and 0 in the third slot."""
+    dc = np.zeros(3)
+    ds = np.zeros(3)
+    for i in range(2):
+        k = float(u[i] * v[i])
+        sh = _sh(k / 4.0)
+        # c1(t) = sh(t/4)^2 / 2, squared by a product, which overflows to
+        # inf where a float power would raise
+        dc[i] = u[i] * 0.5 * (sh * sh)
+        ds[i] = u[i] * _s1(k)
+    return dc, ds
+
+
 def exp_wedge(X: InvariantConeElement) -> np.ndarray:
     """Closed-form exp of [[0, V], [U, 0]] with V = embed(v), U = diag(u1, u2, 0).
 
@@ -361,15 +376,7 @@ def exp_wedge(X: InvariantConeElement) -> np.ndarray:
     v = np.asarray(X.v, dtype=float)
     u = np.asarray(X.u, dtype=float)
     V = embed(v)
-    dc = np.zeros(3)
-    ds = np.zeros(3)
-    for i in range(2):
-        k = float(u[i] * v[i])
-        sh = _sh(k / 4.0)
-        # c1(t) = sh(t/4)^2 / 2, squared by a product, which overflows to
-        # inf where a float power would raise
-        dc[i] = u[i] * 0.5 * (sh * sh)
-        ds[i] = u[i] * _s1(k)
+    dc, ds = _wedge_diagonals(v, u)
     top = np.eye(3) + V * dc  # V @ diag(dc)
     E = np.empty((6, 6))
     E[:3, :3] = top
@@ -420,10 +427,14 @@ def polar_factor(g):
     tau(g) = S g S with S = diag(I, -I) fixes the units and negates the
     wedge, so tau(g)^{-1} g = exp(2X): log_wedge reads 2X off it in closed
     form.  The top-left block of g is A (I + V Dc) = A [[e1, 0, 0],
-    [0, e2, 0], [f1, f2, 1]] with e_i >= 1 on the wedge, so A follows by
-    triangular substitution, with none of the cancellation of g exp(-X).
+    [0, e2, 0], [f1, f2, 1]] with e_i >= 1 on the wedge, which does not
+    involve x3, so A follows by triangular substitution, with none of the
+    cancellation of g exp(-X).  The top-right block is A E12 with
+    E12[2,2] = x3 + x4^2 u1 s1(k1) + x5^2 u2 s1(k2); solving it for x3
+    reads x3 at the scale of g, where the entries of tau(g)^{-1} g, about
+    maxabs(g)^2 in size, have lost digits.
     Certified or raised: a non-member is a DomainError; once membership
-    holds, X outside the wedge (NaN included), A not positive triangular or
+    holds, A not positive triangular, X outside the wedge (NaN included) or
     a recomposition residual above POLAR_RESIDUAL_TOL is a ConvergenceError
     that carries the measured value.
     """
@@ -432,13 +443,10 @@ def polar_factor(g):
         raise DomainError(f"not in the compression semigroup: {reason}")
     S = 2.0 * GRADING_ELEMENT
     Y = log_wedge(S @ inverse(g) @ S @ g)
-    X = InvariantConeElement(v=Y.v / 2, u=Y.u / 2)
-    if (reason := invariant_cone_reason(X.matrix())) is not None:
-        raise ConvergenceError(
-            f"recovered generator outside the wedge: {reason} (v = {X.v}, u = {X.u})"
-        )
-    E = exp_wedge(X)
-    (e1, _, _), (_, e2, _), (f1, f2, _) = E[:3, :3]
+    v, u = Y.v / 2, Y.u / 2
+    dc, ds = _wedge_diagonals(v, u)
+    e1, e2 = 1.0 + v[0] * dc[0], 1.0 + v[1] * dc[1]
+    f1, f2 = v[3] * dc[0], v[4] * dc[1]
     a3 = g[2, 2]
     A = triangular(
         [g[0, 0] / e1, g[1, 1] / e2, a3, (g[2, 0] - a3 * f1) / e1, (g[2, 1] - a3 * f2) / e2]
@@ -446,7 +454,16 @@ def polar_factor(g):
     # is_singular3 keeps congruence_embed's inverse from raising below
     if not in_positive_triangular(A) or is_singular3(A):
         raise ConvergenceError(f"polar unit factor has diagonal {np.diag(A)}")
-    residual = maxabs(congruence_embed(A) @ E - g) / (1.0 + maxabs(g))
+    (a1, _, _), (_, a2, _), (a4, a5, _) = A
+    G12 = g[:3, 3:]
+    corner = (G12[2, 2] - a4 * (G12[0, 2] / a1) - a5 * (G12[1, 2] / a2)) / a3
+    v[2] = corner - v[3] ** 2 * ds[0] - v[4] ** 2 * ds[1]
+    X = InvariantConeElement(v=v, u=u)
+    if (reason := invariant_cone_reason(X.matrix())) is not None:
+        raise ConvergenceError(
+            f"recovered generator outside the wedge: {reason} (v = {X.v}, u = {X.u})"
+        )
+    residual = maxabs(congruence_embed(A) @ exp_wedge(X) - g) / (1.0 + maxabs(g))
     if not residual <= POLAR_RESIDUAL_TOL:  # a NaN residual fails too
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
     return A, X

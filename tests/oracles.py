@@ -1,14 +1,18 @@
-"""scipy routes kept as test oracles for the closed forms in the package.
+"""Reference routes kept as test oracles for the package's fast ones.
 
 exp_lie and log_group are the general-algebra matrix exponential and
-principal logarithm; spd_metric_triangular whitens with two triangular
-solves.  The package needs none of them: its polar factorization runs on
-the closed-form exp_wedge/log_wedge and its spd_metric on numpy alone.
+principal logarithm (scipy); spd_metric_triangular whitens with two
+triangular solves.  The package needs none of them: its polar
+factorization runs on the closed-form exp_wedge/log_wedge and its
+spd_metric on numpy alone.  search_violations_reference is the expansion
+search as a loop of one-sample calls, which the stacked search must
+reproduce to the bit.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -83,3 +87,29 @@ def spd_metric_triangular(x, v, w) -> tuple[float, float]:
 
     av, aw = whiten(v), whiten(w)
     return float(2.0 * np.sum(av * aw.T)), float(2.0 * np.linalg.norm(av) * np.linalg.norm(aw))
+
+
+def search_violations_reference(rng, n_samples: int, include_counterexample: bool = True):
+    """The expansion search one sample at a time: sample_semigroup,
+    sample_cone and a normalised tangent from each child, then
+    contraction_ratio on the one-matrix route."""
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
+    violations = []
+    max_ratio = -np.inf
+    for i, child in enumerate(rng.spawn(n_samples)):
+        if i == 0 and include_counterexample:
+            rec = dv.counterexample()
+        else:
+            g = dv.sample_semigroup(child, interior=True)
+            x = dv.sample_cone(child)
+            v = child.standard_normal(5)
+            v /= np.linalg.norm(v)
+            rec = dv.contraction_ratio(g, x, v)
+        rec = replace(rec, seed_index=i)
+        max_ratio = max(max_ratio, rec.ratio)
+        if rec.violated:
+            violations.append(rec)
+    return violations, dv.SearchSummary(
+        max_ratio=float(max_ratio), violation_count=len(violations), n_samples=n_samples
+    )

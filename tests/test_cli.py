@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -247,6 +248,17 @@ def test_search_writes_deterministic_csv(tmp_path, capsys):
     buf = io.StringIO()
     serialize.write_records_csv(buf, records)
     assert out_a.read_text(encoding="utf-8") == buf.getvalue()
+
+
+def test_search_output_is_pinned_for_a_sweep_with_a_sampled_violator(tmp_path, capsys):
+    # seed 119 is the first seed >= 0 whose 1000-sample sweep holds a random
+    # violator (row 919), so the pin covers a sampled row and the witness
+    out = tmp_path / "s.csv"
+    code, stdout, _ = run_cli(capsys, "search", "--seed", "119", "--samples", "1000", "--out", str(out))
+    assert code == 0
+    assert stdout == '{"max_ratio": 1.039430288145257, "violation_count": 2, "n_samples": 1000}\n'
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "a1ab520906ae13058f9c1bc0ad22e4e47270dcb9b28b45d6118a3feeedf23da1"
 
 
 def test_search_without_out_only_prints_summary(tmp_path, capsys):

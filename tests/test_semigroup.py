@@ -11,6 +11,7 @@ from dualvinberg.errors import (
     ConvergenceError,
     DomainError,
     PatternError,
+    SingularityError,
 )
 from dualvinberg.linalg import maxabs
 from dualvinberg.semigroup import (
@@ -346,12 +347,16 @@ def test_polar_factor_certifies_the_norm_31_member():
     assert rel_err(X2.matrix(), X.matrix()) <= 1e-8
 
 
-def uncapped_draw(rng, sigma):
-    """A unit times the exponential of an interior wedge generator, with
-    no norm cap."""
+def uncapped_pair(rng, sigma):
+    """A unit and an interior wedge generator, with no norm cap."""
     A = dv.sample_positive_triangular(rng, sigma)
     X = InvariantConeElement(v=dv.sample_cone(rng, sigma), u=np.exp(sigma * rng.standard_normal(2)))
-    return dv.polar_compose(A, X)
+    return A, X
+
+
+def uncapped_draw(rng, sigma):
+    """The polar composition of an uncapped_pair."""
+    return dv.polar_compose(*uncapped_pair(rng, sigma))
 
 
 def uncapped_probe():
@@ -365,17 +370,43 @@ def uncapped_probe():
 def test_polar_factor_rejects_non_members_and_fails_its_certificate_loudly():
     with pytest.raises(DomainError):
         dv.polar_factor(dv.translation(-IDENTITY))
-    # the 390th sigma = 2.5 draw of rng 9, the first member of 1000 such
-    # draws that does not factor: entries of g near 2e8 cancel in
-    # tau(g)^{-1} g, and the recovered x3 (4.0977, true 4.1047) leaves the
-    # closed cone
+    # Found by searching rng 9 for a member that does not factor: 1000
+    # uncapped_draw per sigma in (2.5, 3, 3.5, 4, 5) all factor, and so do
+    # 1000 sample_semigroup draws per sigma in (1.5, 2, 2.5, 3), interior
+    # and boundary.  The first failure is the 152nd interior chart draw at
+    # sigma = 4 (draws whose own unit is singular count, and are skipped):
+    # entries of g up to 2.6e13, and a recovered unit with diagonal
+    # (1.8e6, 1.1e2, 6.4e-3) that is_singular3 calls singular.
     rng = np.random.default_rng(9)
-    with np.errstate(all="ignore"):  # a few earlier draws overflow to inf
-        for _ in range(390):
-            g = uncapped_draw(rng, 2.5)
+    with np.errstate(all="ignore"):
+        for _ in range(152):
+            try:
+                g = dv.sample_semigroup(rng, interior=True, sigma=4.0)
+            except SingularityError:
+                g = None
     assert dv.in_compression_semigroup(g)
-    with pytest.raises(ConvergenceError, match="outside the wedge: translation part"):
+    with pytest.raises(ConvergenceError, match="polar unit factor has diagonal"):
         dv.polar_factor(g)
+
+
+def test_polar_factor_reads_the_generator_to_its_forward_error():
+    # x3 is read at the scale of g: on the sigma = 1.5 probe every member
+    # returns the generator it was built from within 1e-8 (1 + maxabs X0);
+    # reading it off tau(g)^{-1} g, whose entries are about maxabs(g)^2, was
+    # off by up to 3.2e-3
+    rng = np.random.default_rng(9)
+    factored = 0
+    for _ in range(1000):
+        A0, X0 = uncapped_pair(rng, 1.5)
+        g = dv.polar_compose(A0, X0)
+        with np.errstate(over="ignore"):  # the cubic singularity scale of the largest g
+            member = dv.in_compression_semigroup(g)
+        if member:
+            _, X = dv.polar_factor(g)
+            err = max(maxabs(X.v - X0.v), maxabs(X.u - X0.u))
+            assert err <= 1e-8 * (1.0 + maxabs(X0.matrix()))
+            factored += 1
+    assert factored == 885
 
 
 def test_polar_factor_residual_certificate_fires_on_a_wrong_generator(monkeypatch):
