@@ -53,5 +53,8 @@ def check_rows(failures: RowFailures | None, mask, error) -> None:
     raise error(row) for its first failing row now."""
     if failures is not None:
         failures.add(mask, error)
-    elif (hits := np.flatnonzero(mask)).size:
-        raise error(hits[0])
+    elif np.ndim(mask) == 0:
+        if mask:
+            raise error(0)
+    elif mask.any():
+        raise error(np.flatnonzero(mask)[0])

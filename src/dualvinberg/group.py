@@ -32,7 +32,17 @@ from .cone import (
     unembed,
 )
 from .errors import DomainError, PatternError, SingularityError, check_rows
-from .linalg import fold_max, inv3, inv3_stack, is_singular3, maxabs, stack_maxabs
+from .linalg import (
+    SINGULAR_MESSAGE,
+    entries_first,
+    fold_max,
+    inv3,
+    inv3_stack,
+    is_singular3,
+    maxabs,
+    singular3_stack,
+    stack_maxabs,
+)
 
 SYMPLECTIC_FORM = np.block(
     [[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]]
@@ -215,26 +225,25 @@ def mobius(g, Z, failures=None) -> tuple[np.ndarray, np.ndarray]:
     if g.shape[-2:] != (6, 6):
         raise ValueError(f"expected 6x6 matrices, got shape {g.shape}")
     A, B, C, D = g[..., :3, :3], g[..., :3, 3:], g[..., 3:, :3], g[..., 3:, 3:]
-    Mi, singular = inv3_stack(C @ Z + D)
+    M = C @ Z + D
+    Mi, d = inv3_stack(M)
     check_rows(
-        failures, singular, lambda r: SingularityError("matrix is singular to working precision")
+        failures,
+        singular3_stack(M, d),
+        lambda r: SingularityError(SINGULAR_MESSAGE),
     )
     return (A @ Z + B) @ Mi, Mi
 
 
 def unembed_action(W, failures=None) -> np.ndarray:
     """Coordinates of a computed action result or pushforward, one 3x3
-    matrix or a stack (n, 3, 3) (giving (n, 5)), which carries round-off: cone.unembed's
-    rule at pattern tolerance ACTION_PATTERN_TOL, scale-relative.  The
-    PatternError of a failing row is deferred to a RowFailures sink when
-    one is given."""
+    matrix or a stack (n, 3, 3) giving (n, 5), which carries round-off:
+    cone.unembed's rule at pattern tolerance ACTION_PATTERN_TOL,
+    scale-relative.  The PatternError of a failing row is deferred to a
+    RowFailures sink when one is given."""
     W = np.asarray(W)
-    off = fold_max(
-        np.abs(W[..., 0, 1]),
-        np.abs(W[..., 1, 0]),
-        np.abs(W[..., 0, 2] - W[..., 2, 0]),
-        np.abs(W[..., 1, 2] - W[..., 2, 1]),
-    )
+    m = entries_first(W)
+    off = fold_max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 2] - m[2, 0]), abs(m[1, 2] - m[2, 1]))
     atol = ACTION_PATTERN_TOL * (1.0 + stack_maxabs(W))
     check_rows(
         failures,
@@ -244,13 +253,7 @@ def unembed_action(W, failures=None) -> np.ndarray:
         ),
     )
     return np.array(
-        [
-            W[..., 0, 0],
-            W[..., 1, 1],
-            W[..., 2, 2],
-            (W[..., 0, 2] + W[..., 2, 0]) / 2,
-            (W[..., 1, 2] + W[..., 2, 1]) / 2,
-        ]
+        [m[0, 0], m[1, 1], m[2, 2], (m[0, 2] + m[2, 0]) / 2, (m[1, 2] + m[2, 1]) / 2]
     ).T
 
 

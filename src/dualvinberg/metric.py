@@ -23,13 +23,14 @@ import numpy as np
 from .cone import (
     IDENTITY_POINT,
     MEMBERSHIP_TOL,
+    embed,
     embed_stack,
     in_open_cone,
     log_char_function,
 )
 from .errors import DomainError, RowFailures, SingularityError, check_rows
 from .group import act_real, mobius, translation, unembed_action
-from .linalg import inv3_stack, scalar_pow
+from .linalg import SINGULAR_MESSAGE, inv3_stack, scalar_pow, singular3_stack
 from .semigroup import (
     COMPRESSION_REASONS,
     compression_codes,
@@ -50,14 +51,14 @@ def cone_metric(x, v, w, failures=None):
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     check_rows(
-        failures, ~np.asarray(in_open_cone(x)), lambda r: DomainError("base point outside the open cone")
+        failures,
+        np.logical_not(in_open_cone(x)),
+        lambda r: DomainError("base point outside the open cone"),
     )
     # positive minors certify invertibility, so no singularity threshold
     Xi, _ = inv3_stack(embed_stack(x))
-    first = -0.5 * (
-        v[..., 0] * w[..., 0] / scalar_pow(x[..., 0], 2)
-        + v[..., 1] * w[..., 1] / scalar_pow(x[..., 1], 2)
-    )
+    (x1, x2), (v1, v2), (w1, w2) = x.T[:2], v.T[:2], w.T[:2]
+    first = -0.5 * (v1 * w1 / scalar_pow(x1, 2) + v2 * w2 / scalar_pow(x2, 2))
     second = 2.0 * np.trace(Xi @ embed_stack(v) @ Xi @ embed_stack(w), axis1=-2, axis2=-1)
     form = first + second
     return float(form) if x.ndim == 1 else form
@@ -96,8 +97,8 @@ def cone_metric_fd(x, v, w, h: float = 1e-4) -> float:
 def action_jacobian(g, x, v) -> np.ndarray:
     """Pushforward of the real fractional action:
     V -> M^{-T} V M^{-1} with M = C embed(x) + D."""
-    _, Mi = mobius(g, embed_stack(np.asarray(x, dtype=float)))
-    return unembed_action(Mi.T @ embed_stack(np.asarray(v, dtype=float)) @ Mi)
+    _, Mi = mobius(g, embed(np.asarray(x, dtype=float)))
+    return unembed_action(Mi.T @ embed(np.asarray(v, dtype=float)) @ Mi)
 
 
 def action_jacobian_fd(g, x, v, h: float = 1e-4) -> np.ndarray:
@@ -133,11 +134,12 @@ def contraction_ratios(g, x, v, tol: float = MEMBERSHIP_TOL, failures=None):
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    failures = RowFailures() if failures is None else failures
     if g.ndim == 2:
+        # one row raises at its first failing check, as the loop would
         if (reason := compression_reason(g, tol)) is not None:
             raise DomainError(f"not in the compression semigroup: {reason}")
     else:
+        failures = RowFailures() if failures is None else failures
         codes = compression_codes(g, tol)
         failures.add(
             codes != 0,
@@ -147,13 +149,14 @@ def contraction_ratios(g, x, v, tol: float = MEMBERSHIP_TOL, failures=None):
         )
     with np.errstate(all="ignore"):  # failed rows run on until raise_first
         before = cone_metric(x, v, v, failures)
-        failures.add(~np.any(v, axis=-1), lambda r: DomainError("zero tangent vector"))
+        check_rows(failures, ~np.any(v, axis=-1), lambda r: DomainError("zero tangent vector"))
         # one kernel call gives both the image point and the pushforward
         W, Mi = mobius(g, embed_stack(x), failures)
         y = unembed_action(W, failures)
         jv = unembed_action(np.swapaxes(Mi, -1, -2) @ embed_stack(v) @ Mi, failures)
         after = cone_metric(y, jv, jv, failures)
-    failures.raise_first()
+    if failures is not None:
+        failures.raise_first()
     return after / before
 
 
@@ -236,8 +239,12 @@ def _sample_rows(z, failures: RowFailures):
     L = _positive_triangular_rows(z[:, 0:5])
     upper = np.tile(np.eye(6), (n, 1, 1))
     upper[:, :3, 3:] = embed_stack(_cone_rows(z[:, 5:10]))
-    Li, singular = inv3_stack(L)
-    check_rows(failures, singular, lambda r: SingularityError("matrix is singular to working precision"))
+    Li, d = inv3_stack(L)
+    check_rows(
+        failures,
+        singular3_stack(L, d),
+        lambda r: SingularityError(SINGULAR_MESSAGE),
+    )
     linear = np.zeros((n, 6, 6))
     linear[:, :3, :3] = L
     linear[:, 3:, 3:] = np.swapaxes(Li, 1, 2)

@@ -157,7 +157,8 @@ def compression_codes(g, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         return np.swapaxes(m, 1, 2)
 
     def zeros_hold(m, slots, atol):
-        return np.logical_and.reduce([np.abs(m[:, i, j]) <= atol for i, j in slots])
+        rows, cols = zip(*slots)
+        return (np.abs(m[:, rows, cols]) <= atol[:, None]).all(axis=1)
 
     with np.errstate(all="ignore"):  # failed rows run on with inf and NaN
         scale = stack_maxabs(g)
@@ -169,23 +170,20 @@ def compression_codes(g, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
             stack_maxabs(r2 - t(r2)),
             stack_maxabs(t(D) @ A - t(B) @ C - np.eye(3)),
         )
-        S = t(D) @ B
-        S = (S + t(S)) / 2
+        S = (r2 + t(r2)) / 2  # D^T B, symmetrized
         off = fold_max(
             np.abs(S[:, 0, 1]),
             np.abs(S[:, 1, 0]),
             np.abs(S[:, 0, 2] - S[:, 2, 0]),
             np.abs(S[:, 1, 2] - S[:, 2, 1]),
         )
-        # embed(unembed(S)) as closed_cone_reason sees it
-        M = embed_stack(
-            np.stack(
-                [S[:, 0, 0], S[:, 1, 1], S[:, 2, 2], (S[:, 0, 2] + S[:, 2, 0]) / 2, (S[:, 1, 2] + S[:, 2, 1]) / 2],
-                axis=-1,
-            )
-        )
+        # embed(unembed(S)), the matrix closed_cone_reason sees
+        vS = [S[:, 0, 0], S[:, 1, 1], S[:, 2, 2]]
+        vS += [(S[:, 0, 2] + S[:, 2, 0]) / 2, (S[:, 1, 2] + S[:, 2, 1]) / 2]
+        M = embed_stack(np.stack(vS, axis=-1))
         m_scale = stack_maxabs(M)
         P = C @ t(D)
+        # the failing rows of each check, in the order of COMPRESSION_REASONS
         fails = [
             ~((bound < np.inf) & (defect <= bound)),
             ~zeros_hold(A, TRIANGULAR_ZEROS, atol),
@@ -375,8 +373,11 @@ def exp_wedge(X: InvariantConeElement) -> np.ndarray:
     """
     v = np.asarray(X.v, dtype=float)
     u = np.asarray(X.u, dtype=float)
+    return _exp_wedge(v, u, *_wedge_diagonals(v, u))
+
+
+def _exp_wedge(v, u, dc, ds) -> np.ndarray:
     V = embed(v)
-    dc, ds = _wedge_diagonals(v, u)
     top = np.eye(3) + V * dc  # V @ diag(dc)
     E = np.empty((6, 6))
     E[:3, :3] = top
@@ -444,26 +445,25 @@ def polar_factor(g):
     S = 2.0 * GRADING_ELEMENT
     Y = log_wedge(S @ inverse(g) @ S @ g)
     v, u = Y.v / 2, Y.u / 2
+    # Dc and Ds involve u and k_i = u_i v_i only, not x3
     dc, ds = _wedge_diagonals(v, u)
     e1, e2 = 1.0 + v[0] * dc[0], 1.0 + v[1] * dc[1]
     f1, f2 = v[3] * dc[0], v[4] * dc[1]
-    a3 = g[2, 2]
-    A = triangular(
-        [g[0, 0] / e1, g[1, 1] / e2, a3, (g[2, 0] - a3 * f1) / e1, (g[2, 1] - a3 * f2) / e2]
-    )
+    a1, a2, a3 = g[0, 0] / e1, g[1, 1] / e2, g[2, 2]
+    a4, a5 = (g[2, 0] - a3 * f1) / e1, (g[2, 1] - a3 * f2) / e2
+    A = triangular([a1, a2, a3, a4, a5])
     # is_singular3 keeps congruence_embed's inverse from raising below
     if not in_positive_triangular(A) or is_singular3(A):
         raise ConvergenceError(f"polar unit factor has diagonal {np.diag(A)}")
-    (a1, _, _), (_, a2, _), (a4, a5, _) = A
-    G12 = g[:3, 3:]
-    corner = (G12[2, 2] - a4 * (G12[0, 2] / a1) - a5 * (G12[1, 2] / a2)) / a3
+    # E12[2,2] of A^{-1} g[:3, 3:], by substitution down its last column
+    corner = (g[2, 5] - a4 * (g[0, 5] / a1) - a5 * (g[1, 5] / a2)) / a3
     v[2] = corner - v[3] ** 2 * ds[0] - v[4] ** 2 * ds[1]
     X = InvariantConeElement(v=v, u=u)
     if (reason := invariant_cone_reason(X.matrix())) is not None:
         raise ConvergenceError(
             f"recovered generator outside the wedge: {reason} (v = {X.v}, u = {X.u})"
         )
-    residual = maxabs(congruence_embed(A) @ exp_wedge(X) - g) / (1.0 + maxabs(g))
+    residual = maxabs(congruence_embed(A) @ _exp_wedge(v, u, dc, ds) - g) / (1.0 + maxabs(g))
     if not residual <= POLAR_RESIDUAL_TOL:  # a NaN residual fails too
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
     return A, X
