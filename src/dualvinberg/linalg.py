@@ -82,7 +82,7 @@ def scalar_pow(a, p):
         return np.float64(a) ** p
     a = np.asarray(a, dtype=float)
     try:
-        # the same libm call on Python floats, three times faster
+        # the same libm call on Python floats, with no numpy scalar per entry
         out = [math.pow(t, p) for t in a.ravel().tolist()]
     except OverflowError:  # float64 scalars overflow to inf instead
         with np.errstate(over="ignore"):
@@ -135,6 +135,5 @@ def inv3_stack(m):
     adj = adjugate3(entries_first(m))
     if m.ndim > 2:
         adj = np.ascontiguousarray(np.transpose(adj, tuple(range(2, m.ndim)) + (0, 1)))
-        d = np.asarray(d)
     with np.errstate(divide="ignore", invalid="ignore"):
         return adj / (d[..., None, None] if m.ndim > 2 else d), d
