@@ -215,6 +215,9 @@ class SearchSummary:
 # time: 3+2 for the unit, 3+2 for v, 2 for u, 3+2 for x, 5 for the tangent.
 _DRAWS = 22
 
+# rows per stacked pass of the search
+_BLOCK = 4096
+
 
 def _positive_triangular_rows(z) -> np.ndarray:
     """sample_positive_triangular(rng, 1.0) on each row of normals (n, 5)."""
@@ -276,24 +279,28 @@ def search_violations(
         raise ValueError("n_samples must be positive")
     children = rng.spawn(n_samples)
     first = 1 if include_counterexample else 0
-    z = np.zeros((n_samples, _DRAWS))
-    for i in range(first, n_samples):
-        z[i] = children[i].standard_normal(_DRAWS)
-    failures = RowFailures()
-    g, x, v = _sample_rows(z, failures)
-    if include_counterexample:
-        g[0], x[0], v[0] = _witness()
-    ratios = contraction_ratios(g, x, v, failures=failures)
-    violations = [
-        ContractionRecord(
-            g=g[i].copy(), x=x[i].copy(), v=v[i].copy(), ratio=float(ratios[i]),
-            violated=True, seed_index=int(i),
-        )
-        for i in np.flatnonzero(ratios > 1.0 + VIOLATION_THRESHOLD)
-    ]
-    return violations, SearchSummary(
+    violations: list[ContractionRecord] = []
+    max_ratio = -np.inf
+    # blocks of rows bound the memory of long sweeps; a failing block
+    # raises before any later one, as the loop would
+    for start in range(0, n_samples, _BLOCK):
+        z = np.zeros((min(_BLOCK, n_samples - start), _DRAWS))
+        for i in range(max(start, first), start + len(z)):
+            z[i - start] = children[i].standard_normal(_DRAWS)
+        failures = RowFailures()
+        g, x, v = _sample_rows(z, failures)
+        if start < first:
+            g[0], x[0], v[0] = _witness()
+        ratios = contraction_ratios(g, x, v, failures=failures)
+        violations += [
+            ContractionRecord(
+                g=g[i].copy(), x=x[i].copy(), v=v[i].copy(), ratio=float(ratios[i]),
+                violated=True, seed_index=start + int(i),
+            )
+            for i in np.flatnonzero(ratios > 1.0 + VIOLATION_THRESHOLD)
+        ]
         # the builtin max of a loop over the ratios, which passes NaN over
-        max_ratio=float(np.fmax.reduce(ratios, initial=-np.inf)),
-        violation_count=len(violations),
-        n_samples=n_samples,
+        max_ratio = float(np.fmax.reduce(ratios, initial=max_ratio))
+    return violations, SearchSummary(
+        max_ratio=max_ratio, violation_count=len(violations), n_samples=n_samples
     )

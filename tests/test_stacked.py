@@ -98,6 +98,16 @@ def test_stacked_search_equals_the_one_sample_loop(seed):
         _assert_same_sweep(got, want)
 
 
+@pytest.mark.parametrize("include", [True, False])
+def test_blocks_of_a_long_sweep_do_not_change_it(include, monkeypatch):
+    # seed 119 holds a sampled violator at row 919, here in block 14
+    monkeypatch.setattr(metric, "_BLOCK", 64)
+    got = dv.search_violations(np.random.default_rng(119), 1000, include)
+    want = search_violations_reference(np.random.default_rng(119), 1000, include)
+    _assert_same_sweep(got, want)
+    assert 919 in [r.seed_index for r in got[0]]
+
+
 def test_stacked_ratios_equal_single_calls_on_every_row():
     rng = np.random.default_rng(81)
     g = np.array([dv.sample_semigroup(rng, interior=i % 2 == 0, sigma=0.8) for i in range(40)])
@@ -172,7 +182,9 @@ def test_a_stack_with_bad_rows_raises_what_the_loop_raises(spoil):
     assert _first_error(dv.contraction_ratios, g, x, v) == want
 
 
-def test_a_sweep_with_failing_draws_raises_what_the_loop_raises():
+@pytest.mark.parametrize("block", [4096, 3])
+def test_a_sweep_with_failing_draws_raises_what_the_loop_raises(block, monkeypatch):
+    monkeypatch.setattr(metric, "_BLOCK", block)
     rng = np.random.default_rng(83)
     rows = rng.standard_normal((8, 22))
     singular = rows[4].copy()
