@@ -271,9 +271,9 @@ def search_violations(
     and a unit tangent from the i-th child generator of rng, so records
     are reproducible per seed.  Row 0 is the frozen counterexample unless
     disabled (its child draws nothing).  The sweep is certified and
-    measured in one stacked pass, and a failing sample raises what the
-    one-sample calls raise.  Returns the violating records, which own
-    their arrays, and the sweep summary.
+    measured in stacked passes of up to _BLOCK rows, and a failing sample
+    raises what the one-sample calls raise.  Returns the violating
+    records, which own their arrays, and the sweep summary.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")

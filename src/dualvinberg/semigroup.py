@@ -377,6 +377,7 @@ def exp_wedge(X: InvariantConeElement) -> np.ndarray:
 
 
 def _exp_wedge(v, u, dc, ds) -> np.ndarray:
+    """exp_wedge from v, u and their _wedge_diagonals."""
     V = embed(v)
     top = np.eye(3) + V * dc  # V @ diag(dc)
     E = np.empty((6, 6))

@@ -370,13 +370,14 @@ def uncapped_probe():
 def test_polar_factor_rejects_non_members_and_fails_its_certificate_loudly():
     with pytest.raises(DomainError):
         dv.polar_factor(dv.translation(-IDENTITY))
-    # Found by searching rng 9 for a member that does not factor: 1000
-    # uncapped_draw per sigma in (2.5, 3, 3.5, 4, 5) all factor, and so do
-    # 1000 sample_semigroup draws per sigma in (1.5, 2, 2.5, 3), interior
-    # and boundary.  The first failure is the 152nd interior chart draw at
-    # sigma = 4 (draws whose own unit is singular count, and are skipped):
-    # entries of g up to 2.6e13, and a recovered unit with diagonal
-    # (1.8e6, 1.1e2, 6.4e-3) that is_singular3 calls singular.
+    # Found by searching rng 9 for a member that does not factor: every
+    # member among 1000 uncapped_draw per sigma in (2.5, 3, 3.5, 4, 5)
+    # factors, and so does every member among 1000 sample_semigroup draws
+    # per sigma in (1.5, 2, 2.5, 3), interior and boundary.  The first
+    # failure is the 152nd interior chart draw at sigma = 4 (draws whose
+    # own unit is judged singular count, and are skipped): entries of g up
+    # to 2.6e13, and a recovered unit with diagonal (1.8e6, 1.1e2, 6.4e-3)
+    # that is_singular3 calls singular.
     rng = np.random.default_rng(9)
     with np.errstate(all="ignore"):
         for _ in range(152):
