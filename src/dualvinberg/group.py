@@ -47,6 +47,7 @@ from .linalg import (
 SYMPLECTIC_FORM = np.block(
     [[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]]
 )
+SYMPLECTIC_FORM.flags.writeable = False  # symplectic_defect subtracts it
 
 # i times the identity, the natural base point of the tube domain.
 BASE_POINT = 1j * np.array([1.0, 1.0, 1.0, 0.0, 0.0])
@@ -68,21 +69,26 @@ TUBE_GROUP_REASONS = (
 )
 
 
-def blocks(g) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _matrix6(g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (6, 6):
         raise ValueError(f"expected a 6x6 matrix, got shape {g.shape}")
+    return g
+
+
+def blocks(g) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    g = _matrix6(g)
     return g[:3, :3], g[:3, 3:], g[3:, :3], g[3:, 3:]
 
 
 def symplectic_defect(g) -> float:
     """Largest violation of the block relations A^T C, D^T B symmetric and
-    D^T A - B^T C = I."""
-    A, B, C, D = blocks(g)
-    r1 = A.T @ C
-    r2 = D.T @ B
-    r3 = D.T @ A - B.T @ C - np.eye(3)
-    return max(maxabs(r1 - r1.T), maxabs(r2 - r2.T), maxabs(r3))
+    D^T A - B^T C = I, read off the one block product
+    P = [A B]^T [C D] = [[A^T C, A^T D], [B^T C, B^T D]]: g^T J g = J for
+    J = SYMPLECTIC_FORM is P - P^T = -J.  NaN when any relation is NaN."""
+    g = _matrix6(g)
+    P = g[:3].T @ g[3:]
+    return maxabs(P - P.T + SYMPLECTIC_FORM)
 
 
 def symplectic_defect_dual(g) -> float:

@@ -22,7 +22,7 @@ SINGULAR_MESSAGE = "matrix is singular to working precision"
 
 def maxabs(m) -> float:
     """Largest entry magnitude; the scale used by all relative tolerances."""
-    return float(np.max(np.abs(m)))
+    return float(np.abs(m).max())
 
 
 def det3(m: np.ndarray):

@@ -50,12 +50,12 @@ from .errors import (
     PatternError,
 )
 from .group import (
+    SYMPLECTIC_FORM,
     SYMPLECTIC_TOL,
     TUBE_GROUP_REASONS,
     TripleFactors,
     blocks,
     congruence_embed,
-    in_tube_group,
     inverse,
     is_symplectic,
     triple_compose,
@@ -101,6 +101,11 @@ def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     g = np.asarray(g, dtype=float)
     if not is_symplectic(g):
         return "not symplectic"
+    return _psd_reason(g, tol)
+
+
+def _psd_reason(g, tol) -> str | None:
+    """symplectic_semigroup_reason's checks after is_symplectic."""
     _, B, C, D = blocks(g)
     if is_singular3(D):
         return "det D = 0"
@@ -120,8 +125,11 @@ def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the patterned cone, via the chart
     certificates; otherwise the first failing one of COMPRESSION_REASONS."""
     g = np.asarray(g, dtype=float)
-    if (reason := tube_group_reason(g)) is not None:
-        return reason
+    return tube_group_reason(g) or _chart_reason(g, tol)
+
+
+def _chart_reason(g, tol) -> str | None:
+    """compression_reason's checks after the tube test."""
     _, B, C, D = blocks(g)
     # is_symplectic has already turned away non-finite entries
     if is_singular3(D):
@@ -164,13 +172,10 @@ def compression_codes(g, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         scale = stack_maxabs(g)
         atol = PATTERN_TOL * (1.0 + scale)
         bound = SYMPLECTIC_TOL * (1.0 + scalar_pow(scale, 2))
-        r1, r2 = t(A) @ C, t(D) @ B
-        defect = fold_max(
-            stack_maxabs(r1 - t(r1)),
-            stack_maxabs(r2 - t(r2)),
-            stack_maxabs(t(D) @ A - t(B) @ C - np.eye(3)),
-        )
-        S = (r2 + t(r2)) / 2  # D^T B, symmetrized
+        # symplectic_defect's block product [[A^T C, A^T D], [B^T C, B^T D]]
+        P = t(g[:, :3]) @ g[:, 3:]
+        defect = stack_maxabs(P - t(P) + SYMPLECTIC_FORM)
+        S = (P[:, 3:, 3:] + t(P[:, 3:, 3:])) / 2  # D^T B, symmetrized
         off = fold_max(
             np.abs(S[:, 0, 1]),
             np.abs(S[:, 1, 0]),
@@ -234,13 +239,17 @@ def cross_check_membership(g, tol: float = MEMBERSHIP_TOL) -> bool:
     fatal when the direct route still disagrees after relaxing or
     tightening tol by CROSS_CHECK_SLACK.
     """
-    direct = in_compression_semigroup(g, tol)
-    via = in_symplectic_semigroup(g, tol) and in_tube_group(g)
+    g = np.asarray(g, dtype=float)
+    # each route runs its own checks once the shared tube test passes,
+    # which implies symplectic and does not depend on tol
+    tube = tube_group_reason(g) is None
+    direct = tube and _chart_reason(g, tol) is None
+    via = tube and _psd_reason(g, tol) is None
     if direct == via:
         return via
-    if via and in_compression_semigroup(g, CROSS_CHECK_SLACK * tol):
-        return via
-    if not via and not in_compression_semigroup(g, tol / CROSS_CHECK_SLACK):
+    # a disagreement puts g in the tube group: only the chart checks rerun
+    slack = CROSS_CHECK_SLACK * tol if via else tol / CROSS_CHECK_SLACK
+    if (_chart_reason(g, slack) is None) == via:
         return via
     raise InconsistencyError(
         "chart certificates and symplectic-intersection membership disagree "

@@ -42,6 +42,20 @@ def generator_product(rng, length: int = 3) -> np.ndarray:
     return g
 
 
+def overflowing_defect_matrix() -> np.ndarray:
+    """[[0, s B'], [0, s D']] with s = 1.3e154, D' = ones and B' = ones but
+    B'[2,2] = 0.5: D^T B overflows to inf on both sides of its diagonal, so
+    its antisymmetric part is NaN, where the true one is 8.4e307 against a
+    symplectic bound of 1.7e298.  Every entry is finite."""
+    s = 1.3e154
+    B = np.ones((3, 3))
+    B[2, 2] = 0.5
+    g = np.zeros((6, 6))
+    g[:3, 3:] = s * B
+    g[3:, 3:] = s * np.ones((3, 3))
+    return g
+
+
 class ZeroRandomness:
     """Stub generator whose draws are all zero, for degenerate-sampler tests."""
 

@@ -6,7 +6,8 @@ triangular solves.  The package needs none of them: its polar
 factorization runs on the closed-form exp_wedge/log_wedge and its
 spd_metric on numpy alone.  search_violations_reference is the expansion
 search as a loop of one-sample calls, which the stacked search must
-reproduce to the bit.
+reproduce to the bit.  symplectic_defect_blocks is the symplectic defect
+as three 3x3 relations, which the one block product must reproduce.
 """
 
 from __future__ import annotations
@@ -113,3 +114,14 @@ def search_violations_reference(rng, n_samples: int, include_counterexample: boo
     return violations, dv.SearchSummary(
         max_ratio=float(max_ratio), violation_count=len(violations), n_samples=n_samples
     )
+
+
+def symplectic_defect_blocks(g) -> float:
+    """The symplectic defect from three 3x3 relations: A^T C and D^T B
+    symmetric, D^T A - B^T C = I.  The builtin max keeps a NaN only in
+    first place, so a NaN relation after the first is dropped."""
+    A, B, C, D = dv.blocks(g)
+    r1 = A.T @ C
+    r2 = D.T @ B
+    r3 = D.T @ A - B.T @ C - np.eye(3)
+    return max(maxabs(r1 - r1.T), maxabs(r2 - r2.T), maxabs(r3))

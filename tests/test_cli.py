@@ -12,6 +12,8 @@ import dualvinberg as dv
 from dualvinberg import serialize
 from dualvinberg.cli import main
 
+from conftest import overflowing_defect_matrix
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -297,6 +299,13 @@ def test_negative_or_non_finite_tol_exits_two(tmp_path, capsys, tol):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "--tol: expected a finite tolerance >= 0" in err
+
+
+def test_check_symplectic_rejects_an_overflowing_block_relation(tmp_path, capsys):
+    path = write_json(tmp_path, "g.json", serialize.dump_matrix6(overflowing_defect_matrix()))
+    code, out, err = run_cli(capsys, "check", "--what", "symplectic", path)
+    assert (code, err) == (0, "")
+    assert out == '{"what": "symplectic", "result": false, "reason": "not symplectic"}\n'
 
 
 def test_overflow_sized_matrix_is_a_domain_error(tmp_path, capsys):

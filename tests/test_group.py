@@ -14,7 +14,13 @@ from dualvinberg.group import (
 )
 from dualvinberg.linalg import maxabs
 
-from conftest import generator_product, sample_chart_element, sample_tube_point
+from conftest import (
+    generator_product,
+    overflowing_defect_matrix,
+    sample_chart_element,
+    sample_tube_point,
+)
+from oracles import symplectic_defect_blocks
 
 
 def rel_err(a, b) -> float:
@@ -59,6 +65,37 @@ def test_overflow_sized_entries_get_answers_not_exceptions():
         assert tube_group_alt_reason(big) == "not symplectic"
         v = np.array([1e200, 1.0, 1.0, 0.0, 0.0])
         assert np.array_equal(dv.triple_decompose(dv.translation(v)).v, v)
+
+
+def test_block_product_reproduces_the_three_block_relations_bit_for_bit():
+    # entries spread over e^+-12, so sums of products cancel and round
+    rng = np.random.default_rng(30)
+    for _ in range(10_000):
+        g = rng.standard_normal((6, 6)) * np.exp(rng.uniform(-12.0, 12.0, (6, 6)))
+        A, B, C, D = dv.blocks(g)
+        P = g[:3].T @ g[3:]
+        assert np.array_equal(P[:3, :3], A.T @ C)
+        assert np.array_equal(P[3:, :3], B.T @ C)
+        assert np.array_equal(P[:3, 3:], (D.T @ A).T)
+        assert np.array_equal(P[3:, 3:], (D.T @ B).T)
+        old = symplectic_defect_blocks(g)
+        assert np.isnan(old) or symplectic_defect(g) == old
+    for g in [generator_product(rng) for _ in range(200)] + [dv.inversion(), np.eye(6)]:
+        assert symplectic_defect(g) == symplectic_defect_blocks(g)
+
+
+def test_a_nan_block_relation_is_not_symplectic():
+    # D^T B is inf on both sides of its diagonal; the three-relation form
+    # dropped its NaN antisymmetric part and certified g symplectic
+    g = overflowing_defect_matrix()
+    assert np.isfinite(g).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert symplectic_defect_blocks(g) == 1.0
+        assert np.isnan(symplectic_defect(g))
+        assert dv.is_symplectic(g) is False
+        assert tube_group_reason(g) == "not symplectic"
+        assert tube_group_alt_reason(g) == "not symplectic"
+        assert dv.in_symplectic_semigroup(g) is False
 
 
 def test_generators_lie_in_tube_group():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dualvinberg as dv
-from dualvinberg import semigroup
+from dualvinberg import group, semigroup
+from dualvinberg.cone import MEMBERSHIP_TOL
 from dualvinberg.errors import (
     ConvergenceError,
     DomainError,
@@ -151,6 +152,43 @@ def test_cross_check_tolerates_boundary_roundoff():
         g = dv.translation([1.0, 1.0, 1.0 + delta, 1.0, 0.0])
         verdict = dv.cross_check_membership(g)
         assert verdict == (delta >= -1e-9)
+
+
+def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
+    calls = {"tube_group_reason": 0, "is_symplectic": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    # the tube test finds is_symplectic in group, the other routes in semigroup
+    monkeypatch.setattr(semigroup, "tube_group_reason", counted(semigroup.tube_group_reason))
+    monkeypatch.setattr(group, "is_symplectic", counted(group.is_symplectic))
+    monkeypatch.setattr(semigroup, "is_symplectic", group.is_symplectic)
+    # B passes its pattern test at the scale 1e4 of g, while D^T B carries
+    # 5e-9 off-pattern mass at scale 1: the chart test rejects it at tol
+    # and accepts it at CROSS_CHECK_SLACK * tol, the PSD test accepts it
+    shift = np.eye(6)
+    off = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    shift[:3, 3:] = np.eye(3) + 5e-9 * off
+    slack = dv.congruence_embed(np.diag([1.0, 1.0, 1e4])) @ shift
+    member = dv.translation([1, 1, 1.01, -1, 0])
+    cases = (member, dv.translation(-IDENTITY), np.arange(36.0).reshape(6, 6), slack)
+    for g in cases:
+        calls.update(tube_group_reason=0, is_symplectic=0)
+        verdict = dv.cross_check_membership(g)
+        assert calls == {"tube_group_reason": 1, "is_symplectic": 1}
+        direct = dv.in_compression_semigroup(g)
+        via = dv.in_symplectic_semigroup(g) and dv.in_tube_group(g)
+        assert verdict == via == (g is member or g is slack)
+        if g is slack:
+            assert not direct
+            assert dv.in_compression_semigroup(g, semigroup.CROSS_CHECK_SLACK * MEMBERSHIP_TOL)
+        else:
+            assert direct == via
 
 
 def test_lie_element_round_trip_and_pattern_guard():

@@ -10,7 +10,7 @@ from dualvinberg import metric
 from dualvinberg.cone import MEMBERSHIP_TOL
 from dualvinberg.semigroup import COMPRESSION_REASONS, compression_codes, compression_reason
 
-from conftest import generator_product, sample_chart_element
+from conftest import generator_product, overflowing_defect_matrix, sample_chart_element
 from oracles import search_violations_reference
 
 I3 = np.eye(3)
@@ -63,6 +63,7 @@ def _certificate_corpus():
             rows.append(g)
     for scale in (1e100, 1e154, 1e160, 1e200):
         rows.append(scale * members[rng.integers(len(members))])
+    rows.append(overflowing_defect_matrix())  # a NaN block relation: not symplectic
     return np.array(rows)
 
 
@@ -73,6 +74,7 @@ def test_compression_codes_match_compression_reason_row_by_row(tol):
         codes = compression_codes(G, tol)
         reasons = [compression_reason(g, tol) for g in G]
     assert [None if c == 0 else COMPRESSION_REASONS[c - 1] for c in codes] == reasons
+    assert reasons[-1] == "not symplectic"
     if tol == MEMBERSHIP_TOL:
         # every reason and both kinds of member are covered
         assert set(codes) == set(range(len(COMPRESSION_REASONS) + 1))
