@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import (
+    FLAT_ZEROS,
     PATTERN_TOL,
+    TRIANGULAR_ZEROS,
     diag_pair,
     embed,
     embed_diag_pair,
     in_open_cone,
     is_flat_pattern,
-    is_triangular_pattern,
     unembed,
 )
 from .errors import DomainError, PatternError, SingularityError, check_rows
@@ -93,33 +94,50 @@ def symplectic_defect(g) -> float:
 
 def symplectic_defect_dual(g) -> float:
     """Same group, written on the transposed side: B A^T, C D^T symmetric
-    and A D^T - B C^T = I.  Must agree with symplectic_defect up to scale."""
-    A, B, C, D = blocks(g)
-    r1 = B @ A.T
-    r2 = C @ D.T
-    r3 = A @ D.T - B @ C.T - np.eye(3)
-    return max(maxabs(r1 - r1.T), maxabs(r2 - r2.T), maxabs(r3))
+    and A D^T - B C^T = I, read off R = [A; C] [B; D]^T as g J g^T = J is
+    R - R^T = -J.  Must agree with symplectic_defect up to scale."""
+    g = _matrix6(g)
+    R = g[:, :3] @ g[:, 3:].T
+    return maxabs(R - R.T + SYMPLECTIC_FORM)
+
+
+def _symplectic(g, scale) -> bool:
+    """is_symplectic of g, given its maxabs."""
+    bound = float(SYMPLECTIC_TOL * (1.0 + np.float64(scale) ** 2))
+    return bound < np.inf and symplectic_defect(g) <= bound
 
 
 def is_symplectic(g) -> bool:
     """Block test at tolerance SYMPLECTIC_TOL * (1 + maxabs(g)**2), False when
     that overflows; equivalent to g J g^T = J for the standard form J."""
-    bound = float(SYMPLECTIC_TOL * (1.0 + np.float64(maxabs(g)) ** 2))
-    return bound < np.inf and symplectic_defect(g) <= bound
+    return _symplectic(g, maxabs(g))
 
 
-def _linear_part_reason(g, A, D, atol) -> str | None:
+# pattern zeros of the tube test as (row, column) slots of g, besides A's
+# TRIANGULAR_ZEROS: D^T triangular, B[0,1] and B[1,0], C in the flat slice
+_DT_ZEROS = tuple((3 + j, 3 + i) for i, j in TRIANGULAR_ZEROS)
+_B_ZEROS = ((0, 4), (1, 3))
+_C_ZEROS = tuple((3 + i, j) for i, j in FLAT_ZEROS)
+
+
+def _zeros_hold(m, slots, atol) -> bool:
+    return all(abs(m[i][j]) <= atol for i, j in slots)
+
+
+def _linear_part_reason(g, m, scale, atol) -> str | None:
     """The checks both tube-group descriptions share: g symplectic, and A
-    and D^T triangular-patterned with positive corner."""
-    if not is_symplectic(g):
+    and D^T triangular-patterned with positive corner.  m is g.tolist():
+    once g is symplectic every entry is finite, and the pattern checks
+    read Python floats."""
+    if not _symplectic(g, scale):
         return TUBE_GROUP_REASONS[0]
-    if not is_triangular_pattern(A, atol):
+    if not _zeros_hold(m, TRIANGULAR_ZEROS, atol):
         return TUBE_GROUP_REASONS[1]
-    if not A[2, 2] > 0:
+    if not m[2][2] > 0:
         return TUBE_GROUP_REASONS[2]
-    if not is_triangular_pattern(D.T, atol):
+    if not _zeros_hold(m, _DT_ZEROS, atol):
         return TUBE_GROUP_REASONS[3]
-    if not D[2, 2] > 0:
+    if not m[5][5] > 0:
         return TUBE_GROUP_REASONS[4]
     return None
 
@@ -127,14 +145,15 @@ def _linear_part_reason(g, A, D, atol) -> str | None:
 def tube_group_reason(g) -> str | None:
     """None when g lies in the tube automorphism group; otherwise the first
     failing block constraint."""
-    g = np.asarray(g, dtype=float)
-    A, B, C, D = blocks(g)
-    atol = PATTERN_TOL * (1.0 + maxabs(g))
-    if (reason := _linear_part_reason(g, A, D, atol)) is not None:
+    g = _matrix6(g)
+    scale = maxabs(g)
+    atol = PATTERN_TOL * (1.0 + scale)
+    m = g.tolist()
+    if (reason := _linear_part_reason(g, m, scale, atol)) is not None:
         return reason
-    if max(abs(B[0, 1]), abs(B[1, 0])) > atol:
+    if not _zeros_hold(m, _B_ZEROS, atol):
         return TUBE_GROUP_REASONS[5]
-    if not is_flat_pattern(C, atol):
+    if not _zeros_hold(m, _C_ZEROS, atol):
         return TUBE_GROUP_REASONS[6]
     return None
 
@@ -147,11 +166,11 @@ def tube_group_alt_reason(g) -> str | None:
     """Same group through product constraints: A and D^T patterned with
     positive corner, D^T B in the patterned subspace, C D^T in the flat
     slice.  Must agree with tube_group_reason on every matrix."""
-    g = np.asarray(g, dtype=float)
-    A, B, C, D = blocks(g)
+    g = _matrix6(g)
+    _, B, C, D = blocks(g)
     scale = maxabs(g)
     atol = PATTERN_TOL * (1.0 + scale)
-    if (reason := _linear_part_reason(g, A, D, atol)) is not None:
+    if (reason := _linear_part_reason(g, g.tolist(), scale, atol)) is not None:
         return reason
     atol2 = PATTERN_TOL * (1.0 + np.float64(scale) ** 2)
     S = D.T @ B

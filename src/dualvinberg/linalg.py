@@ -47,22 +47,21 @@ def adjugate3(m: np.ndarray) -> np.ndarray:
     )
 
 
-def _singular(m, d) -> bool:
+def is_singular3(m, d=None) -> bool:
+    """The package's one singularity rule for 3x3 matrices: |det m| <=
+    1e-12 * (1 + maxabs(m)**3), a NaN determinant, or an overflowed bound;
+    given the determinant d or computing it."""
+    if d is None:
+        d = det3(m)
     # a NaN determinant and an overflowed float64 bound both count as singular
     return not abs(d) > SINGULAR_TOL * (1.0 + np.float64(maxabs(m)) ** 3)
-
-
-def is_singular3(m) -> bool:
-    """The package's one singularity rule for 3x3 matrices: |det m| <=
-    1e-12 * (1 + maxabs(m)**3), a NaN determinant, or an overflowed bound."""
-    return _singular(m, det3(m))
 
 
 def inv3(m: np.ndarray) -> np.ndarray:
     """Inverse via adjugate over determinant; SingularityError when
     is_singular3(m)."""
     d = det3(m)
-    if _singular(m, d):
+    if is_singular3(m, d):
         raise SingularityError(SINGULAR_MESSAGE)
     return adjugate3(m) / d
 

@@ -35,7 +35,6 @@ from .cone import (
     embed,
     embed_diag_pair,
     embed_stack,
-    in_positive_triangular,
     is_flat_pattern,
     is_triangular_pattern,
     sample_cone,
@@ -56,13 +55,14 @@ from .group import (
     TripleFactors,
     blocks,
     congruence_embed,
-    inverse,
     is_symplectic,
     triple_compose,
     triple_decompose,
     tube_group_reason,
 )
 from .linalg import (
+    adjugate3,
+    det3,
     fold_max,
     fold_min,
     is_singular3,
@@ -312,12 +312,20 @@ def invariant_cone_reason(X, tol: float = MEMBERSHIP_TOL) -> str | None:
         v = unembed(X[:3, 3:], atol=atol)
     except PatternError:
         return "translation part off pattern"
+    U = X[3:, :3]
+    return _wedge_reason(v, diag_pair(U), tol, scale, flat=is_flat_pattern(U, atol))
+
+
+def _wedge_reason(v, u, tol, scale, flat: bool = True) -> str | None:
+    """The wedge rule on a generator's coordinates, at the scale of its
+    matrix; flat says whether that matrix's dual part is in the flat slice."""
+    if not scale < np.inf:  # NaN fails too
+        return "entry not finite"
     if closed_cone_reason(v, tol) is not None:
         return "translation part outside the closed cone"
-    U = X[3:, :3]
-    if not is_flat_pattern(U, atol):
+    if not flat:
         return "dual part not in the flat slice"
-    if not min(U[0, 0], U[1, 1]) >= -atol:
+    if not min(u) >= -tol * (1.0 + scale):
         return "dual part has a negative entry"
     return None
 
@@ -445,15 +453,21 @@ def polar_factor(g):
     reads x3 at the scale of g, where the entries of tau(g)^{-1} g, about
     maxabs(g)^2 in size, have lost digits.
     Certified or raised: a non-member is a DomainError; once membership
-    holds, A not positive triangular, X outside the wedge (NaN included) or
-    a recomposition residual above POLAR_RESIDUAL_TOL is a ConvergenceError
-    that carries the measured value.
+    holds, A not positive triangular (a diagonal entry not positive, or
+    singular by linalg's rule), X outside the wedge (NaN included) or a
+    recomposition residual above POLAR_RESIDUAL_TOL is a ConvergenceError
+    that carries the measured value.  Each certificate reads the factors
+    as built: the wedge rule runs on (v, u), A on its diagonal and det3.
     """
     g = np.asarray(g, dtype=float)
     if (reason := compression_reason(g)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
-    S = 2.0 * GRADING_ELEMENT
-    Y = log_wedge(S @ inverse(g) @ S @ g)
+    tau_inv = np.empty((6, 6))  # [[D^T, B^T], [C^T, A^T]], the symplectic inverse of tau(g)
+    tau_inv[:3, :3] = g[3:, 3:].T
+    tau_inv[:3, 3:] = g[:3, 3:].T
+    tau_inv[3:, :3] = g[3:, :3].T
+    tau_inv[3:, 3:] = g[:3, :3].T
+    Y = log_wedge(tau_inv @ g)
     v, u = Y.v / 2, Y.u / 2
     # Dc and Ds involve u and k_i = u_i v_i only, not x3
     dc, ds = _wedge_diagonals(v, u)
@@ -462,21 +476,26 @@ def polar_factor(g):
     a1, a2, a3 = g[0, 0] / e1, g[1, 1] / e2, g[2, 2]
     a4, a5 = (g[2, 0] - a3 * f1) / e1, (g[2, 1] - a3 * f2) / e2
     A = triangular([a1, a2, a3, a4, a5])
-    # is_singular3 keeps congruence_embed's inverse from raising below
-    if not in_positive_triangular(A) or is_singular3(A):
+    d = det3(A)
+    if not (a1 > 0 and a2 > 0 and a3 > 0) or is_singular3(A, d):
         raise ConvergenceError(f"polar unit factor has diagonal {np.diag(A)}")
     # E12[2,2] of A^{-1} g[:3, 3:], by substitution down its last column
     corner = (g[2, 5] - a4 * (g[0, 5] / a1) - a5 * (g[1, 5] / a2)) / a3
     v[2] = corner - v[3] ** 2 * ds[0] - v[4] ** 2 * ds[1]
-    X = InvariantConeElement(v=v, u=u)
-    if (reason := invariant_cone_reason(X.matrix())) is not None:
+    scale = maxabs(np.concatenate((v, u)))  # maxabs of X's matrix
+    if (reason := _wedge_reason(v, u, MEMBERSHIP_TOL, scale)) is not None:
         raise ConvergenceError(
-            f"recovered generator outside the wedge: {reason} (v = {X.v}, u = {X.u})"
+            f"recovered generator outside the wedge: {reason} (v = {v}, u = {u})"
         )
-    residual = maxabs(congruence_embed(A) @ _exp_wedge(v, u, dc, ds) - g) / (1.0 + maxabs(g))
+    # congruence_embed(A) @ exp(X), block row by block row
+    E = _exp_wedge(v, u, dc, ds)
+    recomposed = np.empty((6, 6))
+    recomposed[:3] = A @ E[:3]
+    recomposed[3:] = (adjugate3(A) / d).T @ E[3:]
+    residual = maxabs(recomposed - g) / (1.0 + maxabs(g))
     if not residual <= POLAR_RESIDUAL_TOL:  # a NaN residual fails too
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
-    return A, X
+    return A, InvariantConeElement(v=v, u=u)
 
 
 def sample_semigroup(rng, interior: bool = True, sigma: float = 1.0) -> np.ndarray:

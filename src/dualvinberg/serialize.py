@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cone import triangular, triangular_params
+from .cone import triangular_params
 from .group import TripleFactors
 from .metric import ContractionRecord, SearchSummary
 from .semigroup import InvariantConeElement
@@ -39,10 +39,6 @@ def dump_vector5(x) -> list[float]:
     return [float(e) for e in np.asarray(x, dtype=float)]
 
 
-def load_pair(obj) -> np.ndarray:
-    return _as_floats(obj, 2, "pair")
-
-
 def dump_pair(u) -> list[float]:
     return [float(u[0]), float(u[1])]
 
@@ -55,10 +51,6 @@ def dump_matrix6(g) -> list[float]:
     return [float(e) for e in np.asarray(g, dtype=float).ravel()]
 
 
-def load_triangular(obj) -> np.ndarray:
-    return triangular(_as_floats(obj, 5, "triangular parameters"))
-
-
 def dump_triangular(A) -> list[float]:
     return [float(e) for e in triangular_params(A)]
 
@@ -67,29 +59,9 @@ def dump_triple_factors(f: TripleFactors) -> dict:
     return {"v": dump_vector5(f.v), "L": dump_triangular(f.L), "u": dump_pair(f.u)}
 
 
-def load_triple_factors(obj) -> TripleFactors:
-    if not isinstance(obj, dict):
-        raise ValueError("triple factors: expected an object with v/L/u")
-    return TripleFactors(
-        v=load_vector5(obj.get("v")),
-        L=load_triangular(obj.get("L")),
-        u=load_pair(obj.get("u")),
-    )
-
-
 def dump_semigroup_factors(f: TripleFactors) -> dict:
     """Certified factors; the linear part travels under the key "A"."""
     return {"v": dump_vector5(f.v), "A": dump_triangular(f.L), "u": dump_pair(f.u)}
-
-
-def load_semigroup_factors(obj) -> TripleFactors:
-    if not isinstance(obj, dict):
-        raise ValueError("semigroup factors: expected an object with v/A/u")
-    return TripleFactors(
-        v=load_vector5(obj.get("v")),
-        L=load_triangular(obj.get("A")),
-        u=load_pair(obj.get("u")),
-    )
 
 
 def dump_polar(A, X: InvariantConeElement) -> dict:
@@ -97,15 +69,6 @@ def dump_polar(A, X: InvariantConeElement) -> dict:
         "A": dump_triangular(A),
         "X": {"v": dump_vector5(X.v), "u": dump_pair(X.u)},
     }
-
-
-def load_polar(obj) -> tuple[np.ndarray, InvariantConeElement]:
-    if not isinstance(obj, dict) or not isinstance(obj.get("X"), dict):
-        raise ValueError("polar factors: expected an object with A and X{v,u}")
-    X = InvariantConeElement(
-        v=load_vector5(obj["X"].get("v")), u=load_pair(obj["X"].get("u"))
-    )
-    return load_triangular(obj.get("A")), X
 
 
 def dump_summary(s: SearchSummary) -> dict:

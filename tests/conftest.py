@@ -1,4 +1,5 @@
-"""Shared sampling helpers for the test suite (plain functions, no fixtures)."""
+"""Shared helpers for the test suite (plain functions, no fixtures):
+samplers, and readers of the factor payloads the CLI writes."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import numpy as np
 
 import dualvinberg as dv
 from dualvinberg.group import TripleFactors
+from dualvinberg.semigroup import InvariantConeElement
+from dualvinberg.serialize import _as_floats, load_vector5
 
 
 def sample_chart_element(rng, sigma: float = 0.7) -> np.ndarray:
@@ -64,3 +67,45 @@ class ZeroRandomness:
 
     def random(self, n):
         return np.zeros(n)
+
+
+def load_pair(obj) -> np.ndarray:
+    return _as_floats(obj, 2, "pair")
+
+
+def load_triangular(obj) -> np.ndarray:
+    """The triangular matrix of its 5 parameters a1..a5."""
+    return dv.triangular(_as_floats(obj, 5, "triangular parameters"))
+
+
+def load_triple_factors(obj) -> TripleFactors:
+    """TripleFactors of a `decompose --mode triple` payload."""
+    if not isinstance(obj, dict):
+        raise ValueError("triple factors: expected an object with v/L/u")
+    return TripleFactors(
+        v=load_vector5(obj.get("v")),
+        L=load_triangular(obj.get("L")),
+        u=load_pair(obj.get("u")),
+    )
+
+
+def load_semigroup_factors(obj) -> TripleFactors:
+    """TripleFactors of a `decompose --mode gamma` payload, whose linear
+    part travels under the key "A"."""
+    if not isinstance(obj, dict):
+        raise ValueError("semigroup factors: expected an object with v/A/u")
+    return TripleFactors(
+        v=load_vector5(obj.get("v")),
+        L=load_triangular(obj.get("A")),
+        u=load_pair(obj.get("u")),
+    )
+
+
+def load_polar(obj) -> tuple[np.ndarray, InvariantConeElement]:
+    """(A, X) of a `polar` payload."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("X"), dict):
+        raise ValueError("polar factors: expected an object with A and X{v,u}")
+    X = InvariantConeElement(
+        v=load_vector5(obj["X"].get("v")), u=load_pair(obj["X"].get("u"))
+    )
+    return load_triangular(obj.get("A")), X

@@ -7,7 +7,16 @@ factorization runs on the closed-form exp_wedge/log_wedge and its
 spd_metric on numpy alone.  search_violations_reference is the expansion
 search as a loop of one-sample calls, which the stacked search must
 reproduce to the bit.  symplectic_defect_blocks is the symplectic defect
-as three 3x3 relations, which the one block product must reproduce.
+as three 3x3 relations, which the one block product must reproduce, and
+symplectic_defect_dual_blocks the same on the transposed side.
+
+tube_group_reason_reference, invariant_cone_reason_reference and
+polar_factor_reference are the certificates on numpy blocks and rebuilt
+matrices: the tube test reading numpy scalars off the blocks, the wedge
+test on the matrix of a generator, and the polar factorization through
+S inverse(g) S g, a triangular-pattern test of the unit and the 6x6
+product congruence_embed(A) exp(X).  The package's routes must give the
+same reasons, verdicts and factors bit for bit.
 """
 
 from __future__ import annotations
@@ -19,9 +28,18 @@ import numpy as np
 import scipy.linalg
 
 import dualvinberg as dv
-from dualvinberg.cone import diag_pair
-from dualvinberg.errors import DomainError, PatternError
-from dualvinberg.linalg import maxabs
+from dualvinberg import semigroup
+from dualvinberg.cone import (
+    MEMBERSHIP_TOL,
+    PATTERN_TOL,
+    closed_cone_reason,
+    diag_pair,
+    is_flat_pattern,
+    is_triangular_pattern,
+)
+from dualvinberg.errors import ConvergenceError, DomainError, PatternError
+from dualvinberg.group import SYMPLECTIC_TOL, TUBE_GROUP_REASONS, symplectic_defect
+from dualvinberg.linalg import is_singular3, maxabs
 
 # scale-relative off-algebra residue above which log_group refuses
 LOG_PATTERN_TOL = 1e-6
@@ -125,3 +143,92 @@ def symplectic_defect_blocks(g) -> float:
     r2 = D.T @ B
     r3 = D.T @ A - B.T @ C - np.eye(3)
     return max(maxabs(r1 - r1.T), maxabs(r2 - r2.T), maxabs(r3))
+
+
+def symplectic_defect_dual_blocks(g) -> float:
+    """The dual defect from three 3x3 relations: B A^T and C D^T
+    symmetric, A D^T - B C^T = I, with the same NaN rule."""
+    A, B, C, D = dv.blocks(g)
+    r1 = B @ A.T
+    r2 = C @ D.T
+    r3 = A @ D.T - B @ C.T - np.eye(3)
+    return max(maxabs(r1 - r1.T), maxabs(r2 - r2.T), maxabs(r3))
+
+
+def tube_group_reason_reference(g) -> str | None:
+    """The tube test on numpy blocks: is_symplectic from its own maxabs,
+    then the pattern zeros and corners read as numpy scalars."""
+    g = np.asarray(g, dtype=float)
+    A, B, C, D = dv.blocks(g)
+    atol = PATTERN_TOL * (1.0 + maxabs(g))
+    bound = float(SYMPLECTIC_TOL * (1.0 + np.float64(maxabs(g)) ** 2))
+    if not (bound < np.inf and symplectic_defect(g) <= bound):
+        return TUBE_GROUP_REASONS[0]
+    if not is_triangular_pattern(A, atol):
+        return TUBE_GROUP_REASONS[1]
+    if not A[2, 2] > 0:
+        return TUBE_GROUP_REASONS[2]
+    if not is_triangular_pattern(D.T, atol):
+        return TUBE_GROUP_REASONS[3]
+    if not D[2, 2] > 0:
+        return TUBE_GROUP_REASONS[4]
+    if max(abs(B[0, 1]), abs(B[1, 0])) > atol:
+        return TUBE_GROUP_REASONS[5]
+    if not is_flat_pattern(C, atol):
+        return TUBE_GROUP_REASONS[6]
+    return None
+
+
+def invariant_cone_reason_reference(X, tol: float = MEMBERSHIP_TOL) -> str | None:
+    """The wedge test on a generator's 6x6 matrix, every check inline."""
+    X = np.asarray(X, dtype=float)
+    scale = maxabs(X)
+    if not scale < np.inf:
+        return "entry not finite"
+    atol = tol * (1.0 + scale)
+    if not max(maxabs(X[:3, :3]), maxabs(X[3:, 3:])) <= atol:
+        return "grade-zero part not zero"
+    try:
+        v = dv.unembed(X[:3, 3:], atol=atol)
+    except PatternError:
+        return "translation part off pattern"
+    if closed_cone_reason(v, tol) is not None:
+        return "translation part outside the closed cone"
+    U = X[3:, :3]
+    if not is_flat_pattern(U, atol):
+        return "dual part not in the flat slice"
+    if not min(U[0, 0], U[1, 1]) >= -atol:
+        return "dual part has a negative entry"
+    return None
+
+
+def polar_factor_reference(g):
+    """polar_factor through S inverse(g) S g, the unit checked as a
+    triangular matrix, the wedge on X.matrix() and the residual of the
+    6x6 product congruence_embed(A) exp(X)."""
+    g = np.asarray(g, dtype=float)
+    if (reason := semigroup.compression_reason(g)) is not None:
+        raise DomainError(f"not in the compression semigroup: {reason}")
+    S = 2.0 * dv.GRADING_ELEMENT
+    Y = dv.log_wedge(S @ dv.inverse(g) @ S @ g)
+    v, u = Y.v / 2, Y.u / 2
+    dc, ds = semigroup._wedge_diagonals(v, u)
+    e1, e2 = 1.0 + v[0] * dc[0], 1.0 + v[1] * dc[1]
+    f1, f2 = v[3] * dc[0], v[4] * dc[1]
+    a1, a2, a3 = g[0, 0] / e1, g[1, 1] / e2, g[2, 2]
+    a4, a5 = (g[2, 0] - a3 * f1) / e1, (g[2, 1] - a3 * f2) / e2
+    A = dv.triangular([a1, a2, a3, a4, a5])
+    if not dv.in_positive_triangular(A) or is_singular3(A):
+        raise ConvergenceError(f"polar unit factor has diagonal {np.diag(A)}")
+    corner = (g[2, 5] - a4 * (g[0, 5] / a1) - a5 * (g[1, 5] / a2)) / a3
+    v[2] = corner - v[3] ** 2 * ds[0] - v[4] ** 2 * ds[1]
+    X = dv.InvariantConeElement(v=v, u=u)
+    if (reason := invariant_cone_reason_reference(X.matrix())) is not None:
+        raise ConvergenceError(
+            f"recovered generator outside the wedge: {reason} (v = {X.v}, u = {X.u})"
+        )
+    E = semigroup._exp_wedge(v, u, dc, ds)
+    residual = maxabs(dv.congruence_embed(A) @ E - g) / (1.0 + maxabs(g))
+    if not residual <= semigroup.POLAR_RESIDUAL_TOL:
+        raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
+    return A, X

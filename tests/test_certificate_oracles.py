@@ -1,0 +1,225 @@
+"""The one-matrix certificates against their block and matrix routes in
+tests/oracles.py: the tube test on Python floats, the wedge rule on a
+generator's coordinates and polar_factor's factors, bit for bit."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import dualvinberg as dv
+from dualvinberg import semigroup
+from dualvinberg.cone import embed
+from dualvinberg.errors import SingularityError
+from dualvinberg.group import TUBE_GROUP_REASONS, tube_group_alt_reason, tube_group_reason
+from dualvinberg.linalg import maxabs
+from dualvinberg.semigroup import InvariantConeElement, invariant_cone_reason
+
+from conftest import generator_product, overflowing_defect_matrix, sample_chart_element
+from oracles import (
+    invariant_cone_reason_reference,
+    polar_factor_reference,
+    tube_group_reason_reference,
+)
+
+TOLS = (1e-9, 0.0, 1e-3, np.nan)
+
+# NaN, +-inf and +-1e308 drawn often, then every float64
+hostile = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+
+
+def membership_corpus():
+    """Members at sigma up to 4, the membership benchmark's non-member
+    kinds, chart elements, generator products and Gaussian matrices."""
+    rng = np.random.default_rng(808)
+    dual_corner = np.eye(6)
+    dual_corner[5, 2] = 1.0  # C[2,2], symplectic but off the flat slice
+    mats = [np.eye(6), dv.inversion(), overflowing_defect_matrix(), 1e200 * np.eye(6), dual_corner]
+    for sigma in (0.5, 1.0, 2.5, 4.0):
+        for interior in (True, False):
+            for _ in range(30):
+                try:
+                    mats.append(dv.sample_semigroup(rng, interior=interior, sigma=sigma))
+                except SingularityError:  # a unit the singularity rule rejects
+                    pass
+    for _ in range(30):
+        mats.append(dv.translation(-dv.sample_cone(rng)))
+        u = np.exp(rng.standard_normal(2)) * [-1.0, 1.0]
+        f = dv.TripleFactors(v=dv.sample_cone(rng), L=dv.sample_positive_triangular(rng), u=u)
+        mats.append(dv.triple_compose(f))
+        mats.append(dv.sample_symplectic_semigroup(rng))
+        off_chart = dv.translation(dv.sample_cone(rng)) @ dv.congruence_embed(
+            dv.sample_positive_triangular(rng)
+        )
+        mats.append(off_chart @ dv.inversion())
+        broken = dv.sample_semigroup(rng, interior=True)
+        broken[:3, :3] *= 1.0 + min(1e-6 * (1.0 + maxabs(broken) ** 2), 1.0)
+        mats.append(broken)
+        mats.append(sample_chart_element(rng))
+        mats.append(generator_product(rng))
+        mats.append(rng.standard_normal((6, 6)))
+    return mats
+
+
+def assert_tube_agrees(g):
+    with np.errstate(all="ignore"):
+        expected = tube_group_reason_reference(g)
+        assert tube_group_reason(g) == expected
+        if expected is not None:
+            assert semigroup.compression_reason(g) == expected
+        if expected in TUBE_GROUP_REASONS[:5]:
+            assert tube_group_alt_reason(g) == expected
+
+
+def test_tube_test_agrees_with_the_block_route():
+    reasons = set()
+    for g in membership_corpus():
+        assert_tube_agrees(g)
+        reasons.add(tube_group_reason(g))
+    assert reasons >= {None, "not symplectic", "A off pattern", "C off pattern"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, (6, 6), elements=hostile))
+def test_tube_test_agrees_with_the_block_route_on_hostile_floats(g):
+    assert_tube_agrees(g)
+
+
+def assert_wedge_rule_agrees(v, u, tol):
+    """The rule polar_factor runs on its recovered (v, u) against the
+    matrix route.  A NaN tol rejects on both, at the first check each
+    has: the matrix route's grade-zero part, which (v, u) do not carry."""
+    X = InvariantConeElement(v=v, u=u).matrix()
+    with np.errstate(all="ignore"):
+        got = semigroup._wedge_reason(v, u, tol, maxabs(np.concatenate((v, u))))
+        expected = invariant_cone_reason_reference(X, tol)
+    if np.isnan(tol):
+        assert got is not None and expected is not None
+    else:
+        assert got == expected
+    return expected
+
+
+def test_wedge_rule_agrees_with_the_matrix_route():
+    rng = np.random.default_rng(809)
+    seen = set()
+    for _ in range(2000):
+        v = dv.sample_cone(rng, 1.5) * rng.choice([1.0, -1.0, 1e-12], p=[0.6, 0.2, 0.2])
+        v[rng.integers(5)] += rng.choice([0.0, 1e-9, -1e-9, -1e-6])
+        u = np.exp(rng.standard_normal(2)) * rng.choice([1.0, 0.0, -1e-10, -1e-8], 2)
+        for tol in TOLS[:3]:
+            seen.add(assert_wedge_rule_agrees(v, u, tol))
+    assert seen == {
+        None,
+        "translation part outside the closed cone",
+        "dual part has a negative entry",
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.float64, 5, elements=hostile),
+    hnp.arrays(np.float64, 2, elements=hostile),
+    st.sampled_from(TOLS),
+)
+def test_wedge_rule_agrees_with_the_matrix_route_on_hostile_floats(v, u, tol):
+    # the matrix route reads x4 and x5 back as (x + x)/2, which overflows
+    # beyond 8.98e307; polar_factor's x4 and x5 are halves of entries of
+    # tau(g)^{-1} g divided by sinh(sqrt k)/sqrt k >= 1, so never that large
+    with np.errstate(over="ignore"):
+        assume(np.isfinite(v[3:] + v[3:]).all() or not np.isfinite(v[3:]).all())
+    assert_wedge_rule_agrees(v, u, tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, (6, 6), elements=hostile), st.sampled_from(TOLS))
+def test_invariant_cone_reason_agrees_with_the_matrix_route_on_hostile_floats(X, tol):
+    with np.errstate(all="ignore"):
+        assert invariant_cone_reason(X, tol) == invariant_cone_reason_reference(X, tol)
+
+
+def test_invariant_cone_reason_keeps_its_check_order():
+    # v outside the closed cone and U off the flat slice: the cone comes first
+    X = InvariantConeElement(v=-dv.IDENTITY_POINT, u=np.array([-1.0, 1.0])).matrix()
+    X[4, 2] = 0.5
+    assert invariant_cone_reason(X) == "translation part outside the closed cone"
+    X[:3, 3:] = embed(dv.IDENTITY_POINT)
+    assert invariant_cone_reason(X) == "dual part not in the flat slice"
+    assert invariant_cone_reason_reference(X) == "dual part not in the flat slice"
+
+
+def outcome(factor, g):
+    """Factor bytes (signed zeros included), or the exception raised."""
+    try:
+        with np.errstate(all="ignore"):
+            A, X = factor(g)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc).__name__, str(exc)
+    return "factors", A.tobytes(), np.asarray(X.v).tobytes(), np.asarray(X.u).tobytes()
+
+
+def criterion_6_family():
+    """The elements criterion 6 factors or tests: rng 1006, 1000 interior
+    and boundary compositions, then 200 interior ones capped at norm 1."""
+    rng = np.random.default_rng(1006)
+    for i in range(1000):
+        A = dv.sample_positive_triangular(rng, 0.7)
+        if i % 2 == 0:
+            v = dv.sample_cone(rng, 0.7)
+            u = np.exp(0.7 * rng.standard_normal(2))
+        else:
+            L2 = dv.sample_positive_triangular(rng, 0.7)
+            eps = (rng.random(3) >= 0.5).astype(float)
+            v = dv.unembed(L2 @ np.diag(eps) @ L2.T)
+            u = np.abs(0.7 * rng.standard_normal(2)) * (rng.random(2) >= 0.5)
+        yield dv.polar_compose(A, InvariantConeElement(v=v, u=u))
+    for _ in range(200):
+        A = dv.sample_positive_triangular(rng, 0.7)
+        v = dv.sample_cone(rng, 0.7)
+        X = InvariantConeElement(v=v, u=np.exp(0.7 * rng.standard_normal(2)))
+        nrm = float(np.linalg.norm(X.matrix()))
+        if nrm > 1.0:
+            X = InvariantConeElement(v=X.v / nrm, u=X.u / nrm)
+        yield dv.polar_compose(A, X)
+
+
+def sigma_probe():
+    """The 1000 uncapped draws at sigma = 1.5 of rng 9."""
+    rng = np.random.default_rng(9)
+    for _ in range(1000):
+        A = dv.sample_positive_triangular(rng, 1.5)
+        v = dv.sample_cone(rng, 1.5)
+        X = InvariantConeElement(v=v, u=np.exp(1.5 * rng.standard_normal(2)))
+        with np.errstate(all="ignore"):
+            yield dv.polar_compose(A, X)
+
+
+def test_polar_factor_equals_the_matrix_route_bit_for_bit():
+    kinds = {}
+    for g in list(criterion_6_family()) + list(sigma_probe()):
+        got = outcome(dv.polar_factor, g)
+        assert got == outcome(polar_factor_reference, g)
+        kinds[got[0]] = kinds.get(got[0], 0) + 1
+    assert kinds["factors"] >= 2000 and "DomainError" in kinds
+
+
+def test_polar_failures_equal_the_matrix_route():
+    # a residual failure: B[0,2] of a member moved by 1e-3, within the
+    # symplectic bound at scale 1e4 but 5e-8 off in relative residual
+    g = dv.translation([1e4, 1.0, 1e4, 10.0, 0.0])
+    g[0, 5] += 1e-3
+    # the loud-failure subject of the unit check: sigma = 4, rng 9, draw 152
+    rng = np.random.default_rng(9)
+    with np.errstate(all="ignore"):
+        for _ in range(152):
+            try:
+                h = dv.sample_semigroup(rng, interior=True, sigma=4.0)
+            except SingularityError:
+                h = None
+    for m, message in ((g, "recomposition residual 5.000e-08"), (h, "polar unit factor")):
+        got = outcome(dv.polar_factor, m)
+        assert got == outcome(polar_factor_reference, m)
+        assert got[0] == "ConvergenceError" and message in got[1]

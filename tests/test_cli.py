@@ -1,18 +1,28 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dualvinberg as dv
 from dualvinberg import serialize
 from dualvinberg.cli import main
 
-from conftest import overflowing_defect_matrix
+from conftest import (
+    load_polar,
+    load_semigroup_factors,
+    load_triple_factors,
+    overflowing_defect_matrix,
+)
 
 
 def run_cli(capsys, *argv):
@@ -108,7 +118,7 @@ def test_decompose_triple_payload(tmp_path, capsys):
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["mode"] == "triple"
-    f = serialize.load_triple_factors(payload)
+    f = load_triple_factors(payload)
     assert np.allclose(dv.triple_compose(f), g, rtol=0, atol=1e-12)
     assert payload["residual"] <= 1e-12
 
@@ -132,7 +142,7 @@ def test_decompose_gamma_payload(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["mode"] == "gamma"
-    f = serialize.load_semigroup_factors(payload)
+    f = load_semigroup_factors(payload)
     assert dv.in_closed_cone(f.v)
     assert dv.in_positive_triangular(f.L)
     assert payload["residual"] <= 1e-10
@@ -146,7 +156,7 @@ def test_polar_subcommand_matches_decompose_mode(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
-    A, X = serialize.load_polar(payload)
+    A, X = load_polar(payload)
     assert np.allclose(dv.polar_compose(A, X), g, rtol=0, atol=1e-8 * (1 + np.abs(g).max()))
     assert payload["residual"] <= 1e-8
 
@@ -381,3 +391,57 @@ def test_package_and_every_command_run_with_scipy_blocked(tmp_path):
         "spd_metric": False,
         "contraction_ratio_spd": False,
     }
+
+
+# NaN, +-inf and +-1e308 drawn often, then every float64
+_hostile = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+# members and the identity, so that hostile entries also reach the
+# factorizations behind the membership tests
+_BASES = (
+    np.zeros((6, 6)),
+    np.eye(6),
+    dv.translation([1.0, 1.0, 1.01, -1.0, 0.0]),
+    dv.sample_semigroup(np.random.default_rng(3), interior=True, sigma=0.7),
+)
+
+
+@st.composite
+def hostile_matrices(draw):
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.float64, 36, elements=_hostile))
+    g = _BASES[draw(st.integers(0, len(_BASES) - 1))].ravel().copy()
+    for k, value in draw(st.dictionaries(st.integers(0, 35), _hostile, max_size=4)).items():
+        g[k] = value
+    return g
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_matrices())
+def test_every_matrix_command_answers_hostile_floats_with_a_documented_exit(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        mat = os.path.join(tmp, "g.json")
+        vec = os.path.join(tmp, "x.json")
+        with open(mat, "w", encoding="utf-8") as f:
+            json.dump(g.tolist(), f)
+        with open(vec, "w", encoding="utf-8") as f:
+            json.dump(g[:5].tolist(), f)
+        runs = [["check", "--what", w, vec] for w in ("cone", "closed-cone")]
+        matrix_checks = ("symplectic", "G", "upsilon", "gamma", "gamma-sp")
+        runs += [["check", "--what", w, mat] for w in matrix_checks]
+        runs += [["decompose", "--mode", m, mat] for m in ("triple", "gamma", "polar")]
+        runs += [["polar", mat]]
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 3), (argv, code, err.getvalue())
+            if out.getvalue():
+                json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert (code == 0) == bool(out.getvalue()), argv

@@ -20,7 +20,7 @@ from conftest import (
     sample_chart_element,
     sample_tube_point,
 )
-from oracles import symplectic_defect_blocks
+from oracles import symplectic_defect_blocks, symplectic_defect_dual_blocks
 
 
 def rel_err(a, b) -> float:
@@ -82,6 +82,28 @@ def test_block_product_reproduces_the_three_block_relations_bit_for_bit():
         assert np.isnan(old) or symplectic_defect(g) == old
     for g in [generator_product(rng) for _ in range(200)] + [dv.inversion(), np.eye(6)]:
         assert symplectic_defect(g) == symplectic_defect_blocks(g)
+
+
+def test_dual_block_product_reproduces_the_three_dual_relations():
+    rng = np.random.default_rng(32)
+    for _ in range(3000):
+        g = rng.standard_normal((6, 6)) * np.exp(rng.uniform(-12.0, 12.0, (6, 6)))
+        old = symplectic_defect_dual_blocks(g)
+        assert np.isnan(old) or symplectic_defect_dual(g) == old
+    for g in [generator_product(rng) for _ in range(200)] + [dv.inversion(), np.eye(6)]:
+        assert symplectic_defect_dual(g) == symplectic_defect_dual_blocks(g)
+
+
+def test_a_nan_dual_relation_is_kept():
+    # On the overflow matrix A = C = 0, so every dual relation is finite
+    # and the broken one, A D^T - B C^T = I, is exactly 1 off.  On its
+    # transpose C D^T is inf on both sides of its diagonal; the
+    # three-relation max dropped that NaN and read 1.0.
+    g = overflowing_defect_matrix()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert symplectic_defect_dual(g) == symplectic_defect_dual_blocks(g) == 1.0
+        assert symplectic_defect_dual_blocks(g.T) == 1.0
+        assert np.isnan(symplectic_defect_dual(g.T))
 
 
 def test_a_nan_block_relation_is_not_symplectic():

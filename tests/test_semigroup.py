@@ -155,7 +155,7 @@ def test_cross_check_tolerates_boundary_roundoff():
 
 
 def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
-    calls = {"tube_group_reason": 0, "is_symplectic": 0}
+    calls = {"tube_group_reason": 0, "symplectic_defect": 0}
 
     def counted(fn):
         def wrapper(*args):
@@ -164,10 +164,10 @@ def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
 
         return wrapper
 
-    # the tube test finds is_symplectic in group, the other routes in semigroup
+    # the tube test finds the symplectic defect in group, the other routes
+    # find the tube test in semigroup; the defect is the work of is_symplectic
     monkeypatch.setattr(semigroup, "tube_group_reason", counted(semigroup.tube_group_reason))
-    monkeypatch.setattr(group, "is_symplectic", counted(group.is_symplectic))
-    monkeypatch.setattr(semigroup, "is_symplectic", group.is_symplectic)
+    monkeypatch.setattr(group, "symplectic_defect", counted(group.symplectic_defect))
     # B passes its pattern test at the scale 1e4 of g, while D^T B carries
     # 5e-9 off-pattern mass at scale 1: the chart test rejects it at tol
     # and accepts it at CROSS_CHECK_SLACK * tol, the PSD test accepts it
@@ -178,9 +178,9 @@ def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
     member = dv.translation([1, 1, 1.01, -1, 0])
     cases = (member, dv.translation(-IDENTITY), np.arange(36.0).reshape(6, 6), slack)
     for g in cases:
-        calls.update(tube_group_reason=0, is_symplectic=0)
+        calls.update(tube_group_reason=0, symplectic_defect=0)
         verdict = dv.cross_check_membership(g)
-        assert calls == {"tube_group_reason": 1, "is_symplectic": 1}
+        assert calls == {"tube_group_reason": 1, "symplectic_defect": 1}
         direct = dv.in_compression_semigroup(g)
         via = dv.in_symplectic_semigroup(g) and dv.in_tube_group(g)
         assert verdict == via == (g is member or g is slack)

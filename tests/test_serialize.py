@@ -11,6 +11,14 @@ import dualvinberg as dv
 from dualvinberg import serialize
 from dualvinberg.metric import ContractionRecord
 
+from conftest import (
+    load_pair,
+    load_polar,
+    load_semigroup_factors,
+    load_triangular,
+    load_triple_factors,
+)
+
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
@@ -32,12 +40,12 @@ def test_matrix6_json_round_trip_is_lossless(values):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(finite, min_size=5, max_size=5))
 def test_triangular_round_trip(params):
-    wire = serialize.dump_triangular(serialize.load_triangular(params))
+    wire = serialize.dump_triangular(load_triangular(params))
     assert wire == [float(p) for p in params]
 
 
 def test_pair_round_trip():
-    assert np.array_equal(serialize.load_pair(serialize.dump_pair(np.array([1.5, -2.5]))), [1.5, -2.5])
+    assert np.array_equal(load_pair(serialize.dump_pair(np.array([1.5, -2.5]))), [1.5, -2.5])
 
 
 @pytest.mark.parametrize(
@@ -47,13 +55,13 @@ def test_pair_round_trip():
         (serialize.load_vector5, "not a list"),
         (serialize.load_vector5, [1, 2, 3, 4, "x"]),
         (serialize.load_matrix6, list(range(35))),
-        (serialize.load_pair, [1.0]),
-        (serialize.load_triangular, {"a": 1}),
-        (serialize.load_triple_factors, {"v": [0] * 5, "L": [1, 1, 1, 0, 0]}),
-        (serialize.load_polar, {"A": [1, 1, 1, 0, 0], "X": [0] * 7}),
-        (serialize.load_triple_factors, [1, 2, 3]),
-        (serialize.load_semigroup_factors, {"v": [0] * 5}),
-        (serialize.load_polar, {"A": [1, 1, 1, 0, 0]}),
+        (load_pair, [1.0]),
+        (load_triangular, {"a": 1}),
+        (load_triple_factors, {"v": [0] * 5, "L": [1, 1, 1, 0, 0]}),
+        (load_polar, {"A": [1, 1, 1, 0, 0], "X": [0] * 7}),
+        (load_triple_factors, [1, 2, 3]),
+        (load_semigroup_factors, {"v": [0] * 5}),
+        (load_polar, {"A": [1, 1, 1, 0, 0]}),
     ],
 )
 def test_loaders_reject_malformed_input(loader, bad):
@@ -64,19 +72,19 @@ def test_loaders_reject_malformed_input(loader, bad):
 def test_factor_records_round_trip():
     rng = np.random.default_rng(80)
     f = dv.triple_decompose(dv.sample_semigroup(rng, interior=True))
-    f2 = serialize.load_triple_factors(json.loads(json.dumps(serialize.dump_triple_factors(f))))
+    f2 = load_triple_factors(json.loads(json.dumps(serialize.dump_triple_factors(f))))
     assert np.array_equal(f2.v, f.v)
     assert np.array_equal(f2.L, f.L)
     assert np.array_equal(f2.u, f.u)
 
     sf = dv.compression_factors(dv.sample_semigroup(rng, interior=True))
-    sf2 = serialize.load_semigroup_factors(json.loads(json.dumps(serialize.dump_semigroup_factors(sf))))
+    sf2 = load_semigroup_factors(json.loads(json.dumps(serialize.dump_semigroup_factors(sf))))
     assert np.array_equal(sf2.v, sf.v)
     assert np.array_equal(sf2.L, sf.L)
     assert np.array_equal(sf2.u, sf.u)
 
     A, X = dv.polar_factor(dv.sample_semigroup(rng, interior=True, sigma=0.6))
-    A2, X2 = serialize.load_polar(json.loads(json.dumps(serialize.dump_polar(A, X))))
+    A2, X2 = load_polar(json.loads(json.dumps(serialize.dump_polar(A, X))))
     assert np.array_equal(A2, A)
     assert np.array_equal(X2.v, X.v)
     assert np.array_equal(X2.u, X.u)
