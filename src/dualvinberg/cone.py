@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PatternError
-from .linalg import maxabs, scalar_pow
+from .linalg import entries_first, fold_max, maxabs, midpoint, scalar_pow
 
 IDENTITY_POINT = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -70,27 +70,32 @@ def embed_stack(x) -> np.ndarray:
     return m
 
 
+def pattern_parts(m):
+    """Off-pattern mass and coordinates of one 3x3 array, or of each of a
+    stack (n, 3, 3) as (n,) and (n, 5).  The mass is the builtin max of
+    |m01|, |m10| and the two mirror gaps (a NaN counts only in first
+    place); mirror pairs are averaged by linalg.midpoint."""
+    # one matrix as Python numbers, which do the same float arithmetic faster
+    m = m.tolist() if m.ndim == 2 else entries_first(m)
+    off = fold_max(abs(m[0][1]), abs(m[1][0]), abs(m[0][2] - m[2][0]), abs(m[1][2] - m[2][1]))
+    x = [m[0][0], m[1][1], m[2][2], midpoint(m[0][2], m[2][0]), midpoint(m[1][2], m[2][1])]
+    return off, np.array(x).T
+
+
 def unembed(m, atol: float | None = None) -> np.ndarray:
     """Coordinates of a patterned symmetric matrix.
 
     The forbidden slot is (0,1)/(1,0) and the mirror pairs must match;
     off-pattern mass beyond ``atol`` (default 1e-12, scale-relative)
-    raises PatternError.  Mirror pairs are averaged.
+    raises PatternError.  Mirror pairs are averaged (pattern_parts).
     """
     m = np.asarray(m)
     if atol is None:
         atol = PATTERN_TOL * (1.0 + maxabs(m))
-    off = max(
-        abs(m[0, 1]),
-        abs(m[1, 0]),
-        abs(m[0, 2] - m[2, 0]),
-        abs(m[1, 2] - m[2, 1]),
-    )
+    off, x = pattern_parts(m)
     if off > atol:
         raise PatternError(f"matrix leaves the patterned subspace by {off:.3e}")
-    return np.array(
-        [m[0, 0], m[1, 1], m[2, 2], (m[0, 2] + m[2, 0]) / 2, (m[1, 2] + m[2, 1]) / 2]
-    )
+    return x
 
 
 def embed_diag_pair(u) -> np.ndarray:

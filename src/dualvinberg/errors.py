@@ -53,7 +53,7 @@ def check_rows(failures: RowFailures | None, mask, error) -> None:
     raise error(row) for its first failing row now."""
     if failures is not None:
         failures.add(mask, error)
-    elif np.ndim(mask) == 0:
+    elif not isinstance(mask, np.ndarray):  # a bool, tested by type: np.ndim costs more
         if mask:
             raise error(0)
     elif mask.any():

@@ -30,17 +30,17 @@ from .cone import (
     embed_diag_pair,
     in_open_cone,
     is_flat_pattern,
+    pattern_parts,
     unembed,
 )
 from .errors import DomainError, PatternError, SingularityError, check_rows
 from .linalg import (
     SINGULAR_MESSAGE,
-    entries_first,
-    fold_max,
     inv3,
     inv3_stack,
     is_singular3,
     maxabs,
+    scalar_pow,
     singular3_stack,
     stack_maxabs,
 )
@@ -82,35 +82,31 @@ def blocks(g) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return g[:3, :3], g[:3, 3:], g[3:, :3], g[3:, 3:]
 
 
-def symplectic_defect(g) -> float:
+def symplectic_defect(g):
     """Largest violation of the block relations A^T C, D^T B symmetric and
     D^T A - B^T C = I, read off the one block product
     P = [A B]^T [C D] = [[A^T C, A^T D], [B^T C, B^T D]]: g^T J g = J for
-    J = SYMPLECTIC_FORM is P - P^T = -J.  NaN when any relation is NaN."""
-    g = _matrix6(g)
-    P = g[:3].T @ g[3:]
-    return maxabs(P - P.T + SYMPLECTIC_FORM)
+    J = SYMPLECTIC_FORM is P - P^T = -J.  NaN when any relation is NaN.
+    A float for one g (6, 6), an (n,) array for a stack (n, 6, 6), equal
+    row by row to the bit.  The transposed side, g J g^T = J, is
+    symplectic_defect(g.T)."""
+    g = np.asarray(g, dtype=float)
+    if g.shape[-2:] != (6, 6) or g.ndim > 3:
+        raise ValueError(f"expected a 6x6 matrix or a stack of them, got shape {g.shape}")
+    P = g[..., :3, :].swapaxes(-1, -2) @ g[..., 3:, :]
+    return stack_maxabs(P - P.swapaxes(-1, -2) + SYMPLECTIC_FORM)
 
 
-def symplectic_defect_dual(g) -> float:
-    """Same group, written on the transposed side: B A^T, C D^T symmetric
-    and A D^T - B C^T = I, read off R = [A; C] [B; D]^T as g J g^T = J is
-    R - R^T = -J.  Must agree with symplectic_defect up to scale."""
-    g = _matrix6(g)
-    R = g[:, :3] @ g[:, 3:].T
-    return maxabs(R - R.T + SYMPLECTIC_FORM)
-
-
-def _symplectic(g, scale) -> bool:
-    """is_symplectic of g, given its maxabs."""
-    bound = float(SYMPLECTIC_TOL * (1.0 + np.float64(scale) ** 2))
-    return bound < np.inf and symplectic_defect(g) <= bound
+def _symplectic(g, scale):
+    """is_symplectic of g given its maxabs; a mask for a stack (n, 6, 6)."""
+    bound = SYMPLECTIC_TOL * (1.0 + scalar_pow(scale, 2))
+    return (bound < np.inf) & (symplectic_defect(g) <= bound)
 
 
 def is_symplectic(g) -> bool:
     """Block test at tolerance SYMPLECTIC_TOL * (1 + maxabs(g)**2), False when
     that overflows; equivalent to g J g^T = J for the standard form J."""
-    return _symplectic(g, maxabs(g))
+    return bool(_symplectic(g, maxabs(g)))
 
 
 # pattern zeros of the tube test as (row, column) slots of g, besides A's
@@ -267,8 +263,7 @@ def unembed_action(W, failures=None) -> np.ndarray:
     scale-relative.  The PatternError of a failing row is deferred to a
     RowFailures sink when one is given."""
     W = np.asarray(W)
-    m = entries_first(W)
-    off = fold_max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 2] - m[2, 0]), abs(m[1, 2] - m[2, 1]))
+    off, x = pattern_parts(W)
     atol = ACTION_PATTERN_TOL * (1.0 + stack_maxabs(W))
     check_rows(
         failures,
@@ -277,9 +272,7 @@ def unembed_action(W, failures=None) -> np.ndarray:
             f"matrix leaves the patterned subspace by {np.reshape(off, -1)[r]:.3e}"
         ),
     )
-    return np.array(
-        [m[0, 0], m[1, 1], m[2, 2], (m[0, 2] + m[2, 0]) / 2, (m[1, 2] + m[2, 1]) / 2]
-    ).T
+    return x
 
 
 def act(g, z) -> np.ndarray:

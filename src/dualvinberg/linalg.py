@@ -67,8 +67,9 @@ def inv3(m: np.ndarray) -> np.ndarray:
 
 
 def stack_maxabs(m):
-    """maxabs of every matrix of a stack (..., r, c); a float64 for one matrix."""
-    return np.abs(m).max(axis=(-2, -1))
+    """maxabs of every matrix of a stack (..., r, c); a float64 for one
+    matrix.  The axes go in by position: as a keyword they cost 0.5 µs."""
+    return np.abs(m).max((-2, -1))
 
 
 def scalar_pow(a, p):
@@ -76,8 +77,9 @@ def scalar_pow(a, p):
     libm's pow, which is not always the correctly rounded a * a.  numpy's
     array power and square can differ from it in the last bit, so a
     stacked formula that must match its one-point form to the bit raises
-    to a power here."""
-    if np.ndim(a) == 0:
+    to a power here.  Numbers and 0-d arrays take the scalar route, chosen
+    by type: np.ndim costs ten times more on a float."""
+    if not isinstance(a, np.ndarray) or a.ndim == 0:
         return np.float64(a) ** p
     a = np.asarray(a, dtype=float)
     try:
@@ -93,7 +95,7 @@ def fold_max(first, *rest):
     """Entrywise builtin max(first, *rest): a later value replaces the
     running one only when strictly greater, so a NaN counts only in first
     place."""
-    if np.ndim(first) == 0:
+    if not isinstance(first, np.ndarray) or first.ndim == 0:
         return max(first, *rest)
     for r in rest:
         first = np.where(r > first, r, first)
@@ -102,18 +104,28 @@ def fold_max(first, *rest):
 
 def fold_min(first, *rest):
     """Entrywise builtin min(first, *rest), with fold_max's NaN rule."""
-    if np.ndim(first) == 0:
+    if not isinstance(first, np.ndarray) or first.ndim == 0:
         return min(first, *rest)
     for r in rest:
         first = np.where(r < first, r, first)
     return first
 
 
+def midpoint(a, b):
+    """Entrywise (a + b)/2, or a/2 + b/2 where the sum overflows; only
+    there, since halves of subnormals round."""
+    h = (a + b) / 2
+    if not isinstance(h, np.ndarray) or h.ndim == 0:
+        return a / 2 + b / 2 if abs(h) == math.inf else h
+    over = np.isinf(h)
+    return np.where(over, a / 2 + b / 2, h) if over.any() else h
+
+
 def entries_first(m):
-    """A stack (..., 3, 3) as the 3x3 grid of its entry stacks, so that
-    det3 and adjugate3 read it as one matrix; one matrix comes back as
-    it is."""
-    n = np.ndim(m)
+    """A stack array (..., 3, 3) as the 3x3 grid of its entry stacks, so
+    that det3 and adjugate3 read it as one matrix; one matrix comes back
+    as it is."""
+    n = m.ndim
     return m if n == 2 else np.transpose(m, (n - 2, n - 1) + tuple(range(n - 2)))
 
 

@@ -3,13 +3,13 @@ tests/oracles.py: the tube test on Python floats, the wedge rule on a
 generator's coordinates and polar_factor's factors, bit for bit."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dualvinberg as dv
 from dualvinberg import semigroup
-from dualvinberg.cone import embed
+from dualvinberg.cone import MEMBERSHIP_TOL, embed
 from dualvinberg.errors import SingularityError
 from dualvinberg.group import TUBE_GROUP_REASONS, tube_group_alt_reason, tube_group_reason
 from dualvinberg.linalg import maxabs
@@ -126,12 +126,19 @@ def test_wedge_rule_agrees_with_the_matrix_route():
     st.sampled_from(TOLS),
 )
 def test_wedge_rule_agrees_with_the_matrix_route_on_hostile_floats(v, u, tol):
-    # the matrix route reads x4 and x5 back as (x + x)/2, which overflows
-    # beyond 8.98e307; polar_factor's x4 and x5 are halves of entries of
-    # tau(g)^{-1} g divided by sinh(sqrt k)/sqrt k >= 1, so never that large
-    with np.errstate(over="ignore"):
-        assume(np.isfinite(v[3:] + v[3:]).all() or not np.isfinite(v[3:]).all())
     assert_wedge_rule_agrees(v, u, tol)
+
+
+def test_a_mirror_pair_near_the_float_limit_reads_back():
+    # x4 + x4 overflows; the mirror average of embed(v) must not
+    v = np.array([1e308, 0.0, 1e308, 1e308, 0.0])
+    assert np.array_equal(dv.unembed(embed(v)), v)
+    X = InvariantConeElement(v=v, u=np.zeros(2))
+    assert invariant_cone_reason(X.matrix()) is None
+    assert semigroup._wedge_reason(v, X.u, MEMBERSHIP_TOL, 1e308) is None
+    # halves of a subnormal round; where the sum is finite it is kept
+    v = np.array([0.0, 0.0, 0.0, 5e-324, -1.5e-323])
+    assert np.array_equal(dv.unembed(embed(v)), v)
 
 
 @settings(max_examples=300, deadline=None)

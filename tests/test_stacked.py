@@ -7,7 +7,9 @@ import pytest
 
 import dualvinberg as dv
 from dualvinberg import metric
-from dualvinberg.cone import MEMBERSHIP_TOL
+from dualvinberg.cone import MEMBERSHIP_TOL, embed, pattern_parts
+from dualvinberg.errors import PatternError, RowFailures
+from dualvinberg.group import symplectic_defect, unembed_action
 from dualvinberg.semigroup import COMPRESSION_REASONS, compression_codes, compression_reason
 
 from conftest import generator_product, overflowing_defect_matrix, sample_chart_element
@@ -79,6 +81,51 @@ def test_compression_codes_match_compression_reason_row_by_row(tol):
         # every reason and both kinds of member are covered
         assert set(codes) == set(range(len(COMPRESSION_REASONS) + 1))
         assert list(codes[: len(COMPRESSION_REASONS)]) == list(range(1, len(COMPRESSION_REASONS) + 1))
+
+
+def test_symplectic_defect_of_a_stack_equals_the_loop():
+    G = _certificate_corpus()
+    with np.errstate(all="ignore"):
+        got = symplectic_defect(G)
+        want = np.array([symplectic_defect(g) for g in G])
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        symplectic_defect(G[None])
+
+
+def _pattern_corpus():
+    """A mirror pair whose sum overflows, subnormal mirror pairs, then the
+    3x3 blocks of the certificate corpus, patterned or not, NaN, inf and
+    1e308 entries included."""
+    G = _certificate_corpus()
+    W = [embed(np.array([1e308, 0.0, -1e308, 1e308, -1.7e308]))[None]]
+    W.append(embed(np.array([0.0, 5e-324, 0.0, 5e-324, -1.5e-323]))[None])
+    W += [G[:, :3, :3], G[:, :3, 3:], G[:, 3:, :3], G[:, 3:, 3:]]
+    return np.concatenate(W)
+
+
+def test_pattern_parts_of_a_stack_equal_the_loop():
+    W = _pattern_corpus()
+    with np.errstate(all="ignore"):
+        off, x = pattern_parts(W)
+        loop = [pattern_parts(w) for w in W]
+    assert off.tobytes() == np.array([o for o, _ in loop]).tobytes()
+    assert x.tobytes() == np.array([c for _, c in loop]).tobytes()
+    assert np.array_equal(x[0], [1e308, 0.0, -1e308, 1e308, -1.7e308])
+    assert np.array_equal(x[1], [0.0, 5e-324, 0.0, 5e-324, -1.5e-323])
+
+
+def test_a_stacked_unembed_action_raises_what_the_loop_raises():
+    W = _pattern_corpus()
+    with np.errstate(all="ignore"):
+        ok = [_first_error(unembed_action, w) is None for w in W]
+        want = _first_error(lambda: [unembed_action(w) for w in W])
+        failures = RowFailures()
+        got = unembed_action(W, failures)
+        assert want[0] is PatternError and ok.index(False) > 0
+        assert _first_error(failures.raise_first) == want
+        assert _first_error(unembed_action, W) == want
+        assert got[ok].tobytes() == np.array([unembed_action(w) for w in W[ok]]).tobytes()
 
 
 def _assert_same_sweep(got, want):
