@@ -5,7 +5,7 @@
 #
 #     bash .github/pins.sh
 #
-# Leaves t.json, o.json, g.json, p.json and s.csv in the current directory.
+# Leaves t.json, o.json, c.json, g.json, p.json and s.csv in the current directory.
 set -eo pipefail
 
 echo "::group::Counterexample smoke run"
@@ -35,6 +35,20 @@ python -c "import json, numpy as np; g = np.zeros((6, 6)); g[:3, 3:] = g[3:, 3:]
 out="$(dualvinberg check --what symplectic o.json)"
 echo "$out"
 test "$out" = '{"what": "symplectic", "result": false, "reason": "not symplectic"}'
+echo "::endgroup::"
+
+echo "::group::Closed-cone pins"
+# the closed-form semidefinite rule: an overflowing pivot never accepts,
+# and eigvalsh measures the rejection
+echo '[1.7976931348623157e308, 0, 1, 1.7976931348623157e308, 0]' > c.json
+out="$(dualvinberg check --what closed-cone --tol 0 c.json)"
+echo "$out"
+test "$out" = '{"what": "closed-cone", "result": false, "reason": "eigenvalue -1.111e+308 below -tol"}'
+# exactly singular and semidefinite: the last pivot is 0, where eigvalsh reads -6.0e-35
+echo '[0.2, 1, 0.2, 0.2, 0]' > c.json
+out="$(dualvinberg check --what closed-cone --tol 0 c.json)"
+echo "$out"
+test "$out" = '{"what": "closed-cone", "result": true}'
 echo "::endgroup::"
 
 echo "::group::Polar smoke run"

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PatternError
-from .linalg import entries_first, fold_max, maxabs, midpoint, scalar_pow
+from .linalg import entries_first, fold_max, maxabs, midpoint, scalar_pow, semidefinite3
 
 IDENTITY_POINT = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -143,14 +143,24 @@ def in_open_cone(x):
     return (d1 > 0) & (d2 > 0) & (d3 > 0)
 
 
+def _embed_rows(x):
+    """embed(x) as nested rows of the five coordinates, Python floats or
+    one stack per coordinate, for linalg.semidefinite3."""
+    x1, x2, x3, x4, x5 = x
+    return [[x1, 0.0, x4], [0.0, x2, x5], [x4, x5, x3]]
+
+
 def closed_cone_reason(x, tol: float = MEMBERSHIP_TOL) -> str | None:
-    m = embed(np.asarray(x, dtype=float))
-    scale = maxabs(m)
-    if not math.isfinite(scale):
+    x = np.asarray(x, dtype=float).tolist()
+    if not all(map(math.isfinite, x)):
         return "coordinate not finite"
-    lo = float(np.linalg.eigvalsh(m).min())
+    t = tol * (1.0 + max(map(abs, x)))  # maxabs(embed(x))
+    if semidefinite3(_embed_rows(x), t):
+        return None
+    # the closed form proves membership only: eigvalsh decides and measures
+    lo = float(np.linalg.eigvalsh(embed(x)).min())
     # written so that a NaN bound rejects
-    if not lo >= -tol * (1.0 + scale):
+    if not lo >= -t:
         return f"eigenvalue {lo:.3e} below -tol"
     return None
 

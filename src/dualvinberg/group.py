@@ -36,6 +36,8 @@ from .cone import (
 from .errors import DomainError, PatternError, SingularityError, check_rows
 from .linalg import (
     SINGULAR_MESSAGE,
+    adjugate3,
+    det3,
     inv3,
     inv3_stack,
     is_singular3,
@@ -328,9 +330,11 @@ def triple_decompose(g) -> TripleFactors:
     scale = maxabs(g)
     if not scale < np.inf:  # NaN fails too
         raise DomainError("entry not finite")
-    if is_singular3(D):
+    rows = D.tolist()
+    d = det3(rows)
+    if is_singular3(D, d):
         raise SingularityError("det D = 0")
-    Dinv = inv3(D)
+    Dinv = adjugate3(rows) / d  # inv3(D), with D's one singularity test
     v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + np.float64(scale) ** 2))
     return TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
 

@@ -5,7 +5,8 @@ the formulas are dtype-generic (real or complex) and keep exact zeros and
 small-integer arithmetic exact, which the reference values in the test
 suite rely on.  The same formulas run on stacks (..., 3, 3) through
 inv3_stack, entry for entry as on one matrix, so a stacked evaluation
-agrees with a loop of single ones to the bit.
+agrees with a loop of single ones to the bit.  semidefinite3 decides
+semidefiniteness by LDL^T elimination, likewise on one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -25,16 +26,19 @@ def maxabs(m) -> float:
     return float(np.abs(m).max())
 
 
-def det3(m: np.ndarray):
+def det3(m):
+    """Cofactor determinant of one matrix, as an array or nested lists, or
+    of an entries-first stack; entries are read as m[i][j]."""
     return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
 
 
-def adjugate3(m: np.ndarray) -> np.ndarray:
-    """Transposed cofactor matrix, so that m @ adjugate3(m) = det3(m) * I."""
+def adjugate3(m) -> np.ndarray:
+    """Transposed cofactor matrix, so that m @ adjugate3(m) = det3(m) * I;
+    m as det3 takes it."""
     a, b, c = m[0]
     d, e, f = m[1]
     g, h, i = m[2]
@@ -51,19 +55,47 @@ def is_singular3(m, d=None) -> bool:
     """The package's one singularity rule for 3x3 matrices: |det m| <=
     1e-12 * (1 + maxabs(m)**3), a NaN determinant, or an overflowed bound;
     given the determinant d or computing it."""
+    # Python floats do the IEEE operations of numpy scalars, faster
+    m = m.tolist()
     if d is None:
         d = det3(m)
-    # a NaN determinant and an overflowed float64 bound both count as singular
-    return not abs(d) > SINGULAR_TOL * (1.0 + np.float64(maxabs(m)) ** 3)
+    # a NaN entry gives a NaN determinant and an inf entry an inf bound:
+    # both count as singular, whatever the builtin max makes of a NaN
+    scale = max(map(abs, m[0] + m[1] + m[2]))
+    return not abs(d) > SINGULAR_TOL * (1.0 + np.float64(scale) ** 3)
 
 
 def inv3(m: np.ndarray) -> np.ndarray:
     """Inverse via adjugate over determinant; SingularityError when
     is_singular3(m)."""
-    d = det3(m)
+    rows = m.tolist()
+    d = det3(rows)
     if is_singular3(m, d):
         raise SingularityError(SINGULAR_MESSAGE)
-    return adjugate3(m) / d
+    return adjugate3(rows) / d
+
+
+def semidefinite3(m, t):
+    """Whether m + t*I is positive semidefinite, for a symmetric 3x3 m
+    given as nested Python floats or as an entries-first stack (then one
+    answer per matrix); only the lower triangle is read.
+
+    The LDL^T elimination of m + t*I in the fixed order 1, 2, 3 accepts
+    when its pivots d1 > 0, d2 > 0, d3 >= 0 are all finite.  That proves
+    semidefiniteness up to the elimination's round-off, about eps times
+    the scale (unpivoted Cholesky is backward stable on semidefinite
+    input), so False proves nothing: a zero leading pivot, an overflowed
+    intermediate or a NaN rejects.  Callers confirm a rejection with
+    eigvalsh."""
+    d1 = m[0][0] + t
+    try:
+        l10, l20 = m[1][0] / d1, m[2][0] / d1
+        d2 = m[1][1] + t - m[1][0] * l10
+        a21 = m[2][1] - m[2][0] * l10
+        d3 = m[2][2] + t - m[2][0] * l20 - a21 * (a21 / d2)
+    except ZeroDivisionError:  # a zero pivot of one matrix; a stack gets inf or NaN
+        return False
+    return (d1 > 0) & (d1 < math.inf) & (d2 > 0) & (d2 < math.inf) & (d3 >= 0) & (d3 < math.inf)
 
 
 def stack_maxabs(m):

@@ -29,6 +29,7 @@ from .cone import (
     MEMBERSHIP_TOL,
     PATTERN_TOL,
     TRIANGULAR_ZEROS,
+    _embed_rows,
     closed_cone_reason,
     diag_pair,
     embed,
@@ -63,6 +64,7 @@ from .linalg import (
     fold_min,
     is_singular3,
     maxabs,
+    semidefinite3,
     singular3_stack,
     stack_maxabs,
 )
@@ -106,8 +108,11 @@ def _psd_reason(g, tol) -> str | None:
         return "det D = 0"
     for name, S in (("D^T B", D.T @ B), ("C D^T", C @ D.T)):
         S = (S + S.T) / 2
-        # the bound tests here and below are written so that a NaN tol rejects
-        if not float(np.linalg.eigvalsh(S).min()) >= -tol * (1.0 + maxabs(S)):
+        t = tol * (1.0 + maxabs(S))
+        # the closed form proves semidefiniteness and eigvalsh decides a
+        # rejection; the bound tests here and below are written so that a
+        # NaN tol rejects
+        if not (semidefinite3(S.tolist(), t) or float(np.linalg.eigvalsh(S).min()) >= -t):
             return f"{name} not positive semidefinite"
     return None
 
@@ -148,8 +153,10 @@ def compression_codes(g, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
 
     Every check runs on every row with no early exit, through the rules
     the one-matrix route calls where they take stacks (the symplectic
-    test, pattern zeros, patterned coordinates, singularity rule), and a
-    row's code is its first failing check.  The one-matrix route keeps
+    test, pattern zeros, patterned coordinates, singularity rule, the
+    closed-form semidefinite rule), and a row's code is its first failing
+    check.  eigvalsh runs only on the rows that reach the closed-cone test
+    and fail its closed form, as in closed_cone_reason.  The one-matrix route keeps
     its early exits, which make it the faster of the two at n = 1.
     """
     g = np.asarray(g, dtype=float)
@@ -165,9 +172,6 @@ def compression_codes(g, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         S = D.swapaxes(1, 2) @ B
         S = (S + S.swapaxes(1, 2)) / 2
         off, vS = pattern_parts(S)
-        # embed(unembed(S)), the matrix closed_cone_reason sees
-        M = embed_stack(vS)
-        m_scale = stack_maxabs(M)
         P = C @ D.swapaxes(1, 2)
         # the failing rows of each check, in the order of COMPRESSION_REASONS
         fails = [
@@ -181,11 +185,15 @@ def compression_codes(g, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
             singular3_stack(D),
             off > tol * (1.0 + stack_maxabs(S)),
         ]
-        # eigenvalues only where closed_cone_reason computes them: rows
-        # that reach it with finite entries
+        # closed_cone_reason on the rows that reach it with finite
+        # coordinates: the closed form accepts, eigvalsh decides the rest
+        m_scale = np.abs(vS).max(axis=1)  # maxabs(embed(vS))
+        t = tol * (1.0 + m_scale)
         reached = np.isfinite(m_scale) & ~np.logical_or.reduce(fails)
-        lo = np.linalg.eigvalsh(np.where(reached[:, None, None], M, 0.0))[:, 0]
-        fails.append(~(reached & (lo >= -tol * (1.0 + m_scale))))
+        ok = reached & semidefinite3(_embed_rows(vS.T), t)
+        redo = reached & ~ok
+        ok[redo] = np.linalg.eigvalsh(embed_stack(vS[redo]))[:, 0] >= -t[redo]
+        fails.append(~ok)
         fails.append(~(fold_min(P[:, 0, 0], P[:, 1, 1]) >= -tol * (1.0 + stack_maxabs(P))))
     fails = np.array(fails)
     return np.where(fails.any(axis=0), fails.argmax(axis=0) + 1, 0)
@@ -456,7 +464,8 @@ def polar_factor(g):
     a1, a2, a3 = g[0, 0] / e1, g[1, 1] / e2, g[2, 2]
     a4, a5 = (g[2, 0] - a3 * f1) / e1, (g[2, 1] - a3 * f2) / e2
     A = triangular([a1, a2, a3, a4, a5])
-    d = det3(A)
+    rows = A.tolist()
+    d = det3(rows)
     if not (a1 > 0 and a2 > 0 and a3 > 0) or is_singular3(A, d):
         raise ConvergenceError(f"polar unit factor has diagonal {np.diag(A)}")
     # E12[2,2] of A^{-1} g[:3, 3:], by substitution down its last column
@@ -471,7 +480,7 @@ def polar_factor(g):
     E = _exp_wedge(v, u, dc, ds)
     recomposed = np.empty((6, 6))
     recomposed[:3] = A @ E[:3]
-    recomposed[3:] = (adjugate3(A) / d).T @ E[3:]
+    recomposed[3:] = (adjugate3(rows) / d).T @ E[3:]
     residual = maxabs(recomposed - g) / (1.0 + maxabs(g))
     if not residual <= POLAR_RESIDUAL_TOL:  # a NaN residual fails too
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")

@@ -17,6 +17,12 @@ test on the matrix of a generator, and the polar factorization through
 S inverse(g) S g, a triangular-pattern test of the unit and the 6x6
 product congruence_embed(A) exp(X).  The package's routes must give the
 same reasons, verdicts and factors bit for bit.
+
+lambda_min is the eigvalsh reference for "m + t*I is positive
+semidefinite", that is lambda_min(m) >= -t, which linalg.semidefinite3
+decides in closed form; closed_cone_reason_reference and
+symplectic_semigroup_reason_reference are the two semidefinite
+certificates with eigvalsh deciding every input.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dualvinberg.cone import (
     PATTERN_TOL,
     closed_cone_reason,
     diag_pair,
+    embed,
     is_flat_pattern,
     is_triangular_pattern,
 )
@@ -232,3 +239,37 @@ def polar_factor_reference(g):
     if not residual <= semigroup.POLAR_RESIDUAL_TOL:
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
     return A, X
+
+
+def lambda_min(m) -> float:
+    """Smallest eigenvalue of a symmetric matrix by eigvalsh; m + t*I is
+    positive semidefinite when lambda_min(m) >= -t."""
+    return float(np.linalg.eigvalsh(np.asarray(m, dtype=float)).min())
+
+
+def closed_cone_reason_reference(x, tol: float = MEMBERSHIP_TOL) -> str | None:
+    """closed_cone_reason with eigvalsh deciding every finite point."""
+    m = embed(np.asarray(x, dtype=float))
+    scale = maxabs(m)
+    if not np.isfinite(scale):
+        return "coordinate not finite"
+    lo = lambda_min(m)
+    if not lo >= -tol * (1.0 + scale):
+        return f"eigenvalue {lo:.3e} below -tol"
+    return None
+
+
+def symplectic_semigroup_reason_reference(g, tol: float = MEMBERSHIP_TOL) -> str | None:
+    """symplectic_semigroup_reason with eigvalsh deciding both
+    semidefinite tests."""
+    g = np.asarray(g, dtype=float)
+    if not dv.is_symplectic(g):
+        return "not symplectic"
+    _, B, C, D = dv.blocks(g)
+    if is_singular3(D):
+        return "det D = 0"
+    for name, S in (("D^T B", D.T @ B), ("C D^T", C @ D.T)):
+        S = (S + S.T) / 2
+        if not lambda_min(S) >= -tol * (1.0 + maxabs(S)):
+            return f"{name} not positive semidefinite"
+    return None

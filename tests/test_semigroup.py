@@ -59,7 +59,8 @@ _WEDGE_MEMBER = InvariantConeElement(v=IDENTITY, u=np.array([0.5, 0.25])).matrix
 
 
 def test_nan_tol_rejects_a_non_member_of_the_symplectic_semigroup():
-    # eigvalsh(D^T B).min() = -1 is below any finite -tol * scale
+    # D^T B = -I: a NaN tol gives NaN pivots, which the closed form refuses,
+    # and eigvalsh's -1 meets no NaN bound
     assert symplectic_semigroup_reason(dv.translation(-IDENTITY), _NAN) is not None
 
 
