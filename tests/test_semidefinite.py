@@ -215,7 +215,9 @@ def test_members_never_reach_eigvalsh(eigvalsh_calls):
         semigroup.polar_factor(g)
     rng = np.random.default_rng(511)
     members = [np.eye(6), dv.translation([1.0, 1.0, 1.0, 1.0, 0.0])]
-    members += [dv.sample_semigroup(rng, interior=i, sigma=s) for i in (True, False) for s in (0.3, 1.0) for _ in range(25)]
+    for interior in (True, False):
+        for sigma in (0.3, 1.0):
+            members += [dv.sample_semigroup(rng, interior, sigma) for _ in range(25)]
     for g in members:
         assert compression_reason(g) is None
         assert symplectic_semigroup_reason(g) is None

@@ -71,11 +71,13 @@ def _certificate_corpus():
     rows += [dv.translation(v) for v in ([0.2, 1.0, 0.2, 0.2, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0])]
     for _ in range(20):
         L = dv.sample_positive_triangular(rng, 1.0)
-        rows.append(dv.translation(dv.unembed(L @ np.diag((rng.random(3) >= 0.5).astype(float)) @ L.T)))
+        eps = (rng.random(3) >= 0.5).astype(float)
+        rows.append(dv.translation(dv.unembed(L @ np.diag(eps) @ L.T)))
     # an overflowing pivot: x4/x1 = inf, and x4 * (x4/x1) = inf.  D^T B
     # cannot reach 1.797e308 once g is symplectic and D passes the
     # singularity rule (maxabs(D) < 5.7e102, maxabs(B) < 1.4e154)
-    rows += [dv.translation([1e-300, 1.0, 1.0, 1e10, 0.0]), dv.translation([1e-10, 1.0, 1.0, 1e154, 0.0])]
+    rows += [dv.translation([1e-300, 1.0, 1.0, 1e10, 0.0])]
+    rows += [dv.translation([1e-10, 1.0, 1.0, 1e154, 0.0])]
     rows.append(overflowing_defect_matrix())  # a NaN block relation: not symplectic
     return np.array(rows)
 
