@@ -5,7 +5,7 @@
 #
 #     bash .github/pins.sh
 #
-# Leaves t.json, o.json, c.json, g.json, p.json and s.csv in the current directory.
+# Leaves t.json, o.json, c.json, r.json, g.json, p.json and s.csv in the current directory.
 set -eo pipefail
 
 echo "::group::Counterexample smoke run"
@@ -49,6 +49,24 @@ echo '[0.2, 1, 0.2, 0.2, 0]' > c.json
 out="$(dualvinberg check --what closed-cone --tol 0 c.json)"
 echo "$out"
 test "$out" = '{"what": "closed-cone", "result": true}'
+echo "::endgroup::"
+
+echo "::group::Chart-reason pins"
+# one non-member per late chart check: each route names the check that fails
+pin_reasons() {
+  python -c "import json, numpy as np, dualvinberg as dv; from dualvinberg import serialize; print(json.dumps(serialize.dump_matrix6($1)))" > r.json
+  out="$(dualvinberg check --what gamma r.json)"
+  echo "$out"
+  test "$out" = "{\"what\": \"gamma\", \"result\": false, \"reason\": \"$2\"}"
+  out="$(dualvinberg check --what gamma-sp r.json)"
+  echo "$out"
+  test "$out" = "{\"what\": \"gamma-sp\", \"result\": false, \"reason\": \"$3\"}"
+}
+pin_reasons "dv.translation([-1, -1, -1, 0, 0])" \
+  "D^T B outside the closed cone" "D^T B not positive semidefinite"
+pin_reasons "dv.triple_compose(dv.TripleFactors(v=np.array([1.0, 1, 1, 0, 0]), L=np.eye(3), u=np.array([-1.0, 1])))" \
+  "C D^T has a negative diagonal entry" "C D^T not positive semidefinite"
+pin_reasons "dv.translation([1, 1, 1, 0, 0]) @ dv.inversion()" "det D = 0" "det D = 0"
 echo "::endgroup::"
 
 echo "::group::Polar smoke run"

@@ -22,7 +22,15 @@ import math
 import numpy as np
 
 from .errors import DomainError, PatternError
-from .linalg import entries_first, fold_max, maxabs, midpoint, scalar_pow, semidefinite3
+from .linalg import (
+    entries_first,
+    float_maxabs,
+    fold_max,
+    maxabs,
+    midpoint,
+    scalar_pow,
+    semidefinite3,
+)
 
 IDENTITY_POINT = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -72,14 +80,17 @@ def embed_stack(x) -> np.ndarray:
 
 def pattern_parts(m):
     """Off-pattern mass and coordinates of one 3x3 array, or of each of a
-    stack (n, 3, 3) as (n,) and (n, 5).  The mass is the builtin max of
+    stack (n, 3, 3) as (n,) and (n, 5); one matrix given as nested Python
+    floats gets its coordinates as a list.  The mass is the builtin max of
     |m01|, |m10| and the two mirror gaps (a NaN counts only in first
     place); mirror pairs are averaged by linalg.midpoint."""
-    # one matrix as Python numbers, which do the same float arithmetic faster
-    m = m.tolist() if m.ndim == 2 else entries_first(m)
+    listed = isinstance(m, list)
+    if not listed:
+        # one matrix as Python numbers, which do the same float arithmetic faster
+        m = m.tolist() if m.ndim == 2 else entries_first(m)
     off = fold_max(abs(m[0][1]), abs(m[1][0]), abs(m[0][2] - m[2][0]), abs(m[1][2] - m[2][1]))
     x = [m[0][0], m[1][1], m[2][2], midpoint(m[0][2], m[2][0]), midpoint(m[1][2], m[2][1])]
-    return off, np.array(x).T
+    return off, (x if listed else np.array(x).T)
 
 
 def unembed(m, atol: float | None = None) -> np.ndarray:
@@ -151,7 +162,8 @@ def _embed_rows(x):
 
 
 def closed_cone_reason(x, tol: float = MEMBERSHIP_TOL) -> str | None:
-    x = np.asarray(x, dtype=float).tolist()
+    # the coordinates as Python floats; a list needs no array round trip
+    x = list(map(float, x)) if isinstance(x, list) else np.asarray(x, dtype=float).tolist()
     if not all(map(math.isfinite, x)):
         return "coordinate not finite"
     t = tol * (1.0 + max(map(abs, x)))  # maxabs(embed(x))
@@ -231,14 +243,18 @@ def is_triangular_pattern(A, atol: float | None = None) -> bool:
     A = np.asarray(A)
     if A.shape != (3, 3):
         return False
+    m = A.tolist()
     if atol is None:
-        atol = PATTERN_TOL * (1.0 + maxabs(A))
-    return all(abs(A[i, j]) <= atol for i, j in TRIANGULAR_ZEROS)
+        atol = PATTERN_TOL * (1.0 + float_maxabs(m[0] + m[1] + m[2]))
+    return all(abs(m[i][j]) <= atol for i, j in TRIANGULAR_ZEROS)
 
 
 def is_flat_pattern(U, atol: float) -> bool:
-    """U equals diag(u1, u2, 0) within atol."""
-    return all(abs(U[i, j]) <= atol for i, j in FLAT_ZEROS)
+    """U, an array or its rows as Python floats, equals diag(u1, u2, 0)
+    within atol."""
+    if isinstance(U, np.ndarray):
+        U = U.tolist()
+    return all(abs(U[i][j]) <= atol for i, j in FLAT_ZEROS)
 
 
 def in_triangular_group(A) -> bool:

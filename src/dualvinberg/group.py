@@ -38,6 +38,7 @@ from .linalg import (
     SINGULAR_MESSAGE,
     adjugate3,
     det3,
+    float_maxabs,
     inv3,
     inv3_stack,
     is_singular3,
@@ -163,18 +164,24 @@ def in_tube_group(g) -> bool:
 def tube_group_alt_reason(g) -> str | None:
     """Same group through product constraints: A and D^T patterned with
     positive corner, D^T B in the patterned subspace, C D^T in the flat
-    slice.  Must agree with tube_group_reason on every matrix."""
+    slice.  It agrees with tube_group_reason except in a band: the
+    products are bounded by PATTERN_TOL * (1 + maxabs(g)**2), the slots of
+    B and C there by PATTERN_TOL * (1 + maxabs(g)), so a small off-pattern
+    B or C entry can fail there and pass here (B[0,1] = 5e-11 at
+    maxabs(g) = 4 is "B off pattern" there and a member here)."""
     g = _matrix6(g)
     _, B, C, D = blocks(g)
     scale = maxabs(g)
     atol = PATTERN_TOL * (1.0 + scale)
     if (reason := _linear_part_reason(g, g.tolist(), scale, atol)) is not None:
         return reason
-    atol2 = PATTERN_TOL * (1.0 + np.float64(scale) ** 2)
-    S = D.T @ B
-    if max(maxabs(S - S.T), abs(S[0, 1]), abs(S[1, 0])) > atol2:
+    atol2 = PATTERN_TOL * (1.0 + scalar_pow(scale, 2))
+    S = (D.T @ B).tolist()
+    # maxabs(S - S^T); a diagonal gap is NaN where S overflows
+    gap = float_maxabs([S[i][j] - S[j][i] for i in range(3) for j in range(3)])
+    if max(gap, abs(S[0][1]), abs(S[1][0])) > atol2:
         return "D^T B leaves the patterned subspace"
-    if not is_flat_pattern(C @ D.T, atol2):
+    if not is_flat_pattern((C @ D.T).tolist(), atol2):
         return "C D^T not in the flat slice"
     return None
 
@@ -335,7 +342,7 @@ def triple_decompose(g) -> TripleFactors:
     if is_singular3(D, d):
         raise SingularityError("det D = 0")
     Dinv = adjugate3(rows) / d  # inv3(D), with D's one singularity test
-    v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + np.float64(scale) ** 2))
+    v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + scalar_pow(scale, 2)))
     return TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
 
 

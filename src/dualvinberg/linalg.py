@@ -7,6 +7,16 @@ suite rely on.  The same formulas run on stacks (..., 3, 3) through
 inv3_stack, entry for entry as on one matrix, so a stacked evaluation
 agrees with a loop of single ones to the bit.  semidefinite3 decides
 semidefiniteness by LDL^T elimination, likewise on one matrix or a stack.
+
+One-matrix certificates follow one arithmetic rule: every matrix product
+is a numpy @, so the one-matrix and stacked routes agree to the bit, and
+each product (or the matrix itself) is read once with tolist().  Every
+later element read, scalar step and small reduction runs on Python
+floats, which do the IEEE operations of numpy's float64 scalars, faster.
+Where the two differ the numpy answer is kept: a power that overflows
+(scalar_pow) or a division by zero (semidefinite3) is guarded, and
+float_maxabs keeps a NaN, which the builtin max drops unless it comes
+first.
 """
 
 from __future__ import annotations
@@ -24,6 +34,19 @@ SINGULAR_MESSAGE = "matrix is singular to working precision"
 def maxabs(m) -> float:
     """Largest entry magnitude; the scale used by all relative tolerances."""
     return float(np.abs(m).max())
+
+
+def float_maxabs(values) -> float:
+    """maxabs of a sequence of Python floats: NaN when any value is NaN, as
+    numpy's max gives."""
+    top = 0.0
+    for x in values:
+        x = abs(x)
+        if not x <= top:
+            if x != x:
+                return x
+            top = x
+    return top
 
 
 def det3(m):
@@ -54,15 +77,16 @@ def adjugate3(m) -> np.ndarray:
 def is_singular3(m, d=None) -> bool:
     """The package's one singularity rule for 3x3 matrices: |det m| <=
     1e-12 * (1 + maxabs(m)**3), a NaN determinant, or an overflowed bound;
-    given the determinant d or computing it."""
-    # Python floats do the IEEE operations of numpy scalars, faster
-    m = m.tolist()
+    given the determinant d or computing it.  m is an array or its rows
+    as Python floats."""
+    if isinstance(m, np.ndarray):
+        m = m.tolist()
     if d is None:
         d = det3(m)
     # a NaN entry gives a NaN determinant and an inf entry an inf bound:
     # both count as singular, whatever the builtin max makes of a NaN
     scale = max(map(abs, m[0] + m[1] + m[2]))
-    return not abs(d) > SINGULAR_TOL * (1.0 + np.float64(scale) ** 3)
+    return not abs(d) > SINGULAR_TOL * (1.0 + scalar_pow(scale, 3))
 
 
 def inv3(m: np.ndarray) -> np.ndarray:
@@ -70,7 +94,7 @@ def inv3(m: np.ndarray) -> np.ndarray:
     is_singular3(m)."""
     rows = m.tolist()
     d = det3(rows)
-    if is_singular3(m, d):
+    if is_singular3(rows, d):
         raise SingularityError(SINGULAR_MESSAGE)
     return adjugate3(rows) / d
 
@@ -105,14 +129,20 @@ def stack_maxabs(m):
 
 
 def scalar_pow(a, p):
-    """a ** p entry by entry in float64 scalar arithmetic, that is through
-    libm's pow, which is not always the correctly rounded a * a.  numpy's
-    array power and square can differ from it in the last bit, so a
-    stacked formula that must match its one-point form to the bit raises
-    to a power here.  Numbers and 0-d arrays take the scalar route, chosen
-    by type: np.ndim costs ten times more on a float."""
+    """a ** p for a positive integer p, entry by entry in float64 scalar
+    arithmetic, that is through libm's pow, which is not always the
+    correctly rounded a * a.  numpy's array power and square can differ
+    from it in the last bit, so a stacked formula that must match its
+    one-point form to the bit raises to a power here.  Numbers and 0-d
+    arrays take the scalar route, chosen by type (np.ndim costs ten times
+    more on a float), and give a Python float.  Where the power overflows,
+    math.pow raises and numpy's inf is returned instead."""
     if not isinstance(a, np.ndarray) or a.ndim == 0:
-        return np.float64(a) ** p
+        try:
+            return math.pow(a, p)
+        except OverflowError:
+            with np.errstate(over="ignore"):
+                return float(np.float64(a) ** p)
     a = np.asarray(a, dtype=float)
     try:
         # the same libm call on Python floats, with no numpy scalar per entry

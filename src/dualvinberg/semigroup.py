@@ -40,7 +40,6 @@ from .cone import (
     pattern_parts,
     sample_cone,
     sample_positive_triangular,
-    triangular,
     unembed,
 )
 from .errors import ConvergenceError, DomainError, InconsistencyError
@@ -61,9 +60,11 @@ from .group import (
 from .linalg import (
     adjugate3,
     det3,
+    float_maxabs,
     fold_min,
     is_singular3,
     maxabs,
+    scalar_pow,
     semidefinite3,
     singular3_stack,
     stack_maxabs,
@@ -107,14 +108,23 @@ def _psd_reason(g, tol) -> str | None:
     if is_singular3(D):
         return "det D = 0"
     for name, S in (("D^T B", D.T @ B), ("C D^T", C @ D.T)):
-        S = (S + S.T) / 2
-        t = tol * (1.0 + maxabs(S))
+        S = _symmetric_rows(S)
+        t = tol * (1.0 + float_maxabs(S[0] + S[1] + S[2]))
         # the closed form proves semidefiniteness and eigvalsh decides a
         # rejection; the bound tests here and below are written so that a
         # NaN tol rejects
-        if not (semidefinite3(S.tolist(), t) or float(np.linalg.eigvalsh(S).min()) >= -t):
+        if not (semidefinite3(S, t) or float(np.linalg.eigvalsh(np.array(S)).min()) >= -t):
             return f"{name} not positive semidefinite"
     return None
+
+
+def _symmetric_rows(S) -> list:
+    """(S + S^T)/2 of a 3x3 product as nested Python floats, entry for
+    entry as numpy forms it: a diagonal entry is (s + s)/2, which is inf
+    where s + s overflows."""
+    (a, b, c), (d, e, f), (x, y, z) = S.tolist()
+    p, q, r = (b + d) / 2, (c + x) / 2, (f + y) / 2
+    return [[(a + a) / 2, p, q], [p, (e + e) / 2, r], [q, r, (z + z) / 2]]
 
 
 def in_symplectic_semigroup(g, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -134,15 +144,14 @@ def _chart_reason(g, tol) -> str | None:
     # is_symplectic has already turned away non-finite entries
     if is_singular3(D):
         return COMPRESSION_REASONS[7]
-    S = D.T @ B
-    S = (S + S.T) / 2
+    S = _symmetric_rows(D.T @ B)
     off, vS = pattern_parts(S)
-    if off > tol * (1.0 + maxabs(S)):
+    if off > tol * (1.0 + float_maxabs(S[0] + S[1] + S[2])):
         return COMPRESSION_REASONS[8]
     if closed_cone_reason(vS, tol) is not None:
         return COMPRESSION_REASONS[9]
-    P = C @ D.T
-    if not min(P[0, 0], P[1, 1]) >= -tol * (1.0 + maxabs(P)):
+    P = (C @ D.T).tolist()
+    if not min(P[0][0], P[1][1]) >= -tol * (1.0 + float_maxabs(P[0] + P[1] + P[2])):
         return COMPRESSION_REASONS[10]
     return None
 
@@ -192,7 +201,8 @@ def compression_codes(g, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         reached = np.isfinite(m_scale) & ~np.logical_or.reduce(fails)
         ok = reached & semidefinite3(_embed_rows(vS.T), t)
         redo = reached & ~ok
-        ok[redo] = np.linalg.eigvalsh(embed_stack(vS[redo]))[:, 0] >= -t[redo]
+        if redo.any():
+            ok[redo] = np.linalg.eigvalsh(embed_stack(vS[redo]))[:, 0] >= -t[redo]
         fails.append(~ok)
         fails.append(~(fold_min(P[:, 0, 0], P[:, 1, 1]) >= -tol * (1.0 + stack_maxabs(P))))
     fails = np.array(fails)
@@ -214,7 +224,8 @@ def compression_factors(g, tol: float = MEMBERSHIP_TOL) -> TripleFactors:
         raise DomainError(f"factor v outside the closed cone: {reason}")
     if not is_triangular_pattern(f.L):
         raise DomainError("factor L off the triangular pattern")
-    if not float(f.u.min()) >= -tol * (1.0 + maxabs(f.u)):
+    u = f.u.tolist()
+    if not min(u) >= -tol * (1.0 + float_maxabs(u)):  # a NaN entry fails through the bound
         raise DomainError("factor u has a negative entry")
     return f
 
@@ -347,13 +358,14 @@ def _s1(t: float) -> float:
     return acc
 
 
-def _wedge_diagonals(v, u) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonals of exp_wedge's Dc and Ds: u_i c1(k_i) and u_i s1(k_i)
-    with k_i = u_i v_i, and 0 in the third slot."""
-    dc = np.zeros(3)
-    ds = np.zeros(3)
+def _wedge_diagonals(v, u) -> tuple[list, list]:
+    """The diagonals of exp_wedge's Dc and Ds as Python floats: u_i c1(k_i)
+    and u_i s1(k_i) with k_i = u_i v_i, and 0 in the third slot; v and u
+    as sequences of Python floats."""
+    dc = [0.0, 0.0, 0.0]
+    ds = [0.0, 0.0, 0.0]
     for i in range(2):
-        k = float(u[i] * v[i])
+        k = u[i] * v[i]
         sh = _sh(k / 4.0)
         # c1(t) = sh(t/4)^2 / 2, squared by a product, which overflows to
         # inf where a float power would raise
@@ -376,8 +388,8 @@ def exp_wedge(X: InvariantConeElement) -> np.ndarray:
     exactly unipotent when u = 0 or v = 0.  Non-finite or overflowing
     entries give inf or NaN entries, never an exception.
     """
-    v = np.asarray(X.v, dtype=float)
-    u = np.asarray(X.u, dtype=float)
+    v = np.asarray(X.v, dtype=float).tolist()
+    u = np.asarray(X.u, dtype=float).tolist()
     return _exp_wedge(v, u, *_wedge_diagonals(v, u))
 
 
@@ -385,10 +397,11 @@ def _exp_wedge(v, u, dc, ds) -> np.ndarray:
     """exp_wedge from v, u and their _wedge_diagonals."""
     V = embed(v)
     top = np.eye(3) + V * dc  # V @ diag(dc)
+    Vds = V * ds
     E = np.empty((6, 6))
     E[:3, :3] = top
-    E[:3, 3:] = V + (V * ds) @ V
-    E[3:, :3] = embed_diag_pair(u) @ (np.eye(3) + V * ds)
+    E[:3, 3:] = V + Vds @ V
+    E[3:, :3] = embed_diag_pair(u) @ (np.eye(3) + Vds)
     E[3:, 3:] = top.T
     return E
 
@@ -405,22 +418,21 @@ def log_wedge(h) -> InvariantConeElement:
     certified: the caller recomposes.  A non-finite h gives NaN or inf
     entries, never an exception.
     """
-    h = np.asarray(h, dtype=float)
-    H12, H21 = h[:3, 3:], h[3:, :3]
-    v = np.zeros(5)
-    u = np.zeros(2)
+    m = np.asarray(h, dtype=float).tolist()  # H12[i, j] = m[i][3 + j], H21[i, j] = m[3 + i][j]
+    v = [0.0] * 5
+    u = [0.0, 0.0]
     s1 = [0.0, 0.0]
     for i in range(2):
         # round-off can push the product of a zero entry slightly negative
-        root = math.sqrt(max(float(H12[i, i] * H21[i, i]), 0.0))
+        root = math.sqrt(max(m[i][3 + i] * m[3 + i][i], 0.0))
         a = math.asinh(root)  # sqrt k_i, well conditioned near 0
-        sh = root / a if a != 0 else 1.0
-        v[i] = H12[i, i] / sh
-        u[i] = H21[i, i] / sh
-        v[3 + i] = H12[2, i] / sh
+        sh = root / a if a != 0 else 1.0  # at least 1, or NaN
+        v[i] = m[i][3 + i] / sh
+        u[i] = m[3 + i][i] / sh
+        v[3 + i] = m[2][3 + i] / sh
         s1[i] = _s1(a * a)
-    v[2] = H12[2, 2] - v[3] ** 2 * u[0] * s1[0] - v[4] ** 2 * u[1] * s1[1]
-    return InvariantConeElement(v=v, u=u)
+    v[2] = m[2][5] - scalar_pow(v[3], 2) * u[0] * s1[0] - scalar_pow(v[4], 2) * u[1] * s1[1]
+    return InvariantConeElement(v=np.array(v), u=np.array(u))
 
 
 def polar_compose(A, X: InvariantConeElement) -> np.ndarray:
@@ -456,27 +468,37 @@ def polar_factor(g):
     tau_inv[3:, :3] = g[3:, :3].T
     tau_inv[3:, 3:] = g[:3, :3].T
     Y = log_wedge(tau_inv @ g)
-    v, u = Y.v / 2, Y.u / 2
+    # the scalar steps on Python floats (linalg's arithmetic rule)
+    v = [x / 2 for x in Y.v.tolist()]
+    u = [x / 2 for x in Y.u.tolist()]
     # Dc and Ds involve u and k_i = u_i v_i only, not x3
     dc, ds = _wedge_diagonals(v, u)
     e1, e2 = 1.0 + v[0] * dc[0], 1.0 + v[1] * dc[1]
     f1, f2 = v[3] * dc[0], v[4] * dc[1]
-    a1, a2, a3 = g[0, 0] / e1, g[1, 1] / e2, g[2, 2]
-    a4, a5 = (g[2, 0] - a3 * f1) / e1, (g[2, 1] - a3 * f2) / e2
-    A = triangular([a1, a2, a3, a4, a5])
-    rows = A.tolist()
+    m = g.tolist()
+    a3 = m[2][2]
+    try:
+        a1, a2 = m[0][0] / e1, m[1][1] / e2
+        a4, a5 = (m[2][0] - a3 * f1) / e1, (m[2][1] - a3 * f2) / e2
+    except ZeroDivisionError:  # an e_i of 0 makes a1 or a2 numpy's inf or NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diag = np.array([m[0][0], m[1][1], a3]) / [e1, e2, 1.0]
+        raise ConvergenceError(f"polar unit factor has diagonal {diag}") from None
+    rows = [[a1, 0.0, 0.0], [0.0, a2, 0.0], [a4, a5, a3]]  # triangular(a1, ..., a5)
     d = det3(rows)
-    if not (a1 > 0 and a2 > 0 and a3 > 0) or is_singular3(A, d):
-        raise ConvergenceError(f"polar unit factor has diagonal {np.diag(A)}")
+    if not (a1 > 0 and a2 > 0 and a3 > 0) or is_singular3(rows, d):
+        raise ConvergenceError(f"polar unit factor has diagonal {np.array([a1, a2, a3])}")
     # E12[2,2] of A^{-1} g[:3, 3:], by substitution down its last column
-    corner = (g[2, 5] - a4 * (g[0, 5] / a1) - a5 * (g[1, 5] / a2)) / a3
-    v[2] = corner - v[3] ** 2 * ds[0] - v[4] ** 2 * ds[1]
-    scale = maxabs(np.concatenate((v, u)))  # maxabs of X's matrix
+    corner = (m[2][5] - a4 * (m[0][5] / a1) - a5 * (m[1][5] / a2)) / a3
+    v[2] = corner - scalar_pow(v[3], 2) * ds[0] - scalar_pow(v[4], 2) * ds[1]
+    scale = float_maxabs(v + u)  # maxabs of X's matrix
     if (reason := _wedge_reason(v, u, MEMBERSHIP_TOL, scale)) is not None:
         raise ConvergenceError(
-            f"recovered generator outside the wedge: {reason} (v = {v}, u = {u})"
+            f"recovered generator outside the wedge: {reason} "
+            f"(v = {np.array(v)}, u = {np.array(u)})"
         )
     # congruence_embed(A) @ exp(X), block row by block row
+    A = np.array(rows)
     E = _exp_wedge(v, u, dc, ds)
     recomposed = np.empty((6, 6))
     recomposed[:3] = A @ E[:3]
@@ -484,7 +506,7 @@ def polar_factor(g):
     residual = maxabs(recomposed - g) / (1.0 + maxabs(g))
     if not residual <= POLAR_RESIDUAL_TOL:  # a NaN residual fails too
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
-    return A, InvariantConeElement(v=v, u=u)
+    return A, InvariantConeElement(v=np.array(v), u=np.array(u))
 
 
 def sample_semigroup(rng, interior: bool = True, sigma: float = 1.0) -> np.ndarray:

@@ -230,3 +230,61 @@ def test_polar_failures_equal_the_matrix_route():
         got = outcome(dv.polar_factor, m)
         assert got == outcome(polar_factor_reference, m)
         assert got[0] == "ConvergenceError" and message in got[1]
+
+
+def overflow_subjects():
+    """Polar subjects where a Python float's ** or / would raise where a
+    float64 scalar gives inf or NaN: the sigma = 1.5 draws of rng 9 scaled
+    by 1e100, 1e154 and 1e200 or with one entry at 1e154 or 1e308, and
+    translations whose x4 squares past the float range in log_wedge
+    (tau(g)^{-1} g doubles B)."""
+    rng = np.random.default_rng(9)
+    probe = list(sigma_probe())[:60]
+    for g in probe:
+        for s in (1e100, 1e154, 1e200):
+            yield g * s
+        for big in (1e154, 1e308):
+            h = g.copy()
+            h[rng.integers(6), rng.integers(6)] = big
+            yield h
+    for x in (1e154, 1.3e154, 1e150):
+        yield dv.translation([x, 1.0, x, x, 0.0])
+
+
+def test_polar_factor_equals_the_matrix_route_on_overflow_subjects():
+    kinds = {}
+    for g in overflow_subjects():
+        got = outcome(dv.polar_factor, g)
+        assert got == outcome(polar_factor_reference, g)
+        kinds[got[0]] = kinds.get(got[0], 0) + 1
+    assert set(kinds) == {"factors", "ConvergenceError", "DomainError"}
+
+
+def test_a_zero_wedge_diagonal_gives_the_float64_unit_diagonal(monkeypatch):
+    # e1 = 1 + v1 Dc[0] is exactly 0 at u1 = 1 and this v1, where a Python
+    # float division raises and numpy's gives a1 = inf: the unit check
+    # rejects it with numpy's diagonal in both routes
+    v1 = -2.46740110027234
+    assert 1.0 + v1 * semigroup._wedge_diagonals([v1, 1.0], [1.0, 1.0])[0][0] == 0.0
+    Y = InvariantConeElement(v=np.array([2 * v1, 2.0, 2.0, 0.0, 0.0]), u=np.array([2.0, 2.0]))
+    monkeypatch.setattr(semigroup, "log_wedge", lambda h: Y)
+    monkeypatch.setattr(dv, "log_wedge", lambda h: Y)
+    g = dv.translation(dv.IDENTITY_POINT)
+    got = outcome(dv.polar_factor, g)
+    assert got == outcome(polar_factor_reference, g)
+    assert got[0] == "ConvergenceError"
+    assert got[1].startswith("polar unit factor has diagonal [       inf ")
+
+
+def test_tube_routes_part_in_the_product_tolerance_band():
+    # The alt route bounds D^T B and C D^T by PATTERN_TOL (1 + maxabs(g)^2),
+    # looser than the slot bound PATTERN_TOL (1 + maxabs(g)) on B and C:
+    # at maxabs(g) = 4 an off-pattern entry of 5e-11 is rejected by the
+    # slot test and admitted by the product test.  Pinned as it stands;
+    # the scale-invariant rules of ROADMAP item 3 are to close the band.
+    g = dv.translation([1.0, 1.0, 1.0, 0.0, 0.0]) @ dv.congruence_embed(4.0 * np.eye(3))
+    for slot, reason in (((0, 4), "B off pattern"), ((3, 1), "C off pattern")):
+        h = g.copy()
+        h[slot] = 5e-11
+        assert tube_group_reason(h) == reason
+        assert tube_group_alt_reason(h) is None

@@ -119,6 +119,26 @@ def test_closed_cone_rejects_a_nan_tolerance():
     assert closed_cone_reason(IDENTITY_POINT, tol=np.nan) is not None
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        5,
+        elements=st.one_of(
+            st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, 0.0, -0.0, 1.0]),
+            st.floats(allow_nan=True, allow_infinity=True, width=64),
+        ),
+    ),
+    st.sampled_from([1e-9, 0.0, 1e-3, -1e-12, np.nan]),
+)
+def test_closed_cone_reason_reads_a_list_as_it_reads_an_array(x, tol):
+    # the certificates hand their coordinates over as lists of Python floats
+    with np.errstate(all="ignore"):
+        assert closed_cone_reason(x.tolist(), tol) == closed_cone_reason(x, tol)
+        y = np.abs(x) * [1.0, 1.0, 1.0, 0.0, 0.0]  # diagonal points, members when finite
+        assert closed_cone_reason(y.tolist(), tol) == closed_cone_reason(y, tol)
+
+
 def test_open_cone_implies_closed():
     rng = np.random.default_rng(3)
     for _ in range(200):

@@ -1,10 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualvinberg as dv
 from dualvinberg.errors import SingularityError
-from dualvinberg.linalg import SINGULAR_TOL, adjugate3, det3, inv3, is_singular3
+from dualvinberg.linalg import (
+    SINGULAR_TOL,
+    adjugate3,
+    det3,
+    float_maxabs,
+    inv3,
+    is_singular3,
+    maxabs,
+    scalar_pow,
+)
 from dualvinberg.semigroup import symplectic_semigroup_reason
+
+# NaN, +-inf, +-1e308, the smallest subnormal and both zeros drawn often,
+# then every float64
+hostile = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+
+
+def same_float(a, b) -> bool:
+    """Equal bits, with every NaN taken as one value: IEEE leaves the sign
+    of a NaN result open."""
+    return (a != a and b != b) or np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def test_det_and_adjugate_match_lapack():
@@ -69,3 +93,29 @@ def test_an_overflowing_bound_counts_as_singular():
         assert is_singular3(m)
         with pytest.raises(SingularityError):
             inv3(m)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(hostile, min_size=1, max_size=40))
+def test_float_maxabs_equals_the_numpy_reduction(values):
+    # a NaN in any slot must reach the bound, where the builtin max drops
+    # one that is not first
+    assert same_float(float_maxabs(values), maxabs(np.array(values)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(hostile, st.sampled_from([2, 3]))
+def test_scalar_pow_of_a_float_is_the_float64_power(a, p):
+    # math.pow raises on overflow where the float64 scalar gives inf
+    with np.errstate(all="ignore"):
+        want = float(np.float64(a) ** p)
+    got = scalar_pow(a, p)
+    assert type(got) is float and same_float(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(hostile, min_size=9, max_size=9))
+def test_is_singular3_reads_rows_as_it_reads_the_array(values):
+    m = np.array(values).reshape(3, 3)
+    with np.errstate(all="ignore"):
+        assert is_singular3(m.tolist()) == is_singular3(m)

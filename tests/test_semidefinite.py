@@ -221,6 +221,8 @@ def test_members_never_reach_eigvalsh(eigvalsh_calls):
     for g in members:
         assert compression_reason(g) is None
         assert symplectic_semigroup_reason(g) is None
+    # the stacked certificate runs no eigvalsh, not even an empty one, on members
+    assert not semigroup.compression_codes(np.array(members)).any()
     assert eigvalsh_calls == []
     # a rejection is measured by eigvalsh
     assert compression_reason(dv.translation(-dv.IDENTITY_POINT)) == "D^T B outside the closed cone"
