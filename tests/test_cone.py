@@ -119,7 +119,7 @@ def test_closed_cone_rejects_a_nan_tolerance():
     assert closed_cone_reason(IDENTITY_POINT, tol=np.nan) is not None
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     hnp.arrays(
         np.float64,

@@ -95,7 +95,7 @@ def test_an_overflowing_bound_counts_as_singular():
             inv3(m)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.lists(hostile, min_size=1, max_size=40))
 def test_float_maxabs_equals_the_numpy_reduction(values):
     # a NaN in any slot must reach the bound, where the builtin max drops
@@ -103,7 +103,7 @@ def test_float_maxabs_equals_the_numpy_reduction(values):
     assert same_float(float_maxabs(values), maxabs(np.array(values)))
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(hostile, st.sampled_from([2, 3]))
 def test_scalar_pow_of_a_float_is_the_float64_power(a, p):
     # math.pow raises on overflow where the float64 scalar gives inf
@@ -113,7 +113,7 @@ def test_scalar_pow_of_a_float_is_the_float64_power(a, p):
     assert type(got) is float and same_float(got, want)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.lists(hostile, min_size=9, max_size=9))
 def test_is_singular3_reads_rows_as_it_reads_the_array(values):
     m = np.array(values).reshape(3, 3)
