@@ -5,7 +5,8 @@
 #
 #     bash .github/pins.sh
 #
-# Leaves t.json, o.json, c.json, r.json, g.json, p.json and s.csv in the current directory.
+# Leaves t.json, o.json, c.json, r.json, g.json, p.json, e.json, e.out, e.err and s.csv
+# in the current directory.
 set -eo pipefail
 
 echo "::group::Counterexample smoke run"
@@ -82,4 +83,16 @@ python -c "import json, dualvinberg as dv; from dualvinberg import serialize; g 
 out="$(dualvinberg polar p.json)"
 echo "$out"
 test "$out" = '{"mode": "polar", "A": [1.5000000000000004, 0.7, 1.2, 0.30000000000000016, -0.4000000000000001], "X": {"v": [0.9999999999999997, 2.0, 3.0000000000000004, 0.49999999999999983, -0.49999999999999994], "u": [0.3999999999999999, 0.9000000000000001]}, "residual": 1.743074218152559e-16}'
+echo "::endgroup::"
+
+echo "::group::Polar convergence-error pin"
+# a member whose closed-form factors recompose only to 5e-8: exit 3, nothing on stdout
+python -c "import json, dualvinberg as dv; from dualvinberg import serialize; g = dv.translation([1e4, 1, 1e4, 10, 0]); g[0, 5] += 1e-3; print(json.dumps(serialize.dump_matrix6(g)))" > e.json
+code=0
+dualvinberg polar e.json > e.out 2> e.err || code=$?
+echo "exit $code"
+cat e.out e.err
+test "$code" = 3
+test ! -s e.out
+test "$(cat e.err)" = '{"status": "convergence_error", "error": "polar recomposition residual 5.000e-08"}'
 echo "::endgroup::"

@@ -14,10 +14,10 @@ import sys
 import numpy as np
 
 from . import cone, group, metric, semigroup, serialize
-from .errors import ConvergenceError, DomainError, InconsistencyError, PatternError
+from .errors import ConvergenceError, DomainError, PatternError
 from .linalg import maxabs
 
-_EXIT = {"domain_error": 1, "convergence_error": 3, "inconsistency": 4}
+_EXIT = {"domain_error": 1, "convergence_error": 3}
 _PARSE_EXIT = 2
 
 # what -> (input kind, reason function of (value, tol))
@@ -156,8 +156,6 @@ def main(argv=None) -> int:
             text = _strict_json(args.func(args))
     except ConvergenceError as exc:
         return _fail("convergence_error", exc)
-    except InconsistencyError as exc:
-        return _fail("inconsistency", exc)
     except (DomainError, PatternError) as exc:
         # DomainError covers singular and spectrum failures as subclasses
         return _fail("domain_error", exc)

@@ -22,15 +22,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PatternError
-from .linalg import (
-    entries_first,
-    float_maxabs,
-    fold_max,
-    maxabs,
-    midpoint,
-    scalar_pow,
-    semidefinite3,
-)
+from .linalg import entries_first, float_maxabs, maxabs, midpoint, semidefinite3
 
 IDENTITY_POINT = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -81,14 +73,15 @@ def embed_stack(x) -> np.ndarray:
 def pattern_parts(m):
     """Off-pattern mass and coordinates of one 3x3 array, or of each of a
     stack (n, 3, 3) as (n,) and (n, 5); one matrix given as nested Python
-    floats gets its coordinates as a list.  The mass is the builtin max of
-    |m01|, |m10| and the two mirror gaps (a NaN counts only in first
-    place); mirror pairs are averaged by linalg.midpoint."""
+    floats gets its coordinates as a list.  The mass is the max of |m01|,
+    |m10| and the two mirror gaps, NaN when any of them is; mirror pairs
+    are averaged by linalg.midpoint."""
     listed = isinstance(m, list)
     if not listed:
         # one matrix as Python numbers, which do the same float arithmetic faster
         m = m.tolist() if m.ndim == 2 else entries_first(m)
-    off = fold_max(abs(m[0][1]), abs(m[1][0]), abs(m[0][2] - m[2][0]), abs(m[1][2] - m[2][1]))
+    gaps = (m[0][1], m[1][0], m[0][2] - m[2][0], m[1][2] - m[2][1])
+    off = float_maxabs(gaps) if isinstance(m, list) else np.abs(gaps).max(0)
     x = [m[0][0], m[1][1], m[2][2], midpoint(m[0][2], m[2][0]), midpoint(m[1][2], m[2][1])]
     return off, (x if listed else np.array(x).T)
 
@@ -97,14 +90,15 @@ def unembed(m, atol: float | None = None) -> np.ndarray:
     """Coordinates of a patterned symmetric matrix.
 
     The forbidden slot is (0,1)/(1,0) and the mirror pairs must match;
-    off-pattern mass beyond ``atol`` (default 1e-12, scale-relative)
+    off-pattern mass beyond ``atol`` (default 1e-12, scale-relative) or a
+    non-finite forbidden entry, which the default bound would grow with,
     raises PatternError.  Mirror pairs are averaged (pattern_parts).
     """
     m = np.asarray(m)
     if atol is None:
         atol = PATTERN_TOL * (1.0 + maxabs(m))
     off, x = pattern_parts(m)
-    if off > atol:
+    if off > atol or not (abs(m[0, 1]) < math.inf and abs(m[1, 0]) < math.inf):
         raise PatternError(f"matrix leaves the patterned subspace by {off:.3e}")
     return x
 
@@ -129,7 +123,7 @@ def minors(x):
     arrays for a stack (n, 5)."""
     x = np.asarray(x, dtype=float)
     x1, x2, x3, x4, x5 = x.T
-    d3 = x1 * x2 * x3 - x1 * scalar_pow(x5, 2) - x2 * scalar_pow(x4, 2)
+    d3 = x1 * x2 * x3 - x1 * (x5 * x5) - x2 * (x4 * x4)
     if x.ndim == 1:
         return float(x1), float(x1 * x2), float(d3)
     return x1, x1 * x2, d3

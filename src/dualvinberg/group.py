@@ -43,8 +43,6 @@ from .linalg import (
     inv3_stack,
     is_singular3,
     maxabs,
-    scalar_pow,
-    singular3_stack,
     stack_maxabs,
 )
 
@@ -102,7 +100,7 @@ def symplectic_defect(g):
 
 def _symplectic(g, scale):
     """is_symplectic of g given its maxabs; a mask for a stack (n, 6, 6)."""
-    bound = SYMPLECTIC_TOL * (1.0 + scalar_pow(scale, 2))
+    bound = SYMPLECTIC_TOL * (1.0 + scale * scale)
     return (bound < np.inf) & (symplectic_defect(g) <= bound)
 
 
@@ -175,7 +173,7 @@ def tube_group_alt_reason(g) -> str | None:
     atol = PATTERN_TOL * (1.0 + scale)
     if (reason := _linear_part_reason(g, g.tolist(), scale, atol)) is not None:
         return reason
-    atol2 = PATTERN_TOL * (1.0 + scalar_pow(scale, 2))
+    atol2 = PATTERN_TOL * (1.0 + scale * scale)
     S = (D.T @ B).tolist()
     # maxabs(S - S^T); a diagonal gap is NaN where S overflows
     gap = float_maxabs([S[i][j] - S[j][i] for i in range(3) for j in range(3)])
@@ -259,7 +257,7 @@ def mobius(g, Z, failures=None) -> tuple[np.ndarray, np.ndarray]:
     Mi, d = inv3_stack(M)
     check_rows(
         failures,
-        singular3_stack(M, d),
+        is_singular3(M, d),
         lambda r: SingularityError(SINGULAR_MESSAGE),
     )
     return (A @ Z + B) @ Mi, Mi
@@ -269,14 +267,15 @@ def unembed_action(W, failures=None) -> np.ndarray:
     """Coordinates of a computed action result or pushforward, one 3x3
     matrix or a stack (n, 3, 3) giving (n, 5), which carries round-off:
     cone.unembed's rule at pattern tolerance ACTION_PATTERN_TOL,
-    scale-relative.  The PatternError of a failing row is deferred to a
-    RowFailures sink when one is given."""
+    scale-relative, and a non-finite forbidden entry fails.  The
+    PatternError of a failing row is deferred to a RowFailures sink when
+    one is given."""
     W = np.asarray(W)
     off, x = pattern_parts(W)
     atol = ACTION_PATTERN_TOL * (1.0 + stack_maxabs(W))
     check_rows(
         failures,
-        off > atol,
+        (off > atol) | ~(np.isfinite(W[..., 0, 1]) & np.isfinite(W[..., 1, 0])),
         lambda r: PatternError(
             f"matrix leaves the patterned subspace by {np.reshape(off, -1)[r]:.3e}"
         ),
@@ -339,10 +338,10 @@ def triple_decompose(g) -> TripleFactors:
         raise DomainError("entry not finite")
     rows = D.tolist()
     d = det3(rows)
-    if is_singular3(D, d):
+    if is_singular3(rows, d):
         raise SingularityError("det D = 0")
     Dinv = adjugate3(rows) / d  # inv3(D), with D's one singularity test
-    v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + scalar_pow(scale, 2)))
+    v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + scale * scale))
     return TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
 
 

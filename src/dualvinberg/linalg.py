@@ -12,11 +12,11 @@ One-matrix certificates follow one arithmetic rule: every matrix product
 is a numpy @, so the one-matrix and stacked routes agree to the bit, and
 each product (or the matrix itself) is read once with tolist().  Every
 later element read, scalar step and small reduction runs on Python
-floats, which do the IEEE operations of numpy's float64 scalars, faster.
-Where the two differ the numpy answer is kept: a power that overflows
-(scalar_pow) or a division by zero (semidefinite3) is guarded, and
-float_maxabs keeps a NaN, which the builtin max drops unless it comes
-first.
+floats, which do the IEEE operations of numpy's float64 scalars, faster;
+a square or cube is a product, correctly rounded in both.  Where the two
+differ the numpy answer is kept: a division by zero (semidefinite3) is
+guarded, and float_maxabs keeps a NaN, which the builtin max drops unless
+it comes first.
 """
 
 from __future__ import annotations
@@ -74,19 +74,25 @@ def adjugate3(m) -> np.ndarray:
     )
 
 
-def is_singular3(m, d=None) -> bool:
+def is_singular3(m, d=None):
     """The package's one singularity rule for 3x3 matrices: |det m| <=
     1e-12 * (1 + maxabs(m)**3), a NaN determinant, or an overflowed bound;
-    given the determinant d or computing it.  m is an array or its rows
-    as Python floats."""
+    given the determinant d or computing it.  One matrix, as an array or
+    its rows as Python floats, gives a bool; a stack (..., 3, 3) gives a
+    mask."""
+    if isinstance(m, np.ndarray) and m.ndim > 2:
+        if d is None:
+            d = det3(entries_first(m))
+        s = stack_maxabs(m)
+        return ~(np.abs(d) > SINGULAR_TOL * (1.0 + s * s * s))
     if isinstance(m, np.ndarray):
         m = m.tolist()
     if d is None:
         d = det3(m)
     # a NaN entry gives a NaN determinant and an inf entry an inf bound:
     # both count as singular, whatever the builtin max makes of a NaN
-    scale = max(map(abs, m[0] + m[1] + m[2]))
-    return not abs(d) > SINGULAR_TOL * (1.0 + scalar_pow(scale, 3))
+    s = max(map(abs, m[0] + m[1] + m[2]))
+    return not abs(d) > SINGULAR_TOL * (1.0 + s * s * s)
 
 
 def inv3(m: np.ndarray) -> np.ndarray:
@@ -128,51 +134,6 @@ def stack_maxabs(m):
     return np.abs(m).max((-2, -1))
 
 
-def scalar_pow(a, p):
-    """a ** p for a positive integer p, entry by entry in float64 scalar
-    arithmetic, that is through libm's pow, which is not always the
-    correctly rounded a * a.  numpy's array power and square can differ
-    from it in the last bit, so a stacked formula that must match its
-    one-point form to the bit raises to a power here.  Numbers and 0-d
-    arrays take the scalar route, chosen by type (np.ndim costs ten times
-    more on a float), and give a Python float.  Where the power overflows,
-    math.pow raises and numpy's inf is returned instead."""
-    if not isinstance(a, np.ndarray) or a.ndim == 0:
-        try:
-            return math.pow(a, p)
-        except OverflowError:
-            with np.errstate(over="ignore"):
-                return float(np.float64(a) ** p)
-    a = np.asarray(a, dtype=float)
-    try:
-        # the same libm call on Python floats, with no numpy scalar per entry
-        out = [math.pow(t, p) for t in a.ravel().tolist()]
-    except OverflowError:  # float64 scalars overflow to inf instead
-        with np.errstate(over="ignore"):
-            out = [t ** p for t in a.ravel()]
-    return np.array(out).reshape(a.shape)
-
-
-def fold_max(first, *rest):
-    """Entrywise builtin max(first, *rest): a later value replaces the
-    running one only when strictly greater, so a NaN counts only in first
-    place."""
-    if not isinstance(first, np.ndarray) or first.ndim == 0:
-        return max(first, *rest)
-    for r in rest:
-        first = np.where(r > first, r, first)
-    return first
-
-
-def fold_min(first, *rest):
-    """Entrywise builtin min(first, *rest), with fold_max's NaN rule."""
-    if not isinstance(first, np.ndarray) or first.ndim == 0:
-        return min(first, *rest)
-    for r in rest:
-        first = np.where(r < first, r, first)
-    return first
-
-
 def midpoint(a, b):
     """Entrywise (a + b)/2, or a/2 + b/2 where the sum overflows; only
     there, since halves of subnormals round."""
@@ -191,17 +152,9 @@ def entries_first(m):
     return m if n == 2 else np.transpose(m, (n - 2, n - 1) + tuple(range(n - 2)))
 
 
-def singular3_stack(m, d=None):
-    """is_singular3 for every matrix of a stack (..., 3, 3), given its
-    determinants d or computing them."""
-    if d is None:
-        d = det3(entries_first(m))
-    return ~(np.abs(d) > SINGULAR_TOL * (1.0 + scalar_pow(stack_maxabs(m), 3)))
-
-
 def inv3_stack(m):
     """adjugate3/det3 of one matrix or every matrix of a stack (..., 3, 3),
-    and the determinants.  Raises nothing: a matrix that singular3_stack
+    and the determinants.  Raises nothing: a matrix that is_singular3
     rejects gets a garbage inverse."""
     m = np.asarray(m)
     d = det3(entries_first(m))

@@ -30,7 +30,7 @@ from .cone import (
 )
 from .errors import DomainError, RowFailures, SingularityError, check_rows
 from .group import act_real, mobius, translation, unembed_action
-from .linalg import SINGULAR_MESSAGE, inv3_stack, scalar_pow, singular3_stack
+from .linalg import SINGULAR_MESSAGE, inv3_stack, is_singular3
 from .semigroup import (
     COMPRESSION_REASONS,
     compression_codes,
@@ -58,7 +58,7 @@ def cone_metric(x, v, w, failures=None):
     # positive minors certify invertibility, so no singularity threshold
     Xi, _ = inv3_stack(embed_stack(x))
     (x1, x2), (v1, v2), (w1, w2) = x.T[:2], v.T[:2], w.T[:2]
-    first = -0.5 * (v1 * w1 / scalar_pow(x1, 2) + v2 * w2 / scalar_pow(x2, 2))
+    first = -0.5 * (v1 * w1 / (x1 * x1) + v2 * w2 / (x2 * x2))
     second = 2.0 * np.trace(Xi @ embed_stack(v) @ Xi @ embed_stack(w), axis1=-2, axis2=-1)
     form = first + second
     return float(form) if x.ndim == 1 else form
@@ -227,11 +227,12 @@ def _positive_triangular_rows(z) -> np.ndarray:
     return T
 
 
-def _cone_rows(z) -> np.ndarray:
+def _cone_rows(z, failures: RowFailures) -> np.ndarray:
     """sample_cone(rng, 1.0) on each row of normals (n, 5); the congruence of
-    a triangular unit keeps its pattern zeros exact."""
+    a triangular unit keeps its pattern zeros exact unless an entry
+    overflows."""
     T = _positive_triangular_rows(z)
-    return unembed_action(T @ np.eye(3) @ np.swapaxes(T, 1, 2))
+    return unembed_action(T @ np.eye(3) @ np.swapaxes(T, 1, 2), failures)
 
 
 def _sample_rows(z, failures: RowFailures):
@@ -241,11 +242,11 @@ def _sample_rows(z, failures: RowFailures):
     n = len(z)
     L = _positive_triangular_rows(z[:, 0:5])
     upper = np.tile(np.eye(6), (n, 1, 1))
-    upper[:, :3, 3:] = embed_stack(_cone_rows(z[:, 5:10]))
+    upper[:, :3, 3:] = embed_stack(_cone_rows(z[:, 5:10], failures))
     Li, d = inv3_stack(L)
     check_rows(
         failures,
-        singular3_stack(L, d),
+        is_singular3(L, d),
         lambda r: SingularityError(SINGULAR_MESSAGE),
     )
     linear = np.zeros((n, 6, 6))
@@ -254,7 +255,7 @@ def _sample_rows(z, failures: RowFailures):
     lower = np.tile(np.eye(6), (n, 1, 1))
     lower[:, [3, 4], [0, 1]] = np.exp(z[:, 10:12])
     g = upper @ linear @ lower
-    x = _cone_rows(z[:, 12:17])
+    x = _cone_rows(z[:, 12:17], failures)
     t = z[:, 17:22]
     # the BLAS dot of np.linalg.norm, row by row (a reduction along the
     # axis sums in another order); a witness row of zeros gives NaN here

@@ -61,12 +61,9 @@ from .linalg import (
     adjugate3,
     det3,
     float_maxabs,
-    fold_min,
     is_singular3,
     maxabs,
-    scalar_pow,
     semidefinite3,
-    singular3_stack,
     stack_maxabs,
 )
 
@@ -191,7 +188,7 @@ def compression_codes(g, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
             ~(g[:, 5, 5] > 0),
             ~zeros_hold(_B_ZEROS),
             ~zeros_hold(_C_ZEROS),
-            singular3_stack(D),
+            is_singular3(D),
             off > tol * (1.0 + stack_maxabs(S)),
         ]
         # closed_cone_reason on the rows that reach it with finite
@@ -204,7 +201,7 @@ def compression_codes(g, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         if redo.any():
             ok[redo] = np.linalg.eigvalsh(embed_stack(vS[redo]))[:, 0] >= -t[redo]
         fails.append(~ok)
-        fails.append(~(fold_min(P[:, 0, 0], P[:, 1, 1]) >= -tol * (1.0 + stack_maxabs(P))))
+        fails.append(~(np.minimum(P[:, 0, 0], P[:, 1, 1]) >= -tol * (1.0 + stack_maxabs(P))))
     fails = np.array(fails)
     return np.where(fails.any(axis=0), fails.argmax(axis=0) + 1, 0)
 
@@ -431,7 +428,7 @@ def log_wedge(h) -> InvariantConeElement:
         u[i] = m[3 + i][i] / sh
         v[3 + i] = m[2][3 + i] / sh
         s1[i] = _s1(a * a)
-    v[2] = m[2][5] - scalar_pow(v[3], 2) * u[0] * s1[0] - scalar_pow(v[4], 2) * u[1] * s1[1]
+    v[2] = m[2][5] - v[3] * v[3] * u[0] * s1[0] - v[4] * v[4] * u[1] * s1[1]
     return InvariantConeElement(v=np.array(v), u=np.array(u))
 
 
@@ -490,7 +487,7 @@ def polar_factor(g):
         raise ConvergenceError(f"polar unit factor has diagonal {np.array([a1, a2, a3])}")
     # E12[2,2] of A^{-1} g[:3, 3:], by substitution down its last column
     corner = (m[2][5] - a4 * (m[0][5] / a1) - a5 * (m[1][5] / a2)) / a3
-    v[2] = corner - scalar_pow(v[3], 2) * ds[0] - scalar_pow(v[4], 2) * ds[1]
+    v[2] = corner - v[3] * v[3] * ds[0] - v[4] * v[4] * ds[1]
     scale = float_maxabs(v + u)  # maxabs of X's matrix
     if (reason := _wedge_reason(v, u, MEMBERSHIP_TOL, scale)) is not None:
         raise ConvergenceError(

@@ -168,6 +168,18 @@ def test_polar_rejects_non_members(tmp_path, capsys):
     assert json.loads(err)["status"] == "domain_error"
 
 
+def test_polar_exits_three_when_its_certificate_fails(tmp_path, capsys):
+    # a member whose factors, read in closed form, recompose only to 5e-8
+    g = dv.translation([1e4, 1, 1e4, 10, 0])
+    g[0, 5] += 1e-3
+    path = write_json(tmp_path, "g.json", serialize.dump_matrix6(g))
+    code, out, err = run_cli(capsys, "polar", path)
+    assert code == 3 and out == ""
+    assert err == (
+        '{"status": "convergence_error", "error": "polar recomposition residual 5.000e-08"}\n'
+    )
+
+
 def test_polar_takes_no_tol_and_decompose_documents_its_scope(capsys):
     assert run_cli(capsys, "polar", "--tol", "1e-3")[0] == 2
     code, out, _ = run_cli(capsys, "decompose", "--help")

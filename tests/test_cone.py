@@ -46,6 +46,26 @@ def test_unembed_rejects_off_pattern():
         unembed(m)
 
 
+@pytest.mark.parametrize("slot", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_unembed_rejects_a_non_finite_forbidden_entry(slot, value):
+    # the default bound grows with the entry it bounds, to inf or NaN
+    m = np.eye(3)
+    m[slot] = value
+    with pytest.raises(PatternError):
+        unembed(m)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("slots", [[(0, 0)], [(2, 2)], [(0, 2)], [(1, 2), (2, 1)]])
+def test_unembed_keeps_the_coordinates_of_a_non_finite_pattern_entry(value, slots):
+    m = embed([1.0, 2.0, 3.0, 0.5, -0.5])
+    for slot in slots:
+        m[slot] = value
+    want = [m[0, 0], m[1, 1], m[2, 2], (m[0, 2] + m[2, 0]) / 2, (m[1, 2] + m[2, 1]) / 2]
+    assert np.array_equal(unembed(m), want, equal_nan=True)
+
+
 def test_diag_pair_embedding():
     u = np.array([2.0, -3.0])
     assert np.array_equal(embed_diag_pair(u), np.diag([2.0, -3.0, 0.0]))

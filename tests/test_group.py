@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dualvinberg as dv
-from dualvinberg.errors import DomainError, SingularityError
+from dualvinberg.errors import DomainError, PatternError, SingularityError
 from dualvinberg.group import (
     BASE_POINT,
     SYMPLECTIC_FORM,
@@ -242,6 +242,13 @@ def test_act_real_frozen_inversion_image():
 def test_act_real_raises_on_singular_denominator():
     with pytest.raises(SingularityError):
         dv.act_real(dv.inversion(), [0.0, 1.0, 1.0, 0.0, 0.0])
+
+
+def test_act_real_rejects_an_image_with_a_non_finite_forbidden_entry():
+    g = dv.translation([1, 1, 1, 0, 0])
+    g[0, 4] = np.inf  # B[0, 1]: the image carries inf and NaN off the pattern
+    with np.errstate(invalid="ignore"), pytest.raises(PatternError):
+        dv.act_real(g, dv.IDENTITY_POINT)
 
 
 @pytest.mark.parametrize("slot", [(0, 0), (0, 3), (3, 0), (5, 5)])

@@ -128,6 +128,20 @@ def test_pattern_parts_of_a_stack_equal_the_loop():
     assert np.array_equal(x[1], [0.0, 5e-324, 0.0, 5e-324, -1.5e-323])
 
 
+def test_unembed_action_fails_a_row_with_a_non_finite_forbidden_entry():
+    W = np.stack([I3, I3, I3, I3])
+    W[1, 1, 0] = np.inf  # the bound grows to inf with it
+    W[2, 0, 1] = np.nan
+    W[3, 0, 2] = np.inf  # a mirror pair keeps its coordinates
+    failures = RowFailures()
+    x = unembed_action(W, failures)
+    with pytest.raises(PatternError, match="by inf"):
+        failures.raise_first()
+    with pytest.raises(PatternError, match="by nan"):
+        unembed_action(W[2])
+    assert np.array_equal(x[[0, 3]], [[1.0, 1, 1, 0, 0], [1.0, 1, 1, np.inf, 0]])
+
+
 def test_a_stacked_unembed_action_raises_what_the_loop_raises():
     W = _pattern_corpus()
     with np.errstate(all="ignore"):
