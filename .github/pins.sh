@@ -24,6 +24,22 @@ test "$out" = '{"max_ratio": 1.039430288145257, "violation_count": 2, "n_samples
 echo "a1ab520906ae13058f9c1bc0ad22e4e47270dcb9b28b45d6118a3feeedf23da1  s.csv" | sha256sum -c -
 echo "::endgroup::"
 
+echo "::group::Sampler pin"
+# every sampler at three spreads: the float64 bytes of 1500 draws
+out="$(python -c "
+import hashlib, numpy as np, dualvinberg as dv
+rng, h = np.random.default_rng(2027), hashlib.sha256()
+for s in (0.3, 1, 2.5):
+    for _ in range(100):
+        for a in (dv.sample_semigroup(rng, True, s), dv.sample_semigroup(rng, False, s), dv.sample_cone(rng, s),
+                  dv.sample_positive_triangular(rng, s), dv.sample_triangular(rng, s)):
+            h.update(np.asarray(a, dtype=np.float64).tobytes())
+print(h.hexdigest())
+")"
+echo "$out"
+test "$out" = e40c29f927493dd7274ac8faac74da26b87b6a37f6f99757c5661fb70eec3dd9
+echo "::endgroup::"
+
 echo "::group::Membership smoke run"
 python -c "import json, dualvinberg as dv; from dualvinberg import serialize; print(json.dumps(serialize.dump_matrix6(dv.translation([1, 1, 1, 0, 0]))))" > t.json
 for what in symplectic G gamma gamma-sp; do

@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, PatternError
-from .linalg import entries_first, float_maxabs, maxabs, midpoint, semidefinite3
+from .errors import DomainError, PatternError, check_rows
+from .linalg import entries_first, float_maxabs, midpoint, semidefinite3, stack_maxabs
 
 IDENTITY_POINT = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -86,20 +86,27 @@ def pattern_parts(m):
     return off, (x if listed else np.array(x).T)
 
 
-def unembed(m, atol: float | None = None) -> np.ndarray:
-    """Coordinates of a patterned symmetric matrix.
+def unembed(m, atol=None) -> np.ndarray:
+    """Coordinates of a patterned symmetric matrix, or of each of a stack
+    (n, 3, 3) with one atol per matrix.
 
     The forbidden slot is (0,1)/(1,0) and the mirror pairs must match;
     off-pattern mass beyond ``atol`` (default 1e-12, scale-relative) or a
     non-finite forbidden entry, which the default bound would grow with,
-    raises PatternError.  Mirror pairs are averaged (pattern_parts).
+    raises PatternError for the first failing matrix.  Mirror pairs are
+    averaged (pattern_parts).
     """
     m = np.asarray(m)
     if atol is None:
-        atol = PATTERN_TOL * (1.0 + maxabs(m))
+        atol = PATTERN_TOL * (1.0 + stack_maxabs(m))
     off, x = pattern_parts(m)
-    if off > atol or not (abs(m[0, 1]) < math.inf and abs(m[1, 0]) < math.inf):
-        raise PatternError(f"matrix leaves the patterned subspace by {off:.3e}")
+    e = entries_first(m)
+    check_rows(
+        (off > atol) | ~((abs(e[0][1]) < math.inf) & (abs(e[1][0]) < math.inf)),
+        lambda r: PatternError(
+            f"matrix leaves the patterned subspace by {np.reshape(off, -1)[r]:.3e}"
+        ),
+    )
     return x
 
 
@@ -216,14 +223,12 @@ def log_char_function(x) -> float:
 
 
 def triangular(params) -> np.ndarray:
-    """Build [[a1,0,0],[0,a2,0],[a4,a5,a3]] from (a1, a2, a3, a4, a5)."""
+    """Build [[a1,0,0],[0,a2,0],[a4,a5,a3]] from (a1, a2, a3, a4, a5), or
+    each matrix of a stack of parameters (n, 5)."""
     a = np.asarray(params, dtype=float)
-    m = np.zeros((3, 3))
-    m[0, 0] = a[0]
-    m[1, 1] = a[1]
-    m[2, 2] = a[2]
-    m[2, 0] = a[3]
-    m[2, 1] = a[4]
+    m = np.zeros(a.shape[:-1] + (3, 3))
+    m[..., [0, 1, 2], [0, 1, 2]] = a[..., :3]
+    m[..., 2, :2] = a[..., 3:]
     return m
 
 
@@ -300,12 +305,18 @@ def congruence_det(A) -> float:
     return float(A[0, 0] ** 3 * A[1, 1] ** 3 * A[2, 2] ** 4)
 
 
+def positive_triangular(w) -> np.ndarray:
+    """triangular(exp w1, exp w2, exp w3, w4, w5), in the identity
+    component, for one row w (5,) or each row of a stack (n, 5)."""
+    w = np.array(w, dtype=float)
+    w[..., :3] = np.exp(w[..., :3])
+    return triangular(w)
+
+
 def sample_positive_triangular(rng, sigma: float = 1.0) -> np.ndarray:
     """Random element of the identity component: log-normal diagonal,
     normal lower entries.  Zeroed randomness gives the identity."""
-    diag = np.exp(sigma * rng.standard_normal(3))
-    low = sigma * rng.standard_normal(2)
-    return triangular([diag[0], diag[1], diag[2], low[0], low[1]])
+    return positive_triangular(sigma * rng.standard_normal(5))
 
 
 def sample_triangular(rng, sigma: float = 1.0) -> np.ndarray:
@@ -318,39 +329,30 @@ def sample_triangular(rng, sigma: float = 1.0) -> np.ndarray:
     return A
 
 
+def cone_point(w) -> np.ndarray:
+    """The identity point pushed by positive_triangular(w), for one row or
+    each row of a stack; the congruence keeps the pattern zeros exact
+    unless an entry overflows (PatternError)."""
+    T = positive_triangular(w)
+    return unembed(T @ embed(IDENTITY_POINT) @ np.swapaxes(T, -1, -2))
+
+
 def sample_cone(rng, sigma: float = 1.0) -> np.ndarray:
     """Random interior point: the identity pushed by a random triangular
     automorphism.  Zeroed randomness gives (1,1,1,0,0)."""
-    return congruence(sample_positive_triangular(rng, sigma), IDENTITY_POINT)
+    return cone_point(sigma * rng.standard_normal(5))
 
 
 def isotropy_group() -> list[np.ndarray]:
-    """All eight 5x5 matrices stabilizing (1,1,1,0,0).
-
-    Generated by the sign flips diag(-1,1,1), diag(1,-1,1) and the swap of
-    the first two coordinates; returned closed under composition, in a
-    deterministic order.  The swap composed with a flip has order four.
-    """
+    """All eight 5x5 matrices stabilizing (1,1,1,0,0): the congruences of
+    P diag(s1, s2, 1) with P the identity or the swap of the first two
+    coordinates and signs s1, s2, in a deterministic order.  The swap
+    composed with a flip has order four."""
     swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    gens = [
-        congruence_matrix(np.diag([-1.0, 1.0, 1.0])),
-        congruence_matrix(np.diag([1.0, -1.0, 1.0])),
-        congruence_matrix(swap),
+    elems = [
+        congruence_matrix(P @ np.diag([s1, s2, 1.0]))
+        for P in (np.eye(3), swap)
+        for s1 in (1.0, -1.0)
+        for s2 in (1.0, -1.0)
     ]
-
-    def key(m):
-        return tuple(int(round(e)) for e in m.ravel())
-
-    elems = {key(np.eye(5)): np.eye(5)}
-    frontier = [np.eye(5)]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for gen in gens:
-                p = gen @ m
-                k = key(p)
-                if k not in elems:
-                    elems[k] = p
-                    nxt.append(p)
-        frontier = nxt
-    return [elems[k] for k in sorted(elems)]
+    return sorted(elems, key=lambda m: tuple(int(round(e)) for e in m.ravel()))

@@ -30,10 +30,9 @@ from .cone import (
     embed_diag_pair,
     in_open_cone,
     is_flat_pattern,
-    pattern_parts,
     unembed,
 )
-from .errors import DomainError, PatternError, SingularityError, check_rows
+from .errors import DomainError, SingularityError, check_rows
 from .linalg import (
     SINGULAR_MESSAGE,
     adjugate3,
@@ -241,13 +240,13 @@ def isotropy_rotation(theta: float, phi: float) -> np.ndarray:
     return g
 
 
-def mobius(g, Z, failures=None) -> tuple[np.ndarray, np.ndarray]:
+def mobius(g, Z) -> tuple[np.ndarray, np.ndarray]:
     """The fractional-linear kernel: (A Z + B)(C Z + D)^{-1} and
     (C Z + D)^{-1} for one g (6, 6) and Z (3, 3), real or complex, or row
     by row for stacks (n, 6, 6) and (n, 3, 3).
 
-    SingularityError where C Z + D is singular (linalg.is_singular3's
-    rule); with a RowFailures sink the failing rows are deferred to it.
+    SingularityError for the first row where C Z + D is singular
+    (linalg.is_singular3's rule).
     """
     g = np.asarray(g, dtype=float)
     if g.shape[-2:] != (6, 6):
@@ -255,32 +254,15 @@ def mobius(g, Z, failures=None) -> tuple[np.ndarray, np.ndarray]:
     A, B, C, D = g[..., :3, :3], g[..., :3, 3:], g[..., 3:, :3], g[..., 3:, 3:]
     M = C @ Z + D
     Mi, d = inv3_stack(M)
-    check_rows(
-        failures,
-        is_singular3(M, d),
-        lambda r: SingularityError(SINGULAR_MESSAGE),
-    )
+    check_rows(is_singular3(M, d), lambda r: SingularityError(SINGULAR_MESSAGE))
     return (A @ Z + B) @ Mi, Mi
 
 
-def unembed_action(W, failures=None) -> np.ndarray:
+def unembed_action(W) -> np.ndarray:
     """Coordinates of a computed action result or pushforward, one 3x3
     matrix or a stack (n, 3, 3) giving (n, 5), which carries round-off:
-    cone.unembed's rule at pattern tolerance ACTION_PATTERN_TOL,
-    scale-relative, and a non-finite forbidden entry fails.  The
-    PatternError of a failing row is deferred to a RowFailures sink when
-    one is given."""
-    W = np.asarray(W)
-    off, x = pattern_parts(W)
-    atol = ACTION_PATTERN_TOL * (1.0 + stack_maxabs(W))
-    check_rows(
-        failures,
-        (off > atol) | ~(np.isfinite(W[..., 0, 1]) & np.isfinite(W[..., 1, 0])),
-        lambda r: PatternError(
-            f"matrix leaves the patterned subspace by {np.reshape(off, -1)[r]:.3e}"
-        ),
-    )
-    return x
+    cone.unembed at pattern tolerance ACTION_PATTERN_TOL, scale-relative."""
+    return unembed(W, ACTION_PATTERN_TOL * (1.0 + stack_maxabs(W)))
 
 
 def act(g, z) -> np.ndarray:

@@ -23,18 +23,19 @@ import numpy as np
 from .cone import (
     IDENTITY_POINT,
     MEMBERSHIP_TOL,
+    cone_point,
     embed,
     embed_stack,
     in_open_cone,
     log_char_function,
 )
-from .errors import DomainError, RowFailures, SingularityError, check_rows
+from .errors import DomainError, PatternError, check_rows
 from .group import act_real, mobius, translation, unembed_action
-from .linalg import SINGULAR_MESSAGE, inv3_stack, is_singular3
+from .linalg import inv3_stack
 from .semigroup import (
-    COMPRESSION_REASONS,
     compression_codes,
     compression_reason,
+    interior_element,
     symplectic_semigroup_reason,
 )
 
@@ -42,16 +43,14 @@ from .semigroup import (
 VIOLATION_THRESHOLD = 1e-12
 
 
-def cone_metric(x, v, w, failures=None):
+def cone_metric(x, v, w):
     """The invariant bilinear form at an interior point x: a float for one
     point, an array row by row for stacks (n, 5).  DomainError for a base
-    point outside the open cone, deferred to a RowFailures sink when one
-    is given."""
+    point outside the open cone."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     check_rows(
-        failures,
         np.logical_not(in_open_cone(x)),
         lambda r: DomainError("base point outside the open cone"),
     )
@@ -119,7 +118,7 @@ class ContractionRecord:
     seed_index: int = 0
 
 
-def contraction_ratios(g, x, v, tol: float = MEMBERSHIP_TOL, failures=None):
+def contraction_ratios(g, x, v, tol: float = MEMBERSHIP_TOL):
     """(Jv|Jv) at g.x over (v|v) at x for a semigroup element g: a float for
     one (g, x, v), an array row by row for stacks (n, 6, 6), (n, 5), (n, 5).
 
@@ -127,36 +126,38 @@ def contraction_ratios(g, x, v, tol: float = MEMBERSHIP_TOL, failures=None):
     semigroup (one matrix takes the early-exit compression_reason, a stack
     compression_codes), x in the open cone, v nonzero, C X + D
     invertible, the image and the pushforward on the pattern, and the image
-    in the open cone.  A failing stack raises what a loop of one-row calls
-    raises first; a RowFailures sink passed in holds checks the caller ran
-    on the same rows before these.
+    in the open cone.  A stack raises at its first failing check, and a
+    lower row may fail a later one: a failing stack reruns its rows as a
+    loop of one-row calls, which raises what that loop raises first.
     """
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if g.ndim == 2:
-        # one row raises at its first failing check, as the loop would
         if (reason := compression_reason(g, tol)) is not None:
             raise DomainError(f"not in the compression semigroup: {reason}")
-    else:
-        failures = RowFailures() if failures is None else failures
-        codes = compression_codes(g, tol)
-        failures.add(
-            codes != 0,
-            lambda r: DomainError(
-                f"not in the compression semigroup: {COMPRESSION_REASONS[codes[r] - 1]}"
-            ),
-        )
-    with np.errstate(all="ignore"):  # failed rows run on until raise_first
-        before = cone_metric(x, v, v, failures)
-        check_rows(failures, ~np.any(v, axis=-1), lambda r: DomainError("zero tangent vector"))
+        return _stretch(g, x, v)
+    try:
+        if compression_codes(g, tol).any():
+            raise DomainError("not in the compression semigroup")
+        return _stretch(g, x, v)
+    except (DomainError, PatternError):
+        # the one-row calls name the failing row and check
+        for row in zip(g, x, v):
+            contraction_ratios(*row, tol)
+        raise
+
+
+def _stretch(g, x, v):
+    """contraction_ratios past the semigroup check."""
+    with np.errstate(all="ignore"):  # a failing row computes garbage until its check raises
+        before = cone_metric(x, v, v)
+        check_rows(~np.any(v, axis=-1), lambda r: DomainError("zero tangent vector"))
         # one kernel call gives both the image point and the pushforward
-        W, Mi = mobius(g, embed_stack(x), failures)
-        y = unembed_action(W, failures)
-        jv = unembed_action(np.swapaxes(Mi, -1, -2) @ embed_stack(v) @ Mi, failures)
-        after = cone_metric(y, jv, jv, failures)
-    if failures is not None:
-        failures.raise_first()
+        W, Mi = mobius(g, embed_stack(x))
+        y = unembed_action(W)
+        jv = unembed_action(np.swapaxes(Mi, -1, -2) @ embed_stack(v) @ Mi)
+        after = cone_metric(y, jv, jv)
     return after / before
 
 
@@ -210,57 +211,25 @@ class SearchSummary:
     n_samples: int
 
 
-# One sample's 22 standard normals, in the order sample_semigroup(rng,
-# interior=True), sample_cone(rng) and the tangent draw them one call at a
-# time: 3+2 for the unit, 3+2 for v, 2 for u, 3+2 for x, 5 for the tangent.
+# One sample's normals, as sample_semigroup(rng, interior=True),
+# sample_cone(rng) and the tangent draw them: 12, 5 and 5.
 _DRAWS = 22
 
 # rows per stacked pass of the search
 _BLOCK = 4096
 
 
-def _positive_triangular_rows(z) -> np.ndarray:
-    """sample_positive_triangular(rng, 1.0) on each row of normals (n, 5)."""
-    T = np.zeros((len(z), 3, 3))
-    T[:, [0, 1, 2], [0, 1, 2]] = np.exp(z[:, :3])
-    T[:, 2, :2] = z[:, 3:]
-    return T
-
-
-def _cone_rows(z, failures: RowFailures) -> np.ndarray:
-    """sample_cone(rng, 1.0) on each row of normals (n, 5); the congruence of
-    a triangular unit keeps its pattern zeros exact unless an entry
-    overflows."""
-    T = _positive_triangular_rows(z)
-    return unembed_action(T @ np.eye(3) @ np.swapaxes(T, 1, 2), failures)
-
-
-def _sample_rows(z, failures: RowFailures):
-    """g, x and the unit tangent v of every row of normals (n, 22), as
-    sample_semigroup, sample_cone and the tangent normalisation build
-    them from the same draws one sample at a time, to the bit."""
-    n = len(z)
-    L = _positive_triangular_rows(z[:, 0:5])
-    upper = np.tile(np.eye(6), (n, 1, 1))
-    upper[:, :3, 3:] = embed_stack(_cone_rows(z[:, 5:10], failures))
-    Li, d = inv3_stack(L)
-    check_rows(
-        failures,
-        is_singular3(L, d),
-        lambda r: SingularityError(SINGULAR_MESSAGE),
-    )
-    linear = np.zeros((n, 6, 6))
-    linear[:, :3, :3] = L
-    linear[:, 3:, 3:] = np.swapaxes(Li, 1, 2)
-    lower = np.tile(np.eye(6), (n, 1, 1))
-    lower[:, [3, 4], [0, 1]] = np.exp(z[:, 10:12])
-    g = upper @ linear @ lower
-    x = _cone_rows(z[:, 12:17], failures)
-    t = z[:, 17:22]
+def _sample_rows(z):
+    """g, x and the unit tangent v of one row of normals (22,) or of every
+    row of a stack (n, 22), as sample_semigroup, sample_cone and the
+    tangent normalisation build them one sample at a time, to the bit."""
+    g = interior_element(z[..., :12])
+    x = cone_point(z[..., 12:17])
+    t = z[..., 17:22]
     # the BLAS dot of np.linalg.norm, row by row (a reduction along the
     # axis sums in another order); a witness row of zeros gives NaN here
     with np.errstate(invalid="ignore"):
-        return g, x, t / np.sqrt(t[:, None, :] @ t[:, :, None])[:, 0]
+        return g, x, t / np.sqrt(t[..., None, :] @ t[..., :, None])[..., 0]
 
 
 def search_violations(
@@ -288,11 +257,17 @@ def search_violations(
         z = np.zeros((min(_BLOCK, n_samples - start), _DRAWS))
         for i in range(max(start, first), start + len(z)):
             z[i - start] = children[i].standard_normal(_DRAWS)
-        failures = RowFailures()
-        g, x, v = _sample_rows(z, failures)
+        try:
+            g, x, v = _sample_rows(z)
+        except (DomainError, PatternError):
+            # the block reruns as the one-sample loop, which decides the error
+            for i in range(max(start, first), start + len(z)):
+                contraction_ratios(*_sample_rows(z[i - start]))
+            raise
         if start < first:
             g[0], x[0], v[0] = _witness()
-        ratios = contraction_ratios(g, x, v, failures=failures)
+        # with every row sampled, this raises what the loop raises
+        ratios = contraction_ratios(g, x, v)
         violations += [
             ContractionRecord(
                 g=g[i].copy(), x=x[i].copy(), v=v[i].copy(), ratio=float(ratios[i]),

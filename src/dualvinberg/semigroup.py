@@ -31,6 +31,7 @@ from .cone import (
     TRIANGULAR_ZEROS,
     _embed_rows,
     closed_cone_reason,
+    cone_point,
     diag_pair,
     embed,
     embed_diag_pair,
@@ -38,11 +39,11 @@ from .cone import (
     is_flat_pattern,
     is_triangular_pattern,
     pattern_parts,
-    sample_cone,
+    positive_triangular,
     sample_positive_triangular,
     unembed,
 )
-from .errors import ConvergenceError, DomainError, InconsistencyError
+from .errors import ConvergenceError, DomainError, InconsistencyError, SingularityError, check_rows
 from .group import (
     _B_ZEROS,
     _C_ZEROS,
@@ -58,9 +59,11 @@ from .group import (
     tube_group_reason,
 )
 from .linalg import (
+    SINGULAR_MESSAGE,
     adjugate3,
     det3,
     float_maxabs,
+    inv3_stack,
     is_singular3,
     maxabs,
     semidefinite3,
@@ -506,23 +509,43 @@ def polar_factor(g):
     return A, InvariantConeElement(v=np.array(v), u=np.array(u))
 
 
+def interior_element(w) -> np.ndarray:
+    """triple_compose(v, A, u) for sigma-scaled normals w (12,) or each row
+    of a stack (n, 12): A = positive_triangular(w1..w5), v =
+    cone_point(w6..w10), u = exp(w11, w12).  PatternError where v
+    overflows, then SingularityError where A is singular."""
+    w = np.asarray(w, dtype=float)
+    n = w.shape[:-1]
+    L = positive_triangular(w[..., 0:5])
+    upper = np.tile(np.eye(6), n + (1, 1))
+    upper[..., :3, 3:] = embed_stack(cone_point(w[..., 5:10]))
+    # congruence_embed(L) with inv3's singularity test
+    Li, d = inv3_stack(L)
+    check_rows(is_singular3(L, d), lambda r: SingularityError(SINGULAR_MESSAGE))
+    linear = np.zeros(n + (6, 6))
+    linear[..., :3, :3] = L
+    linear[..., 3:, 3:] = np.swapaxes(Li, -1, -2)
+    lower = np.tile(np.eye(6), n + (1, 1))
+    lower[..., [3, 4], [0, 1]] = np.exp(w[..., 10:12])
+    return upper @ linear @ lower
+
+
 def sample_semigroup(rng, interior: bool = True, sigma: float = 1.0) -> np.ndarray:
     """Random semigroup element from chart factors.
 
-    interior=True keeps v in the open cone and u strictly positive;
+    interior=True keeps v in the open cone and u strictly positive
+    (interior_element of 12 normals);
     interior=False pushes v onto a random boundary orbit (congruence of a
     0/1 diagonal) and masks u entries to zero at random, so zeroed
     randomness gives the identity.
     """
-    A = sample_positive_triangular(rng, sigma)
     if interior:
-        v = sample_cone(rng, sigma)
-        u = np.exp(sigma * rng.standard_normal(2))
-    else:
-        L2 = sample_positive_triangular(rng, sigma)
-        eps = (rng.random(3) >= 0.5).astype(float)
-        v = unembed(L2 @ np.diag(eps) @ L2.T)
-        u = np.abs(sigma * rng.standard_normal(2)) * (rng.random(2) >= 0.5)
+        return interior_element(sigma * rng.standard_normal(12))
+    A = sample_positive_triangular(rng, sigma)
+    L2 = sample_positive_triangular(rng, sigma)
+    eps = (rng.random(3) >= 0.5).astype(float)
+    v = unembed(L2 @ np.diag(eps) @ L2.T)
+    u = np.abs(sigma * rng.standard_normal(2)) * (rng.random(2) >= 0.5)
     return triple_compose(TripleFactors(v=v, L=A, u=u))
 
 

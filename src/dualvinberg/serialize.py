@@ -23,12 +23,18 @@ CSV_COLUMNS = ("seed_index", "ratio", "violated", "g_json", "x_json", "v_json")
 
 
 def _as_floats(obj, n: int, what: str) -> np.ndarray:
+    """n JSON numbers, the ints and floats json.loads gives, as floats: a
+    string or a boolean is not a number, and an integer beyond the float
+    range is refused."""
+    message = f"{what}: expected an array of {n} numbers"
     if not isinstance(obj, (list, tuple)) or len(obj) != n:
-        raise ValueError(f"{what}: expected an array of {n} numbers")
+        raise ValueError(message)
+    if not set(map(type, obj)) <= {int, float}:  # bool is not int here
+        raise ValueError(message)
     try:
-        return np.array([float(e) for e in obj])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: expected an array of {n} numbers") from exc
+        return np.array(obj, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(message) from exc
 
 
 def load_vector5(obj) -> np.ndarray:

@@ -309,6 +309,15 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert "expected an array of 5 numbers" in err
 
 
+@pytest.mark.parametrize("text", ['["1", true, "1e0", 0, 0]', "[1, 1, 1, 0, 1" + "0" * 400 + "]"])
+def test_non_numeric_or_overflowing_entries_exit_two(tmp_path, capsys, text):
+    path = tmp_path / "x.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", "--what", "cone", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: vector: expected an array of 5 numbers\n"
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_negative_or_non_finite_tol_exits_two(tmp_path, capsys, tol):
     vec = write_json(tmp_path, "x.json", [1, 1, 1, 0, 0])

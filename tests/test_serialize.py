@@ -62,6 +62,12 @@ def test_pair_round_trip():
         (load_triple_factors, [1, 2, 3]),
         (load_semigroup_factors, {"v": [0] * 5}),
         (load_polar, {"A": [1, 1, 1, 0, 0]}),
+        # JSON strings and booleans are not numbers
+        (serialize.load_vector5, ["1", True, "1e0", 0, 0]),
+        (serialize.load_vector5, [1, 1, 1, 0, "0"]),
+        (serialize.load_vector5, [1, 1, 1, 0, False]),
+        # an integer literal beyond the float range
+        (serialize.load_vector5, [1, 1, 1, 0, 10**400]),
     ],
 )
 def test_loaders_reject_malformed_input(loader, bad):
