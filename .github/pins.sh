@@ -5,7 +5,7 @@
 #
 #     bash .github/pins.sh
 #
-# Leaves t.json, o.json, c.json, r.json, g.json, p.json, e.json, e.out, e.err and s.csv
+# Leaves t.json, o.json, c.json, r.json, m.json, g.json, p.json, e.json, e.out, e.err and s.csv
 # in the current directory.
 set -eo pipefail
 
@@ -84,6 +84,43 @@ pin_reasons "dv.translation([-1, -1, -1, 0, 0])" \
 pin_reasons "dv.triple_compose(dv.TripleFactors(v=np.array([1.0, 1, 1, 0, 0]), L=np.eye(3), u=np.array([-1.0, 1])))" \
   "C D^T has a negative diagonal entry" "C D^T not positive semidefinite"
 pin_reasons "dv.translation([1, 1, 1, 0, 0]) @ dv.inversion()" "det D = 0" "det D = 0"
+echo "::endgroup::"
+
+echo "::group::Tube-reason pins"
+# one non-member per entry of TUBE_GROUP_REASONS, in check order: the
+# identity with the listed entries of g set, or a named matrix
+pin_tube() {
+  python -c "
+import json, numpy as np, dualvinberg as dv
+from dualvinberg import serialize
+g = $1
+if isinstance(g, dict):
+    edits, g = g, np.eye(6)
+    for slot, x in edits.items():
+        g[slot] = x
+print(json.dumps(serialize.dump_matrix6(g)))
+" > r.json
+  out="$(dualvinberg check --what G r.json)"
+  echo "$out"
+  test "$out" = "{\"what\": \"G\", \"result\": false, \"reason\": \"$2\"}"
+}
+pin_tube "2 * np.eye(6)" "not symplectic"
+pin_tube "dv.congruence_embed(np.array([[1.0, 1, 0], [0, 1, 0], [0, 0, 1]]))" "A off pattern"
+pin_tube "dv.congruence_embed(np.diag([1.0, 1, -1]))" "A[3,3] not positive"
+# [[I, 0], [C, I]] [[I, B], [0, I]] with C = E00, B = E01 + E10: D = I + E01
+pin_tube "{(0, 4): 1, (1, 3): 1, (3, 0): 1, (3, 4): 1}" "D off pattern"
+# the same with C = E22, B = -2 E22: D = I - 2 E22
+pin_tube "{(2, 5): -2, (5, 2): 1, (5, 5): -1}" "D[3,3] not positive"
+pin_tube "{(0, 4): 1, (1, 3): 1}" "B off pattern"
+pin_tube "{(5, 2): 1}" "C off pattern"
+echo "::endgroup::"
+
+echo "::group::Gamma payload pin"
+# a fixed member from its chart factors: v interior, L positive triangular, u > 0
+python -c "import json, numpy as np, dualvinberg as dv; from dualvinberg import serialize; g = dv.triple_compose(dv.TripleFactors(v=np.array([1.0, 2, 3, 0.5, -0.5]), L=dv.triangular([1.5, 0.7, 1.2, 0.3, -0.4]), u=np.array([0.4, 0.9]))); print(json.dumps(serialize.dump_matrix6(g)))" > m.json
+out="$(dualvinberg decompose --mode gamma m.json)"
+echo "$out"
+test "$out" = '{"mode": "gamma", "v": [1.0, 2.0, 3.0000000000000004, 0.5, -0.5], "A": [1.5000000000000002, 0.7000000000000001, 1.2000000000000004, 0.3000000000000001, -0.40000000000000024], "u": [0.4000000000000001, 0.9], "residual": 1.0396737354349295e-16}'
 echo "::endgroup::"
 
 echo "::group::Polar smoke run"

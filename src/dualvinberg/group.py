@@ -91,14 +91,18 @@ def symplectic_defect(g):
     row by row to the bit.  The transposed side, g J g^T = J, is
     symplectic_defect(g.T)."""
     g = np.asarray(g, dtype=float)
-    if g.shape[-2:] != (6, 6) or g.ndim > 3:
+    if g.shape == (6, 6):  # the stack's operations, with no axis bookkeeping
+        P = g[:3].T @ g[3:]
+        return float(np.abs(P - P.T + SYMPLECTIC_FORM).max())
+    if g.shape[-2:] != (6, 6) or g.ndim != 3:
         raise ValueError(f"expected a 6x6 matrix or a stack of them, got shape {g.shape}")
     P = g[..., :3, :].swapaxes(-1, -2) @ g[..., 3:, :]
     return stack_maxabs(P - P.swapaxes(-1, -2) + SYMPLECTIC_FORM)
 
 
 def _symplectic(g, scale):
-    """is_symplectic of g given its maxabs; a mask for a stack (n, 6, 6)."""
+    """is_symplectic of g given its maxabs: a bool for one matrix, a mask
+    for a stack (n, 6, 6)."""
     bound = SYMPLECTIC_TOL * (1.0 + scale * scale)
     return (bound < np.inf) & (symplectic_defect(g) <= bound)
 

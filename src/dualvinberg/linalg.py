@@ -13,10 +13,13 @@ is a numpy @, so the one-matrix and stacked routes agree to the bit, and
 each product (or the matrix itself) is read once with tolist().  Every
 later element read, scalar step and small reduction runs on Python
 floats, which do the IEEE operations of numpy's float64 scalars, faster;
-a square or cube is a product, correctly rounded in both.  Where the two
-differ the numpy answer is kept: a division by zero (semidefinite3) is
-guarded, and float_maxabs keeps a NaN, which the builtin max drops unless
-it comes first.
+a square or cube is a product, correctly rounded in both.  An entrywise
+V diag(d) is formed as numpy's broadcast V * d forms it, zero slots
+included (0 * inf is NaN), and the one-matrix symplectic defect takes
+the stack's operations on one matrix.  Where the two differ the numpy
+answer is kept: a division by zero (semidefinite3) is guarded, and
+float_maxabs keeps a NaN, which the builtin max drops unless it comes
+first.
 """
 
 from __future__ import annotations

@@ -46,7 +46,8 @@ VIOLATION_THRESHOLD = 1e-12
 def cone_metric(x, v, w):
     """The invariant bilinear form at an interior point x: a float for one
     point, an array row by row for stacks (n, 5).  DomainError for a base
-    point outside the open cone."""
+    point outside the open cone, then for one whose determinant (the third
+    minor) or form is not finite: inv(X) would divide by inf."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -55,11 +56,15 @@ def cone_metric(x, v, w):
         lambda r: DomainError("base point outside the open cone"),
     )
     # positive minors certify invertibility, so no singularity threshold
-    Xi, _ = inv3_stack(embed_stack(x))
+    Xi, d = inv3_stack(embed_stack(x))
     (x1, x2), (v1, v2), (w1, w2) = x.T[:2], v.T[:2], w.T[:2]
     first = -0.5 * (v1 * w1 / (x1 * x1) + v2 * w2 / (x2 * x2))
     second = 2.0 * np.trace(Xi @ embed_stack(v) @ Xi @ embed_stack(w), axis1=-2, axis2=-1)
     form = first + second
+    check_rows(
+        ~(np.isfinite(d) & np.isfinite(form)),
+        lambda r: DomainError("metric form or base point minor not finite"),
+    )
     return float(form) if x.ndim == 1 else form
 
 

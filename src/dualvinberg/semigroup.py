@@ -83,6 +83,10 @@ CROSS_CHECK_SLACK = 50.0
 # scale-relative recomposition residual above which polar_factor refuses
 POLAR_RESIDUAL_TOL = 1e-8
 
+# gathers tau(g)^{-1} = [[D^T, B^T], [C^T, A^T]] from g.T: rows and columns
+# in the block order 3, 4, 5, 0, 1, 2
+_TAU_INVERSE = np.ix_([3, 4, 5, 0, 1, 2], [3, 4, 5, 0, 1, 2])
+
 # failure reasons of compression_reason in check order; compression_codes
 # returns k for the k-th
 COMPRESSION_REASONS = TUBE_GROUP_REASONS + (
@@ -102,13 +106,23 @@ def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     return _psd_reason(g, tol)
 
 
-def _psd_reason(g, tol) -> str | None:
-    """symplectic_semigroup_reason's checks after is_symplectic."""
+def _chart_products(g) -> tuple:
+    """What the chart and semidefinite checks read of g once it is
+    symplectic: whether D is singular (linalg.is_singular3), and when it is
+    not, (D^T B + B^T D)/2 and C D^T as nested Python floats."""
     _, B, C, D = blocks(g)
     if is_singular3(D):
+        return True, None, None
+    return False, _symmetric_rows((D.T @ B).tolist()), (C @ D.T).tolist()
+
+
+def _psd_reason(g, tol, products=None) -> str | None:
+    """symplectic_semigroup_reason's checks after is_symplectic, on g's
+    _chart_products, formed here unless given."""
+    singular, DtB, CDt = products or _chart_products(g)
+    if singular:
         return "det D = 0"
-    for name, S in (("D^T B", D.T @ B), ("C D^T", C @ D.T)):
-        S = _symmetric_rows(S)
+    for name, S in (("D^T B", DtB), ("C D^T", _symmetric_rows(CDt))):
         t = tol * (1.0 + float_maxabs(S[0] + S[1] + S[2]))
         # the closed form proves semidefiniteness and eigvalsh decides a
         # rejection; the bound tests here and below are written so that a
@@ -119,10 +133,10 @@ def _psd_reason(g, tol) -> str | None:
 
 
 def _symmetric_rows(S) -> list:
-    """(S + S^T)/2 of a 3x3 product as nested Python floats, entry for
-    entry as numpy forms it: a diagonal entry is (s + s)/2, which is inf
-    where s + s overflows."""
-    (a, b, c), (d, e, f), (x, y, z) = S.tolist()
+    """(S + S^T)/2 of a 3x3 product given as nested Python floats, entry
+    for entry as numpy forms it: a diagonal entry is (s + s)/2, which is
+    inf where s + s overflows."""
+    (a, b, c), (d, e, f), (x, y, z) = S
     p, q, r = (b + d) / 2, (c + x) / 2, (f + y) / 2
     return [[(a + a) / 2, p, q], [p, (e + e) / 2, r], [q, r, (z + z) / 2]]
 
@@ -138,19 +152,18 @@ def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     return tube_group_reason(g) or _chart_reason(g, tol)
 
 
-def _chart_reason(g, tol) -> str | None:
-    """compression_reason's checks after the tube test."""
-    _, B, C, D = blocks(g)
+def _chart_reason(g, tol, products=None) -> str | None:
+    """compression_reason's checks after the tube test, on g's
+    _chart_products, formed here unless given."""
     # is_symplectic has already turned away non-finite entries
-    if is_singular3(D):
+    singular, S, P = products or _chart_products(g)
+    if singular:
         return COMPRESSION_REASONS[7]
-    S = _symmetric_rows(D.T @ B)
     off, vS = pattern_parts(S)
     if off > tol * (1.0 + float_maxabs(S[0] + S[1] + S[2])):
         return COMPRESSION_REASONS[8]
     if closed_cone_reason(vS, tol) is not None:
         return COMPRESSION_REASONS[9]
-    P = (C @ D.T).tolist()
     if not min(P[0][0], P[1][1]) >= -tol * (1.0 + float_maxabs(P[0] + P[1] + P[2])):
         return COMPRESSION_REASONS[10]
     return None
@@ -241,15 +254,18 @@ def cross_check_membership(g, tol: float = MEMBERSHIP_TOL) -> bool:
     """
     g = np.asarray(g, dtype=float)
     # each route runs its own checks once the shared tube test passes,
-    # which implies symplectic and does not depend on tol
-    tube = tube_group_reason(g) is None
-    direct = tube and _chart_reason(g, tol) is None
-    via = tube and _psd_reason(g, tol) is None
+    # which implies symplectic and does not depend on tol; both read the
+    # chart products formed once
+    if tube_group_reason(g) is not None:
+        return False
+    products = _chart_products(g)
+    direct = _chart_reason(g, tol, products) is None
+    via = _psd_reason(g, tol, products) is None
     if direct == via:
         return via
     # a disagreement puts g in the tube group: only the chart checks rerun
     slack = CROSS_CHECK_SLACK * tol if via else tol / CROSS_CHECK_SLACK
-    if (_chart_reason(g, slack) is None) == via:
+    if (_chart_reason(g, slack, products) is None) == via:
         return via
     raise InconsistencyError(
         "chart certificates and symplectic-intersection membership disagree "
@@ -394,16 +410,33 @@ def exp_wedge(X: InvariantConeElement) -> np.ndarray:
 
 
 def _exp_wedge(v, u, dc, ds) -> np.ndarray:
-    """exp_wedge from v, u and their _wedge_diagonals."""
-    V = embed(v)
-    top = np.eye(3) + V * dc  # V @ diag(dc)
-    Vds = V * ds
-    E = np.empty((6, 6))
-    E[:3, :3] = top
-    E[:3, 3:] = V + Vds @ V
-    E[3:, :3] = embed_diag_pair(u) @ (np.eye(3) + Vds)
-    E[3:, 3:] = top.T
-    return E
+    """exp_wedge from v, u and their _wedge_diagonals, on Python floats
+    (linalg's arithmetic rule).  V diag(dc) and V diag(ds) are formed entry
+    by entry as numpy's broadcast V * d forms them, zero slots included
+    (x4 * ds[2] is a signed zero, or NaN where x4 is not finite), and so
+    are the sums with I.  Vds @ V and U @ (I + Vds) stay products: one
+    numpy @ on the stack of the two, which forms each as its own 3x3 @."""
+    x1, x2, x3, x4, x5 = v
+    c1, c2, c3 = dc
+    s1, s2, s3 = ds
+    V = [x1, 0.0, x4, 0.0, x2, x5, x4, x5, x3]  # embed(v), row by row
+    top = [  # I + V diag(dc)
+        1.0 + x1 * c1, 0.0 + 0.0 * c2, 0.0 + x4 * c3,
+        0.0 + 0.0 * c1, 1.0 + x2 * c2, 0.0 + x5 * c3,
+        0.0 + x4 * c1, 0.0 + x5 * c2, 1.0 + x3 * c3,
+    ]
+    b = [x1 * s1, 0.0 * s2, x4 * s3, 0.0 * s1, x2 * s2, x5 * s3, x4 * s1, x5 * s2, x3 * s3]
+    I_b = [1.0 + b[0], 0.0 + b[1], 0.0 + b[2], 0.0 + b[3], 1.0 + b[4], 0.0 + b[5],
+           0.0 + b[6], 0.0 + b[7], 1.0 + b[8]]  # I + V diag(ds)
+    U = [u[0], 0.0, 0.0, 0.0, u[1], 0.0, 0.0, 0.0, 0.0]
+    P, Q = (np.array(b + U).reshape(2, 3, 3) @ np.array(V + I_b).reshape(2, 3, 3)).tolist()
+    (p0, p1, p2), (p3, p4, p5), (p6, p7, p8) = P
+    return np.array(  # [[top, V + P], [Q, top^T]], row by row
+        top[0:3] + [x1 + p0, 0.0 + p1, x4 + p2]
+        + top[3:6] + [0.0 + p3, x2 + p4, x5 + p5]
+        + top[6:9] + [x4 + p6, x5 + p7, x3 + p8]
+        + Q[0] + top[0::3] + Q[1] + top[1::3] + Q[2] + top[2::3]
+    ).reshape(6, 6)
 
 
 def log_wedge(h) -> InvariantConeElement:
@@ -462,12 +495,9 @@ def polar_factor(g):
     g = np.asarray(g, dtype=float)
     if (reason := compression_reason(g)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
-    tau_inv = np.empty((6, 6))  # [[D^T, B^T], [C^T, A^T]], the symplectic inverse of tau(g)
-    tau_inv[:3, :3] = g[3:, 3:].T
-    tau_inv[:3, 3:] = g[:3, 3:].T
-    tau_inv[3:, :3] = g[3:, :3].T
-    tau_inv[3:, 3:] = g[:3, :3].T
-    Y = log_wedge(tau_inv @ g)
+    # [[D^T, B^T], [C^T, A^T]], the symplectic inverse of tau(g), gathered
+    # in one C-contiguous copy
+    Y = log_wedge(g.T[_TAU_INVERSE] @ g)
     # the scalar steps on Python floats (linalg's arithmetic rule)
     v = [x / 2 for x in Y.v.tolist()]
     u = [x / 2 for x in Y.u.tolist()]

@@ -59,6 +59,18 @@ def overflowing_defect_matrix() -> np.ndarray:
     return g
 
 
+def slack_subject() -> np.ndarray:
+    """A tube-group member on which the two membership routes part at the
+    default tol: B passes its pattern test at the scale 1e4 of g, while
+    D^T B carries 5e-9 off-pattern mass at scale 1, so the chart test
+    rejects it at tol and accepts it at CROSS_CHECK_SLACK * tol, and the
+    PSD test accepts it."""
+    shift = np.eye(6)
+    off = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    shift[:3, 3:] = np.eye(3) + 5e-9 * off
+    return dv.congruence_embed(np.diag([1.0, 1.0, 1e4])) @ shift
+
+
 class ZeroRandomness:
     """Stub generator whose draws are all zero, for degenerate-sampler tests."""
 

@@ -10,6 +10,11 @@ reproduce to the bit.  symplectic_defect_blocks is the symplectic defect
 as three 3x3 relations, which the one block product must reproduce, and
 symplectic_defect_dual_blocks the same on the transposed side.
 
+exp_wedge_reference is the closed-form exp_wedge as numpy array
+arithmetic on embed(v): I + V * dc and V * ds by broadcasting, the two
+3x3 products and four block writes; the package forms the same entries
+on Python floats.
+
 tube_group_reason_reference, invariant_cone_reason_reference and
 polar_factor_reference are the certificates on numpy blocks and rebuilt
 matrices: the tube test reading numpy scalars off the blocks, the wedge
@@ -17,6 +22,10 @@ test on the matrix of a generator, and the polar factorization through
 S inverse(g) S g, a triangular-pattern test of the unit and the 6x6
 product congruence_embed(A) exp(X).  The package's routes must give the
 same reasons, verdicts and factors bit for bit.
+
+cross_check_membership_reference is the cross-check with each route
+forming its own chart products, where the package forms them once for
+both.
 
 lambda_min is the eigvalsh reference for "m + t*I is positive
 semidefinite", that is lambda_min(m) >= -t, which linalg.semidefinite3
@@ -41,10 +50,11 @@ from dualvinberg.cone import (
     closed_cone_reason,
     diag_pair,
     embed,
+    embed_diag_pair,
     is_flat_pattern,
     is_triangular_pattern,
 )
-from dualvinberg.errors import ConvergenceError, DomainError, PatternError
+from dualvinberg.errors import ConvergenceError, DomainError, InconsistencyError, PatternError
 from dualvinberg.group import SYMPLECTIC_TOL, TUBE_GROUP_REASONS, symplectic_defect
 from dualvinberg.linalg import is_singular3, maxabs
 
@@ -209,6 +219,20 @@ def invariant_cone_reason_reference(X, tol: float = MEMBERSHIP_TOL) -> str | Non
     return None
 
 
+def exp_wedge_reference(v, u, dc, ds) -> np.ndarray:
+    """semigroup._exp_wedge on numpy arrays: V = embed(v), V diag(d) as
+    the broadcast V * d, the identity from np.eye."""
+    V = embed(v)
+    top = np.eye(3) + V * dc
+    Vds = V * ds
+    E = np.empty((6, 6))
+    E[:3, :3] = top
+    E[:3, 3:] = V + Vds @ V
+    E[3:, :3] = embed_diag_pair(u) @ (np.eye(3) + Vds)
+    E[3:, 3:] = top.T
+    return E
+
+
 def polar_factor_reference(g):
     """polar_factor through S inverse(g) S g, the unit checked as a
     triangular matrix, the wedge on X.matrix() and the residual of the
@@ -234,11 +258,26 @@ def polar_factor_reference(g):
         raise ConvergenceError(
             f"recovered generator outside the wedge: {reason} (v = {X.v}, u = {X.u})"
         )
-    E = semigroup._exp_wedge(v, u, dc, ds)
+    E = exp_wedge_reference(v, u, dc, ds)
     residual = maxabs(dv.congruence_embed(A) @ E - g) / (1.0 + maxabs(g))
     if not residual <= semigroup.POLAR_RESIDUAL_TOL:
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
     return A, X
+
+
+def cross_check_membership_reference(g, tol: float = MEMBERSHIP_TOL) -> bool:
+    """cross_check_membership with every chart and PSD check a standalone
+    call, which forms D's singularity test, D^T B and C D^T itself."""
+    g = np.asarray(g, dtype=float)
+    tube = semigroup.tube_group_reason(g) is None
+    direct = tube and semigroup._chart_reason(g, tol) is None
+    via = tube and semigroup._psd_reason(g, tol) is None
+    if direct == via:
+        return via
+    slack = semigroup.CROSS_CHECK_SLACK * tol if via else tol / semigroup.CROSS_CHECK_SLACK
+    if (semigroup._chart_reason(g, slack) is None) == via:
+        return via
+    raise InconsistencyError("the routes disagree beyond tolerance slack")
 
 
 def lambda_min(m) -> float:

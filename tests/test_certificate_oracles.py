@@ -11,12 +11,24 @@ import dualvinberg as dv
 from dualvinberg import semigroup
 from dualvinberg.cone import MEMBERSHIP_TOL, embed
 from dualvinberg.errors import SingularityError
-from dualvinberg.group import TUBE_GROUP_REASONS, tube_group_alt_reason, tube_group_reason
+from dualvinberg.group import (
+    TUBE_GROUP_REASONS,
+    symplectic_defect,
+    tube_group_alt_reason,
+    tube_group_reason,
+)
 from dualvinberg.linalg import maxabs
 from dualvinberg.semigroup import InvariantConeElement, invariant_cone_reason
 
-from conftest import generator_product, overflowing_defect_matrix, sample_chart_element
+from conftest import (
+    generator_product,
+    overflowing_defect_matrix,
+    sample_chart_element,
+    slack_subject,
+)
 from oracles import (
+    cross_check_membership_reference,
+    exp_wedge_reference,
     invariant_cone_reason_reference,
     polar_factor_reference,
     tube_group_reason_reference,
@@ -29,6 +41,20 @@ hostile = st.one_of(
     st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, 1.0]),
     st.floats(allow_nan=True, allow_infinity=True, width=64),
 )
+
+# the above with subnormals and signed zeros drawn often too
+hostile_edges = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 2.2e-308, -0.0, 1.7976931348623157e308]),
+    hostile,
+)
+
+
+def nan_as_one(a) -> bytes:
+    """The bytes of a float array with every NaN as numpy's NaN: the NaN
+    sign and payload are not kept (README, Numerical notes)."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
 
 
 def membership_corpus():
@@ -146,6 +172,70 @@ def test_a_mirror_pair_near_the_float_limit_reads_back():
 def test_invariant_cone_reason_agrees_with_the_matrix_route_on_hostile_floats(X, tol):
     with np.errstate(all="ignore"):
         assert invariant_cone_reason(X, tol) == invariant_cone_reason_reference(X, tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, (6, 6), elements=hostile_edges))
+def test_one_matrix_symplectic_defect_is_the_stacked_row_bit_for_bit(g):
+    with np.errstate(all="ignore"):
+        one = symplectic_defect(g)
+        row = symplectic_defect(g[None])[0]
+    assert type(one) is float
+    assert np.float64(one).tobytes() == row.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.float64, 5, elements=hostile_edges),
+    hnp.arrays(np.float64, 2, elements=hostile_edges),
+)
+def test_exp_wedge_entries_equal_the_array_formula(v, u):
+    v, u = v.tolist(), u.tolist()
+    with np.errstate(all="ignore"):
+        dc, ds = semigroup._wedge_diagonals(v, u)
+        got = semigroup._exp_wedge(v, u, dc, ds)
+        want = exp_wedge_reference(v, u, dc, ds)
+    assert got.shape == (6, 6) and got.flags.c_contiguous
+    assert nan_as_one(got) == nan_as_one(want)
+
+
+def test_exp_wedge_entries_equal_the_array_formula_on_zero_slots():
+    # the zero slots of V times an inf, NaN or negative diagonal: NaN or -0.0
+    rng = np.random.default_rng(810)
+    for special in (np.inf, -np.inf, np.nan, -1.0, -0.0, 1e308):
+        for _ in range(50):
+            v = (rng.standard_normal(5) * rng.choice([1.0, 1e150, 1e-300], 5)).tolist()
+            u = rng.standard_normal(2).tolist()
+            v[rng.integers(5)] = special
+            with np.errstate(all="ignore"):
+                dc, ds = semigroup._wedge_diagonals(v, u)
+                got = semigroup._exp_wedge(v, u, dc, ds)
+                want = exp_wedge_reference(v, u, dc, ds)
+            assert nan_as_one(got) == nan_as_one(want)
+
+
+def crossed(check, g, tol):
+    try:
+        with np.errstate(all="ignore"):
+            return check(g, tol)
+    except dv.InconsistencyError as exc:
+        return type(exc).__name__
+
+
+def test_shared_chart_products_give_the_separate_verdicts():
+    seen = set()
+    for g in membership_corpus() + [slack_subject()]:
+        for tol in TOLS:
+            got = crossed(dv.cross_check_membership, g, tol)
+            assert got == crossed(cross_check_membership_reference, g, tol)
+            seen.add(got)
+            with np.errstate(all="ignore"):
+                if tube_group_reason(g) is None:
+                    products = semigroup._chart_products(g)
+                    for reason in (semigroup._chart_reason, semigroup._psd_reason):
+                        assert reason(g, tol, products) == reason(g, tol)
+    assert seen >= {True, False}
+    assert crossed(dv.cross_check_membership, slack_subject(), MEMBERSHIP_TOL) is True
 
 
 def test_invariant_cone_reason_keeps_its_check_order():

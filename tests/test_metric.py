@@ -36,6 +36,29 @@ def test_cone_metric_requires_interior_base_point():
         dv.cone_metric([1, 1, 1, 1, 0], IDENTITY, IDENTITY)
 
 
+def test_cone_metric_refuses_an_interior_point_whose_determinant_overflows():
+    # minors 1e200, 1e200 and inf: in_open_cone accepts the point, and
+    # inv(X) divides an infinite adjugate entry by an infinite determinant
+    x = np.array([1e200, 1.0, 1e250, 0.0, 0.0])
+    e1 = np.eye(5)[0]
+    with np.errstate(all="ignore"):
+        assert dv.in_open_cone(x)
+        with pytest.raises(DomainError, match="not finite"):
+            dv.cone_metric(x, e1, e1)
+        with pytest.raises(DomainError, match="not finite"):
+            dv.contraction_ratio(np.eye(6), x, e1)
+        # a finite but wrong form: the determinant 1e450 overflows, the adjugate does not
+        with pytest.raises(DomainError, match="not finite"):
+            dv.cone_metric([1e150, 1e150, 1e150, 0.0, 0.0], e1, e1)
+        # a stack raises for its first such row, after every row passed the open cone
+        with pytest.raises(DomainError, match="not finite"):
+            dv.cone_metric(np.array([IDENTITY, x]), np.array([e1, e1]), np.array([e1, e1]))
+        # a tangent whose form overflows
+        with pytest.raises(DomainError, match="not finite"):
+            dv.cone_metric(IDENTITY, 1e200 * e1, 1e200 * e1)
+    assert dv.cone_metric(np.array([IDENTITY, IDENTITY]), np.array([e1, e1]), np.array([e1, e1])).tolist() == [1.5, 1.5]
+
+
 def test_cone_metric_is_symmetric_and_bilinear():
     rng = np.random.default_rng(60)
     for _ in range(100):

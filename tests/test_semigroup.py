@@ -23,7 +23,7 @@ from dualvinberg.semigroup import (
     symplectic_semigroup_reason,
 )
 
-from conftest import ZeroRandomness, sample_chart_element
+from conftest import ZeroRandomness, sample_chart_element, slack_subject
 from oracles import SpectrumError, exp_lie, log_group, project_lie
 
 IDENTITY = dv.IDENTITY_POINT
@@ -169,13 +169,9 @@ def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
     # find the tube test in semigroup; the defect is the work of is_symplectic
     monkeypatch.setattr(semigroup, "tube_group_reason", counted(semigroup.tube_group_reason))
     monkeypatch.setattr(group, "symplectic_defect", counted(group.symplectic_defect))
-    # B passes its pattern test at the scale 1e4 of g, while D^T B carries
-    # 5e-9 off-pattern mass at scale 1: the chart test rejects it at tol
-    # and accepts it at CROSS_CHECK_SLACK * tol, the PSD test accepts it
-    shift = np.eye(6)
-    off = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    shift[:3, 3:] = np.eye(3) + 5e-9 * off
-    slack = dv.congruence_embed(np.diag([1.0, 1.0, 1e4])) @ shift
+    # the chart test rejects it at tol and accepts it at
+    # CROSS_CHECK_SLACK * tol, the PSD test accepts it
+    slack = slack_subject()
     member = dv.translation([1, 1, 1.01, -1, 0])
     cases = (member, dv.translation(-IDENTITY), np.arange(36.0).reshape(6, 6), slack)
     for g in cases:

@@ -242,6 +242,9 @@ def _loop(g, x, v):
         [(5, "v", np.zeros(5)), (2, "x", [1.0, -1.0, 1.0, 0.0, 0.0])],
         # one row failing two checks reports the first of them
         [(3, "x", [-1.0, 1.0, 1.0, 0.0, 0.0]), (3, "v", np.zeros(5))],
+        # an interior base point whose determinant overflows
+        [(2, "x", [1e200, 1.0, 1e250, 0.0, 0.0])],
+        [(2, "x", [1e200, 1.0, 1e250, 0.0, 0.0]), (5, "v", np.zeros(5))],
     ],
 )
 def test_a_stack_with_bad_rows_raises_what_the_loop_raises(spoil):
