@@ -138,6 +138,26 @@ echo "$out"
 test "$out" = '{"mode": "polar", "A": [1.5000000000000004, 0.7, 1.2, 0.30000000000000016, -0.4000000000000001], "X": {"v": [0.9999999999999997, 2.0, 3.0000000000000004, 0.49999999999999983, -0.49999999999999994], "u": [0.3999999999999999, 0.9000000000000001]}, "residual": 1.743074218152559e-16}'
 echo "::endgroup::"
 
+echo "::group::Polar domain-error pins"
+# the chart-reason subjects and a non-symplectic matrix: exit 1, nothing
+# on stdout, the first failing membership check on stderr
+pin_polar_domain() {
+  python -c "import json, numpy as np, dualvinberg as dv; from dualvinberg import serialize; print(json.dumps(serialize.dump_matrix6($1)))" > r.json
+  code=0
+  dualvinberg polar r.json > e.out 2> e.err || code=$?
+  echo "exit $code"
+  cat e.out e.err
+  test "$code" = 1
+  test ! -s e.out
+  test "$(cat e.err)" = "{\"status\": \"domain_error\", \"error\": \"not in the compression semigroup: $2\"}"
+}
+pin_polar_domain "dv.translation([-1, -1, -1, 0, 0])" "D^T B outside the closed cone"
+pin_polar_domain "dv.triple_compose(dv.TripleFactors(v=np.array([1.0, 1, 1, 0, 0]), L=np.eye(3), u=np.array([-1.0, 1])))" \
+  "C D^T has a negative diagonal entry"
+pin_polar_domain "dv.translation([1, 1, 1, 0, 0]) @ dv.inversion()" "det D = 0"
+pin_polar_domain "np.arange(36.0).reshape(6, 6)" "not symplectic"
+echo "::endgroup::"
+
 echo "::group::Polar convergence-error pin"
 # a member whose closed-form factors recompose only to 5e-8: exit 3, nothing on stdout
 python -c "import json, dualvinberg as dv; from dualvinberg import serialize; g = dv.translation([1e4, 1, 1e4, 10, 0]); g[0, 5] += 1e-3; print(json.dumps(serialize.dump_matrix6(g)))" > e.json

@@ -145,17 +145,21 @@ def _linear_part_reason(g, m, scale, atol) -> str | None:
 def tube_group_reason(g) -> str | None:
     """None when g lies in the tube automorphism group; otherwise the first
     failing block constraint."""
-    g = _matrix6(g)
+    return _tube(_matrix6(g))[0]
+
+
+def _tube(g) -> tuple:
+    """tube_group_reason of a checked 6x6 array with what it read of g:
+    (reason, maxabs(g), g.tolist()), for callers that go on to read g."""
     scale = maxabs(g)
     atol = PATTERN_TOL * (1.0 + scale)
     m = g.tolist()
-    if (reason := _linear_part_reason(g, m, scale, atol)) is not None:
-        return reason
-    if not _zeros_hold(m, _B_ZEROS, atol):
-        return TUBE_GROUP_REASONS[5]
-    if not _zeros_hold(m, _C_ZEROS, atol):
-        return TUBE_GROUP_REASONS[6]
-    return None
+    reason = _linear_part_reason(g, m, scale, atol)
+    if reason is None and not _zeros_hold(m, _B_ZEROS, atol):
+        reason = TUBE_GROUP_REASONS[5]
+    if reason is None and not _zeros_hold(m, _C_ZEROS, atol):
+        reason = TUBE_GROUP_REASONS[6]
+    return reason, scale, m
 
 
 def in_tube_group(g) -> bool:
@@ -318,17 +322,22 @@ def triple_decompose(g) -> TripleFactors:
     A - B D^{-1} C), u = diagonal pair of D^{-1} C.  DomainError on a
     non-finite entry, SingularityError when det D = 0."""
     g = np.asarray(g, dtype=float)
-    A, B, C, D = blocks(g)
+    rows = blocks(g)[3].tolist()
     scale = maxabs(g)
     if not scale < np.inf:  # NaN fails too
         raise DomainError("entry not finite")
-    rows = D.tolist()
     d = det3(rows)
     if is_singular3(rows, d):
         raise SingularityError("det D = 0")
+    return _triple_factors(g, scale, rows, d)
+
+
+def _triple_factors(g, scale, rows, d) -> TripleFactors:
+    """triple_decompose's factors of g given maxabs(g), finite, and D's
+    rows and determinant, which is_singular3 has passed."""
     Dinv = adjugate3(rows) / d  # inv3(D), with D's one singularity test
-    v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + scale * scale))
-    return TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
+    v = unembed(g[:3, 3:] @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + scale * scale))
+    return TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ g[3:, :3]))
 
 
 def triple_compose(f: TripleFactors) -> np.ndarray:

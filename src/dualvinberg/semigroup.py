@@ -50,12 +50,13 @@ from .group import (
     _DT_ZEROS,
     TUBE_GROUP_REASONS,
     TripleFactors,
+    _matrix6,
     _symplectic,
-    blocks,
+    _triple_factors,
+    _tube,
     congruence_embed,
     is_symplectic,
     triple_compose,
-    triple_decompose,
     tube_group_reason,
 )
 from .linalg import (
@@ -106,14 +107,15 @@ def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     return _psd_reason(g, tol)
 
 
-def _chart_products(g) -> tuple:
-    """What the chart and semidefinite checks read of g once it is
-    symplectic: whether D is singular (linalg.is_singular3), and when it is
-    not, (D^T B + B^T D)/2 and C D^T as nested Python floats."""
-    _, B, C, D = blocks(g)
-    if is_singular3(D):
+def _chart_products(g, rows=None) -> tuple:
+    """What the chart and semidefinite checks read of a 6x6 array g once it
+    is symplectic: whether D is singular (linalg.is_singular3, on D's rows
+    taken from rows = g.tolist() where the tube test has read them), and
+    when it is not, (D^T B + B^T D)/2 and C D^T as nested Python floats."""
+    D = g[3:, 3:]
+    if is_singular3(D if rows is None else [r[3:] for r in rows[3:]]):
         return True, None, None
-    return False, _symmetric_rows((D.T @ B).tolist()), (C @ D.T).tolist()
+    return False, _symmetric_rows((D.T @ g[:3, 3:]).tolist()), (g[3:, :3] @ D.T).tolist()
 
 
 def _psd_reason(g, tol, products=None) -> str | None:
@@ -226,13 +228,28 @@ def in_compression_semigroup(g, tol: float = MEMBERSHIP_TOL) -> bool:
     return compression_reason(g, tol) is None
 
 
+def _member_rows(g, tol) -> tuple:
+    """compression_reason's checks on a 6x6 array g, in its order, with
+    the tube test's reads of g kept: (maxabs(g), g.tolist()) of a member,
+    DomainError naming the first failing check otherwise."""
+    reason, scale, rows = _tube(g)
+    if reason is None:
+        reason = _chart_reason(g, tol, _chart_products(g, rows))
+    if reason is not None:
+        raise DomainError(f"not in the compression semigroup: {reason}")
+    return scale, rows
+
+
 def compression_factors(g, tol: float = MEMBERSHIP_TOL) -> TripleFactors:
     """Triple factors with the semigroup certificates re-checked on each
     factor (v in the closed cone, L triangular, u nonnegative); any
-    certificate failing beyond tol raises DomainError."""
-    if (reason := compression_reason(g, tol)) is not None:
-        raise DomainError(f"not in the compression semigroup: {reason}")
-    f = triple_decompose(g)
+    certificate failing beyond tol raises DomainError.  The factors are
+    triple_decompose's, formed from the scale and D's rows that the
+    membership test read."""
+    g = _matrix6(g)
+    scale, rows = _member_rows(g, tol)
+    D = [r[3:] for r in rows[3:]]
+    f = _triple_factors(g, scale, D, det3(D))
     if (reason := closed_cone_reason(f.v, tol)) is not None:
         raise DomainError(f"factor v outside the closed cone: {reason}")
     if not is_triangular_pattern(f.L):
@@ -449,9 +466,18 @@ def log_wedge(h) -> InvariantConeElement:
     u_i = H21[i,i]/sh_i, x4 = H12[2,0]/sh_1, x5 = H12[2,1]/sh_2 and
     x3 = H12[2,2] - x4^2 u_1 s1(k_1) - x5^2 u_2 s1(k_2).  Nothing here is
     certified: the caller recomposes.  A non-finite h gives NaN or inf
-    entries, never an exception.
+    entries, never an exception.  polar_factor calls the same formulas
+    (_log_wedge) on the rows of tau(g)^{-1} g and keeps (v, u) as Python
+    floats, with no arrays in between.
     """
-    m = np.asarray(h, dtype=float).tolist()  # H12[i, j] = m[i][3 + j], H21[i, j] = m[3 + i][j]
+    v, u = _log_wedge(np.asarray(h, dtype=float).tolist())
+    return InvariantConeElement(v=np.array(v), u=np.array(u))
+
+
+def _log_wedge(m) -> tuple[list, list]:
+    """log_wedge on h's rows m = h.tolist(), giving (v, u) as lists of
+    Python floats."""
+    # H12[i, j] = m[i][3 + j], H21[i, j] = m[3 + i][j]
     v = [0.0] * 5
     u = [0.0, 0.0]
     s1 = [0.0, 0.0]
@@ -465,7 +491,7 @@ def log_wedge(h) -> InvariantConeElement:
         v[3 + i] = m[2][3 + i] / sh
         s1[i] = _s1(a * a)
     v[2] = m[2][5] - v[3] * v[3] * u[0] * s1[0] - v[4] * v[4] * u[1] * s1[1]
-    return InvariantConeElement(v=np.array(v), u=np.array(u))
+    return v, u
 
 
 def polar_compose(A, X: InvariantConeElement) -> np.ndarray:
@@ -491,21 +517,24 @@ def polar_factor(g):
     recomposition residual above POLAR_RESIDUAL_TOL is a ConvergenceError
     that carries the measured value.  Each certificate reads the factors
     as built: the wedge rule runs on (v, u), A on its diagonal and det3.
+    g is read once: the membership test (compression_reason's checks, in
+    its order and with its messages) keeps maxabs(g), which scales the
+    residual, and g's rows, which the unit solve reads, and the chart
+    checks take D from those rows.  The recomposition is one product, the
+    stack [A, A^{-T}] times the two block rows of exp(X).
     """
-    g = np.asarray(g, dtype=float)
-    if (reason := compression_reason(g)) is not None:
-        raise DomainError(f"not in the compression semigroup: {reason}")
+    g = _matrix6(g)
+    scale, m = _member_rows(g, MEMBERSHIP_TOL)
     # [[D^T, B^T], [C^T, A^T]], the symplectic inverse of tau(g), gathered
-    # in one C-contiguous copy
-    Y = log_wedge(g.T[_TAU_INVERSE] @ g)
-    # the scalar steps on Python floats (linalg's arithmetic rule)
-    v = [x / 2 for x in Y.v.tolist()]
-    u = [x / 2 for x in Y.u.tolist()]
+    # in one C-contiguous copy; the scalar steps run on Python floats
+    # (linalg's arithmetic rule)
+    v, u = _log_wedge((g.T[_TAU_INVERSE] @ g).tolist())
+    v = [x / 2 for x in v]
+    u = [x / 2 for x in u]
     # Dc and Ds involve u and k_i = u_i v_i only, not x3
     dc, ds = _wedge_diagonals(v, u)
     e1, e2 = 1.0 + v[0] * dc[0], 1.0 + v[1] * dc[1]
     f1, f2 = v[3] * dc[0], v[4] * dc[1]
-    m = g.tolist()
     a3 = m[2][2]
     try:
         a1, a2 = m[0][0] / e1, m[1][1] / e2
@@ -521,22 +550,22 @@ def polar_factor(g):
     # E12[2,2] of A^{-1} g[:3, 3:], by substitution down its last column
     corner = (m[2][5] - a4 * (m[0][5] / a1) - a5 * (m[1][5] / a2)) / a3
     v[2] = corner - v[3] * v[3] * ds[0] - v[4] * v[4] * ds[1]
-    scale = float_maxabs(v + u)  # maxabs of X's matrix
-    if (reason := _wedge_reason(v, u, MEMBERSHIP_TOL, scale)) is not None:
+    x_scale = float_maxabs(v + u)  # maxabs of X's matrix
+    if (reason := _wedge_reason(v, u, MEMBERSHIP_TOL, x_scale)) is not None:
         raise ConvergenceError(
             f"recovered generator outside the wedge: {reason} "
             f"(v = {np.array(v)}, u = {np.array(u)})"
         )
-    # congruence_embed(A) @ exp(X), block row by block row
-    A = np.array(rows)
-    E = _exp_wedge(v, u, dc, ds)
-    recomposed = np.empty((6, 6))
-    recomposed[:3] = A @ E[:3]
-    recomposed[3:] = (adjugate3(rows) / d).T @ E[3:]
-    residual = maxabs(recomposed - g) / (1.0 + maxabs(g))
+    # congruence_embed(A) @ exp(X) as one product: the stack [A, A^{-T}]
+    # times E's two block rows, each row of the stack its own 3x3 @
+    units = np.empty((2, 3, 3))
+    units[0] = rows
+    units[1] = (adjugate3(rows) / d).T
+    recomposed = (units @ _exp_wedge(v, u, dc, ds).reshape(2, 3, 6)).reshape(6, 6)
+    residual = maxabs(recomposed - g) / (1.0 + scale)
     if not residual <= POLAR_RESIDUAL_TOL:  # a NaN residual fails too
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
-    return A, InvariantConeElement(v=np.array(v), u=np.array(u))
+    return units[0].copy(), InvariantConeElement(v=np.array(v), u=np.array(u))
 
 
 def interior_element(w) -> np.ndarray:

@@ -1,8 +1,10 @@
 """The one-matrix certificates against their block and matrix routes in
 tests/oracles.py: the tube test on Python floats, the wedge rule on a
-generator's coordinates and polar_factor's factors, bit for bit."""
+generator's coordinates, and polar_factor's and compression_factors'
+factors, bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -17,7 +19,7 @@ from dualvinberg.group import (
     tube_group_alt_reason,
     tube_group_reason,
 )
-from dualvinberg.linalg import maxabs
+from dualvinberg.linalg import adjugate3, det3, maxabs
 from dualvinberg.semigroup import InvariantConeElement, invariant_cone_reason
 
 from conftest import (
@@ -27,6 +29,7 @@ from conftest import (
     slack_subject,
 )
 from oracles import (
+    compression_factors_reference,
     cross_check_membership_reference,
     exp_wedge_reference,
     invariant_cone_reason_reference,
@@ -296,11 +299,89 @@ def sigma_probe():
 
 def test_polar_factor_equals_the_matrix_route_bit_for_bit():
     kinds = {}
-    for g in list(criterion_6_family()) + list(sigma_probe()):
+    for g in list(criterion_6_family()) + list(sigma_probe()) + membership_corpus():
         got = outcome(dv.polar_factor, g)
         assert got == outcome(polar_factor_reference, g)
         kinds[got[0]] = kinds.get(got[0], 0) + 1
     assert kinds["factors"] >= 2000 and "DomainError" in kinds
+
+
+def reason_subjects():
+    """One non-member per entry of COMPRESSION_REASONS, in check order: the
+    tube subjects of the CLI pins, the chart ones, and a B[0,1] inside the
+    slot bound that D[0,0] = 1e4 carries out of the patterned subspace."""
+    def edited(edits):
+        g = np.eye(6)
+        for slot, x in edits.items():
+            g[slot] = x
+        return g
+
+    off_pattern = dv.congruence_embed(np.diag([1e-4, 1.0, 1.0])) @ dv.translation(dv.IDENTITY_POINT)
+    off_pattern[0, 4] = 9e-9
+    u = np.array([-1.0, 1.0])
+    return [
+        2 * np.eye(6),
+        dv.congruence_embed(np.array([[1.0, 1, 0], [0, 1, 0], [0, 0, 1]])),
+        dv.congruence_embed(np.diag([1.0, 1, -1])),
+        edited({(0, 4): 1, (1, 3): 1, (3, 0): 1, (3, 4): 1}),
+        edited({(2, 5): -2, (5, 2): 1, (5, 5): -1}),
+        edited({(0, 4): 1, (1, 3): 1}),
+        edited({(5, 2): 1}),
+        dv.translation(dv.IDENTITY_POINT) @ dv.inversion(),
+        off_pattern,
+        dv.translation(-dv.IDENTITY_POINT),
+        dv.triple_compose(dv.TripleFactors(v=dv.IDENTITY_POINT, L=np.eye(3), u=u)),
+    ]
+
+
+def test_polar_factor_names_every_compression_reason():
+    # polar_factor runs the membership checks inline; each reason, in
+    # order, must come out as the DomainError the matrix route raises
+    for g, reason in zip(reason_subjects(), semigroup.COMPRESSION_REASONS, strict=True):
+        assert semigroup.compression_reason(g) == reason
+        got = outcome(dv.polar_factor, g)
+        assert got == outcome(polar_factor_reference, g)
+        assert got == ("DomainError", f"not in the compression semigroup: {reason}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.float64, (3, 3), elements=hostile_edges),
+    hnp.arrays(np.float64, (6, 6), elements=hostile_edges),
+)
+def test_stacked_recomposition_is_the_two_block_products_bit_for_bit(A, E):
+    # polar_factor's operands: the C-contiguous stack [A, (adj/d)^T] times
+    # a C-contiguous 6x6 E as (2, 3, 6); each row of the stack must be the
+    # product the two block rows would get on their own
+    rows = A.tolist()
+    with np.errstate(all="ignore"):
+        inv = adjugate3(rows) / det3(rows)
+        units = np.empty((2, 3, 3))
+        units[0] = rows
+        units[1] = inv.T
+        got = (units @ E.reshape(2, 3, 6)).reshape(6, 6)
+        top, bottom = A @ E[:3], inv.T @ E[3:]
+    assert nan_as_one(got[:3]) == nan_as_one(top)
+    assert nan_as_one(got[3:]) == nan_as_one(bottom)
+
+
+def factors_outcome(g, tol, factor=dv.compression_factors):
+    try:
+        with np.errstate(all="ignore"):
+            f = factor(g, tol)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc).__name__, str(exc)
+    return "factors", f.v.tobytes(), f.L.tobytes(), f.u.tobytes()
+
+
+def test_compression_factors_equal_the_standalone_calls():
+    kinds = set()
+    for g in membership_corpus() + reason_subjects():
+        for tol in (1e-9, 0.0, np.nan):
+            got = factors_outcome(g, tol)
+            assert got == factors_outcome(g, tol, compression_factors_reference)
+            kinds.add(got[0])
+    assert kinds == {"factors", "DomainError"}
 
 
 def test_polar_failures_equal_the_matrix_route():
@@ -357,7 +438,7 @@ def test_a_zero_wedge_diagonal_gives_the_float64_unit_diagonal(monkeypatch):
     v1 = -2.46740110027234
     assert 1.0 + v1 * semigroup._wedge_diagonals([v1, 1.0], [1.0, 1.0])[0][0] == 0.0
     Y = InvariantConeElement(v=np.array([2 * v1, 2.0, 2.0, 0.0, 0.0]), u=np.array([2.0, 2.0]))
-    monkeypatch.setattr(semigroup, "log_wedge", lambda h: Y)
+    monkeypatch.setattr(semigroup, "_log_wedge", lambda m: (Y.v.tolist(), Y.u.tolist()))
     monkeypatch.setattr(dv, "log_wedge", lambda h: Y)
     g = dv.translation(dv.IDENTITY_POINT)
     got = outcome(dv.polar_factor, g)
@@ -378,3 +459,17 @@ def test_tube_routes_part_in_the_product_tolerance_band():
         h[slot] = 5e-11
         assert tube_group_reason(h) == reason
         assert tube_group_alt_reason(h) is None
+
+
+def test_chart_and_psd_routes_part_in_the_product_tolerance_band():
+    # The chart route reads only the diagonal of C D^T, while the PSD
+    # route sees an off-flat C entry the tube test's slot bound
+    # PATTERN_TOL (1 + 1e4) admits: a zero diagonal entry beside 5e-9
+    # gives an eigenvalue of -2.5e-9, below -1e-9.  Pinned as it stands;
+    # the scale-invariant rules of ROADMAP item 3 are to close the band.
+    g = dv.congruence_embed(np.diag([1.0, 1.0, 1e4]))
+    g[5, 1] = 5e-9
+    assert semigroup.compression_reason(g) is None
+    assert semigroup.symplectic_semigroup_reason(g) == "C D^T not positive semidefinite"
+    with pytest.raises(dv.InconsistencyError):
+        dv.cross_check_membership(g)

@@ -450,13 +450,13 @@ def test_polar_factor_residual_certificate_fires_on_a_wrong_generator(monkeypatc
     # recomposition certificate instead of being returned
     A = dv.triangular([1.2, 0.8, 1.1, 0.3, -0.2])
     g = dv.polar_compose(A, InvariantConeElement(v=np.array([1.0, 0.5, 2.0, 0.3, 0.2]), u=np.array([0.4, 0.7])))
-    exact = semigroup.log_wedge
+    exact = semigroup._log_wedge
 
-    def perturbed(h):
-        Y = exact(h)
-        return InvariantConeElement(v=1.001 * Y.v, u=Y.u)
+    def perturbed(m):
+        v, u = exact(m)
+        return [1.001 * x for x in v], u
 
-    monkeypatch.setattr(semigroup, "log_wedge", perturbed)
+    monkeypatch.setattr(semigroup, "_log_wedge", perturbed)
     with pytest.raises(ConvergenceError, match="recomposition residual"):
         dv.polar_factor(g)
 
