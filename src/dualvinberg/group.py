@@ -322,22 +322,17 @@ def triple_decompose(g) -> TripleFactors:
     A - B D^{-1} C), u = diagonal pair of D^{-1} C.  DomainError on a
     non-finite entry, SingularityError when det D = 0."""
     g = np.asarray(g, dtype=float)
-    rows = blocks(g)[3].tolist()
+    A, B, C, D = blocks(g)
     scale = maxabs(g)
     if not scale < np.inf:  # NaN fails too
         raise DomainError("entry not finite")
+    rows = D.tolist()
     d = det3(rows)
     if is_singular3(rows, d):
         raise SingularityError("det D = 0")
-    return _triple_factors(g, scale, rows, d)
-
-
-def _triple_factors(g, scale, rows, d) -> TripleFactors:
-    """triple_decompose's factors of g given maxabs(g), finite, and D's
-    rows and determinant, which is_singular3 has passed."""
     Dinv = adjugate3(rows) / d  # inv3(D), with D's one singularity test
-    v = unembed(g[:3, 3:] @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + scale * scale))
-    return TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ g[3:, :3]))
+    v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + scale * scale))
+    return TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
 
 
 def triple_compose(f: TripleFactors) -> np.ndarray:

@@ -52,11 +52,11 @@ from .group import (
     TripleFactors,
     _matrix6,
     _symplectic,
-    _triple_factors,
     _tube,
     congruence_embed,
     is_symplectic,
     triple_compose,
+    triple_decompose,
     tube_group_reason,
 )
 from .linalg import (
@@ -150,8 +150,17 @@ def in_symplectic_semigroup(g, tol: float = MEMBERSHIP_TOL) -> bool:
 def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the patterned cone, via the chart
     certificates; otherwise the first failing one of COMPRESSION_REASONS."""
-    g = np.asarray(g, dtype=float)
-    return tube_group_reason(g) or _chart_reason(g, tol)
+    return _compression(_matrix6(g), tol)[0]
+
+
+def _compression(g, tol) -> tuple:
+    """compression_reason of a checked 6x6 array with what its tube test
+    read of g: (reason, maxabs(g), g.tolist()), for callers that go on to
+    read g.  The chart checks take D's rows from g.tolist()."""
+    reason, scale, rows = _tube(g)
+    if reason is None:
+        reason = _chart_reason(g, tol, _chart_products(g, rows))
+    return reason, scale, rows
 
 
 def _chart_reason(g, tol, products=None) -> str | None:
@@ -228,28 +237,13 @@ def in_compression_semigroup(g, tol: float = MEMBERSHIP_TOL) -> bool:
     return compression_reason(g, tol) is None
 
 
-def _member_rows(g, tol) -> tuple:
-    """compression_reason's checks on a 6x6 array g, in its order, with
-    the tube test's reads of g kept: (maxabs(g), g.tolist()) of a member,
-    DomainError naming the first failing check otherwise."""
-    reason, scale, rows = _tube(g)
-    if reason is None:
-        reason = _chart_reason(g, tol, _chart_products(g, rows))
-    if reason is not None:
-        raise DomainError(f"not in the compression semigroup: {reason}")
-    return scale, rows
-
-
 def compression_factors(g, tol: float = MEMBERSHIP_TOL) -> TripleFactors:
     """Triple factors with the semigroup certificates re-checked on each
     factor (v in the closed cone, L triangular, u nonnegative); any
-    certificate failing beyond tol raises DomainError.  The factors are
-    triple_decompose's, formed from the scale and D's rows that the
-    membership test read."""
-    g = _matrix6(g)
-    scale, rows = _member_rows(g, tol)
-    D = [r[3:] for r in rows[3:]]
-    f = _triple_factors(g, scale, D, det3(D))
+    certificate failing beyond tol raises DomainError."""
+    if (reason := compression_reason(g, tol)) is not None:
+        raise DomainError(f"not in the compression semigroup: {reason}")
+    f = triple_decompose(g)
     if (reason := closed_cone_reason(f.v, tol)) is not None:
         raise DomainError(f"factor v outside the closed cone: {reason}")
     if not is_triangular_pattern(f.L):
@@ -517,14 +511,14 @@ def polar_factor(g):
     recomposition residual above POLAR_RESIDUAL_TOL is a ConvergenceError
     that carries the measured value.  Each certificate reads the factors
     as built: the wedge rule runs on (v, u), A on its diagonal and det3.
-    g is read once: the membership test (compression_reason's checks, in
-    its order and with its messages) keeps maxabs(g), which scales the
-    residual, and g's rows, which the unit solve reads, and the chart
-    checks take D from those rows.  The recomposition is one product, the
-    stack [A, A^{-T}] times the two block rows of exp(X).
+    g is read once: the membership test (_compression, the body of
+    compression_reason) keeps maxabs(g), which scales the residual, and
+    g's rows, which the unit solve reads.
     """
     g = _matrix6(g)
-    scale, m = _member_rows(g, MEMBERSHIP_TOL)
+    reason, scale, m = _compression(g, MEMBERSHIP_TOL)
+    if reason is not None:
+        raise DomainError(f"not in the compression semigroup: {reason}")
     # [[D^T, B^T], [C^T, A^T]], the symplectic inverse of tau(g), gathered
     # in one C-contiguous copy; the scalar steps run on Python floats
     # (linalg's arithmetic rule)
@@ -556,16 +550,16 @@ def polar_factor(g):
             f"recovered generator outside the wedge: {reason} "
             f"(v = {np.array(v)}, u = {np.array(u)})"
         )
-    # congruence_embed(A) @ exp(X) as one product: the stack [A, A^{-T}]
-    # times E's two block rows, each row of the stack its own 3x3 @
-    units = np.empty((2, 3, 3))
-    units[0] = rows
-    units[1] = (adjugate3(rows) / d).T
-    recomposed = (units @ _exp_wedge(v, u, dc, ds).reshape(2, 3, 6)).reshape(6, 6)
+    # congruence_embed(A) @ exp(X), block row by block row
+    A = np.array(rows)
+    E = _exp_wedge(v, u, dc, ds)
+    recomposed = np.empty((6, 6))
+    recomposed[:3] = A @ E[:3]
+    recomposed[3:] = (adjugate3(rows) / d).T @ E[3:]
     residual = maxabs(recomposed - g) / (1.0 + scale)
     if not residual <= POLAR_RESIDUAL_TOL:  # a NaN residual fails too
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
-    return units[0].copy(), InvariantConeElement(v=np.array(v), u=np.array(u))
+    return A, InvariantConeElement(v=np.array(v), u=np.array(u))
 
 
 def interior_element(w) -> np.ndarray:

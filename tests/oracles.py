@@ -25,10 +25,7 @@ same reasons, verdicts and factors bit for bit.
 
 cross_check_membership_reference is the cross-check with each route
 forming its own chart products, where the package forms them once for
-both.  compression_factors_reference is compression_factors as
-standalone calls: compression_reason, triple_decompose (which read g
-again) and the three factor certificates on numpy arrays, where the
-package forms the factors from what its membership test read.
+both.
 
 lambda_min is the eigvalsh reference for "m + t*I is positive
 semidefinite", that is lambda_min(m) >= -t, which linalg.semidefinite3
@@ -281,21 +278,6 @@ def cross_check_membership_reference(g, tol: float = MEMBERSHIP_TOL) -> bool:
     if (semigroup._chart_reason(g, slack) is None) == via:
         return via
     raise InconsistencyError("the routes disagree beyond tolerance slack")
-
-
-def compression_factors_reference(g, tol: float = MEMBERSHIP_TOL):
-    """compression_reason, then triple_decompose, then the certificates on
-    v, L and u, each a standalone call."""
-    if (reason := semigroup.compression_reason(g, tol)) is not None:
-        raise DomainError(f"not in the compression semigroup: {reason}")
-    f = dv.triple_decompose(g)
-    if (reason := closed_cone_reason(f.v, tol)) is not None:
-        raise DomainError(f"factor v outside the closed cone: {reason}")
-    if not is_triangular_pattern(f.L):
-        raise DomainError("factor L off the triangular pattern")
-    if not f.u.min() >= -tol * (1.0 + maxabs(f.u)):
-        raise DomainError("factor u has a negative entry")
-    return f
 
 
 def lambda_min(m) -> float:
