@@ -9,19 +9,12 @@ metric-contractive.
 
 from .cone import (
     IDENTITY_POINT,
-    char_function,
-    congruence,
-    congruence_det,
     congruence_matrix,
     embed,
-    in_closed_cone,
     in_open_cone,
-    in_positive_triangular,
-    in_triangular_group,
     isotropy_group,
     log_char_function,
     minors,
-    relative_invariant,
     sample_cone,
     sample_positive_triangular,
     sample_triangular,
@@ -37,7 +30,6 @@ from .errors import (
     SingularityError,
 )
 from .group import (
-    BASE_POINT,
     SYMPLECTIC_FORM,
     TripleFactors,
     act,
@@ -45,10 +37,8 @@ from .group import (
     blocks,
     congruence_embed,
     dual_translation,
-    has_triple_decomposition,
     in_tube_group,
     in_tube_group_alt,
-    inverse,
     inversion,
     is_symplectic,
     isotropy_rotation,
@@ -71,17 +61,13 @@ from .metric import (
     spd_metric,
 )
 from .semigroup import (
-    GRADING_ELEMENT,
     InvariantConeElement,
     compression_factors,
     cross_check_membership,
     exp_wedge,
-    grade,
     in_compression_semigroup,
     in_invariant_cone,
-    in_symplectic_semigroup,
     lie_element,
-    lie_parts,
     log_wedge,
     polar_compose,
     polar_factor,

@@ -163,6 +163,8 @@ def _embed_rows(x):
 
 
 def closed_cone_reason(x, tol: float = MEMBERSHIP_TOL) -> str | None:
+    """None when embed(x) is positive semidefinite within a scale-relative
+    tol; otherwise why not."""
     # the coordinates as Python floats; a list needs no array round trip
     x = list(map(float, x)) if isinstance(x, list) else np.asarray(x, dtype=float).tolist()
     if not all(map(math.isfinite, x)):
@@ -178,46 +180,14 @@ def closed_cone_reason(x, tol: float = MEMBERSHIP_TOL) -> str | None:
     return None
 
 
-def in_closed_cone(x, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Positive semidefiniteness of embed(x), within a scale-relative tol."""
-    return closed_cone_reason(x, tol) is None
-
-
-def _open_cone_point(x) -> np.ndarray:
-    """x as a float array, or DomainError naming the failing minor."""
+def log_char_function(x) -> float:
+    """log of the characteristic function x1**(1/2) * x2**(1/2) * d3**(-2),
+    normalized to 0 at (1,1,1,0,0); DomainError off the open cone.  Under
+    an automorphism g of the cone it drops by log|det g|, which makes its
+    Hessian an invariant metric."""
     x = np.asarray(x, dtype=float)
     if (reason := open_cone_reason(x)) is not None:
         raise DomainError(f"point outside the open cone: {reason}")
-    return x
-
-
-def relative_invariant(x, powers) -> float:
-    """Power function x1**(s1-s3) * x2**(s2-s3) * d3**s3 on the open cone.
-
-    Writing d1, d2, d3 for the minors, it equals d1**(s1-s2) * d2**(s2-s3)
-    * d3**s3, and it scales by a1**(2 s1) * a2**(2 s2) * a3**(2 s3) under
-    the triangular congruence action.
-    """
-    x = _open_cone_point(x)
-    s1, s2, s3 = powers
-    d3 = minors(x)[2]
-    return float(x[0] ** (s1 - s3) * x[1] ** (s2 - s3) * d3 ** s3)
-
-
-def char_function(x) -> float:
-    """Characteristic function x1**(1/2) * x2**(1/2) * d3**(-2).
-
-    Normalized to 1 at (1,1,1,0,0).  Under an automorphism g of the cone it
-    transforms by 1/|det g|, which makes its log-Hessian an invariant metric.
-    """
-    x = _open_cone_point(x)
-    d3 = minors(x)[2]
-    return float(np.sqrt(x[0] * x[1]) * d3 ** -2.0)
-
-
-def log_char_function(x) -> float:
-    """log of char_function, kept separate for finite differencing."""
-    x = _open_cone_point(x)
     d3 = minors(x)[2]
     return float(0.5 * (np.log(x[0]) + np.log(x[1])) - 2.0 * np.log(d3))
 
@@ -256,34 +226,6 @@ def is_flat_pattern(U, atol: float) -> bool:
     return all(abs(U[i][j]) <= atol for i, j in FLAT_ZEROS)
 
 
-def in_triangular_group(A) -> bool:
-    """Pattern membership plus invertibility constraints a1*a2 != 0, a3 > 0."""
-    A = np.asarray(A, dtype=float)
-    return bool(
-        is_triangular_pattern(A) and A[0, 0] * A[1, 1] != 0.0 and A[2, 2] > 0.0
-    )
-
-
-def in_positive_triangular(A) -> bool:
-    """The transitive identity component: all three diagonal entries positive."""
-    A = np.asarray(A, dtype=float)
-    return bool(
-        is_triangular_pattern(A) and A[0, 0] > 0 and A[1, 1] > 0 and A[2, 2] > 0
-    )
-
-
-def congruence(A, x) -> np.ndarray:
-    """Coordinates of A embed(x) A^T for triangular-patterned A.
-
-    The pattern is closed under this product, with the zero slots exact
-    even in floating point.
-    """
-    A = np.asarray(A, dtype=float)
-    if not is_triangular_pattern(A):
-        raise DomainError("matrix is not in the triangular pattern")
-    return unembed(A @ embed(x) @ A.T)
-
-
 def congruence_matrix(A) -> np.ndarray:
     """5x5 matrix of x -> A embed(x) A^T in coordinates.
 
@@ -294,15 +236,6 @@ def congruence_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     cols = [unembed(A @ embed(e) @ A.T) for e in np.eye(5)]
     return np.array(cols).T
-
-
-def congruence_det(A) -> float:
-    """Determinant a1**3 * a2**3 * a3**4 of the congruence action on
-    coordinates, valid for any triangular-group element."""
-    A = np.asarray(A, dtype=float)
-    if not in_triangular_group(A):
-        raise DomainError("matrix is not in the triangular group")
-    return float(A[0, 0] ** 3 * A[1, 1] ** 3 * A[2, 2] ** 4)
 
 
 def positive_triangular(w) -> np.ndarray:

@@ -50,9 +50,6 @@ SYMPLECTIC_FORM = np.block(
 )
 SYMPLECTIC_FORM.flags.writeable = False  # symplectic_defect subtracts it
 
-# i times the identity, the natural base point of the tube domain.
-BASE_POINT = 1j * np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-
 SYMPLECTIC_TOL = 1e-10
 # pattern tolerance of computed action results, which carry round-off
 ACTION_PATTERN_TOL = 1e-9
@@ -304,10 +301,6 @@ def triple_decomposition_reason(g) -> str | None:
     return None
 
 
-def has_triple_decomposition(g) -> bool:
-    return triple_decomposition_reason(g) is None
-
-
 @dataclass(frozen=True)
 class TripleFactors:
     """Factors of g = translation(v) @ congruence_embed(L) @ [[I,0],[U,I]]."""
@@ -340,14 +333,3 @@ def triple_compose(f: TripleFactors) -> np.ndarray:
     lower = np.eye(6)
     lower[3:, :3] = embed_diag_pair(f.u)
     return translation(f.v) @ congruence_embed(f.L) @ lower
-
-
-def inverse(g) -> np.ndarray:
-    """Symplectic inverse [[D^T, -B^T], [-C^T, A^T]], exact on the blocks."""
-    A, B, C, D = blocks(g)
-    out = np.zeros((6, 6))
-    out[:3, :3] = D.T
-    out[:3, 3:] = -B.T
-    out[3:, :3] = -C.T
-    out[3:, 3:] = A.T
-    return out

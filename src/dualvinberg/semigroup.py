@@ -75,8 +75,6 @@ from .linalg import (
 # on |t| <= 1, beyond which the closed form loses at most a few ulps
 _S1_SERIES = tuple(1.0 / math.factorial(2 * n + 3) for n in range(8))
 
-GRADING_ELEMENT = np.diag([0.5, 0.5, 0.5, -0.5, -0.5, -0.5])
-
 # cross_check_membership relaxes or tightens tol by this factor before a
 # disagreement of the two membership routes counts as real
 CROSS_CHECK_SLACK = 50.0
@@ -141,10 +139,6 @@ def _symmetric_rows(S) -> list:
     (a, b, c), (d, e, f), (x, y, z) = S
     p, q, r = (b + d) / 2, (c + x) / 2, (f + y) / 2
     return [[(a + a) / 2, p, q], [p, (e + e) / 2, r], [q, r, (z + z) / 2]]
-
-
-def in_symplectic_semigroup(g, tol: float = MEMBERSHIP_TOL) -> bool:
-    return symplectic_semigroup_reason(g, tol) is None
 
 
 def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
@@ -295,24 +289,6 @@ def lie_element(A, v, u) -> np.ndarray:
     X[3:, :3] = embed_diag_pair(np.asarray(u, dtype=float))
     X[3:, 3:] = -A.T
     return X
-
-
-def lie_parts(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, v, u) of an algebra element; inverse of lie_element."""
-    X = np.asarray(X, dtype=float)
-    return X[:3, :3].copy(), unembed(X[:3, 3:]), diag_pair(X[3:, :3])
-
-
-def grade(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split into ad-eigenspaces of the grading element: the lower-left
-    block (grade -1), block-diagonal part (grade 0), upper-right block
-    (grade +1).  The parts always sum to X."""
-    X = np.asarray(X, dtype=float)
-    minus = np.zeros((6, 6))
-    minus[3:, :3] = X[3:, :3]
-    plus = np.zeros((6, 6))
-    plus[:3, 3:] = X[:3, 3:]
-    return minus, X - minus - plus, plus
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,10 @@ matrices: the tube test reading numpy scalars off the blocks, the wedge
 test on the matrix of a generator, and the polar factorization through
 S inverse(g) S g, a triangular-pattern test of the unit and the 6x6
 product congruence_embed(A) exp(X).  The package's routes must give the
-same reasons, verdicts and factors bit for bit.
+same reasons, verdicts and factors bit for bit.  inverse is the
+symplectic inverse written out on the blocks, a route to tau(g)^{-1}
+independent of the package's index gather, and in_positive_triangular
+the identity component of the triangular group.
 
 cross_check_membership_reference is the cross-check with each route
 forming its own chart products, where the package forms them once for
@@ -32,12 +35,17 @@ semidefinite", that is lambda_min(m) >= -t, which linalg.semidefinite3
 decides in closed form; closed_cone_reason_reference and
 symplectic_semigroup_reason_reference are the two semidefinite
 certificates with eigvalsh deciding every input.
+
+exact_minors and exact_cone_metric are the minors and the metric form in
+rational arithmetic (fractions), on the exact value of each float input,
+a dyadic rational.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -219,6 +227,24 @@ def invariant_cone_reason_reference(X, tol: float = MEMBERSHIP_TOL) -> str | Non
     return None
 
 
+def inverse(g) -> np.ndarray:
+    """Symplectic inverse [[D^T, -B^T], [-C^T, A^T]], exact on the blocks."""
+    A, B, C, D = dv.blocks(g)
+    out = np.zeros((6, 6))
+    out[:3, :3] = D.T
+    out[:3, 3:] = -B.T
+    out[3:, :3] = -C.T
+    out[3:, 3:] = A.T
+    return out
+
+
+def in_positive_triangular(A) -> bool:
+    """The transitive identity component of the triangular group: the
+    triangular pattern with all three diagonal entries positive."""
+    A = np.asarray(A, dtype=float)
+    return bool(is_triangular_pattern(A) and A[0, 0] > 0 and A[1, 1] > 0 and A[2, 2] > 0)
+
+
 def exp_wedge_reference(v, u, dc, ds) -> np.ndarray:
     """semigroup._exp_wedge on numpy arrays: V = embed(v), V diag(d) as
     the broadcast V * d, the identity from np.eye."""
@@ -240,8 +266,8 @@ def polar_factor_reference(g):
     g = np.asarray(g, dtype=float)
     if (reason := semigroup.compression_reason(g)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
-    S = 2.0 * dv.GRADING_ELEMENT
-    Y = dv.log_wedge(S @ dv.inverse(g) @ S @ g)
+    S = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    Y = dv.log_wedge(S @ inverse(g) @ S @ g)
     v, u = Y.v / 2, Y.u / 2
     dc, ds = semigroup._wedge_diagonals(v, u)
     e1, e2 = 1.0 + v[0] * dc[0], 1.0 + v[1] * dc[1]
@@ -249,7 +275,7 @@ def polar_factor_reference(g):
     a1, a2, a3 = g[0, 0] / e1, g[1, 1] / e2, g[2, 2]
     a4, a5 = (g[2, 0] - a3 * f1) / e1, (g[2, 1] - a3 * f2) / e2
     A = dv.triangular([a1, a2, a3, a4, a5])
-    if not dv.in_positive_triangular(A) or is_singular3(A):
+    if not in_positive_triangular(A) or is_singular3(A):
         raise ConvergenceError(f"polar unit factor has diagonal {np.diag(A)}")
     corner = (g[2, 5] - a4 * (g[0, 5] / a1) - a5 * (g[1, 5] / a2)) / a3
     v[2] = corner - v[3] ** 2 * ds[0] - v[4] ** 2 * ds[1]
@@ -312,3 +338,23 @@ def symplectic_semigroup_reason_reference(g, tol: float = MEMBERSHIP_TOL) -> str
         if not lambda_min(S) >= -tol * (1.0 + maxabs(S)):
             return f"{name} not positive semidefinite"
     return None
+
+
+def exact_minors(x) -> tuple[Fraction, Fraction, Fraction]:
+    """The three nested minors of embed(x), exactly."""
+    x1, x2, x3, x4, x5 = map(Fraction, x)
+    return x1, x1 * x2, x1 * x2 * x3 - x1 * x5 * x5 - x2 * x4 * x4
+
+
+def exact_cone_metric(x, v) -> Fraction:
+    """cone_metric(x, v, v) exactly, for coordinates given as floats or
+    fractions: -(v1^2/x1^2 + v2^2/x2^2)/2 + 2 tr((X^{-1} V)^2), with
+    X^{-1} the adjugate of X = embed(x) over its determinant."""
+    a, b, c, d, e = map(Fraction, x)
+    v1, v2, v3, v4, v5 = map(Fraction, v)
+    V = [[v1, 0, v4], [0, v2, v5], [v4, v5, v3]]
+    adj = [[b * c - e * e, d * e, -b * d], [d * e, a * c - d * d, -a * e], [-b * d, -a * e, a * b]]
+    det = exact_minors(x)[2]
+    M = [[sum(adj[i][k] * V[k][j] for k in range(3)) / det for j in range(3)] for i in range(3)]
+    trace = sum(M[i][k] * M[k][i] for i in range(3) for k in range(3))
+    return -(v1 * v1 / (a * a) + v2 * v2 / (b * b)) / 2 + 2 * trace

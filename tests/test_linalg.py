@@ -14,6 +14,7 @@ from dualvinberg.linalg import (
     is_singular3,
     maxabs,
 )
+from dualvinberg.group import triple_decomposition_reason
 from dualvinberg.semigroup import symplectic_semigroup_reason
 
 # NaN, +-inf, +-1e308, the smallest subnormal and both zeros drawn often,
@@ -74,7 +75,7 @@ def test_one_singularity_rule_decides_every_route(factor):
     singular = factor <= 1.0
     assert is_singular3(D) == singular
     assert is_singular3(D[None]).tolist() == [singular]
-    assert dv.has_triple_decomposition(g) == (not singular)
+    assert triple_decomposition_reason(g) == ("det D = 0" if singular else None)
     assert symplectic_semigroup_reason(g) == ("det D = 0" if singular else None)
     if singular:
         with pytest.raises(SingularityError):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ import dualvinberg as dv
 from dualvinberg.errors import DomainError
 from dualvinberg.linalg import maxabs
 
-from oracles import spd_metric_triangular
+from oracles import exact_cone_metric, exact_minors, spd_metric_triangular
 
 IDENTITY = dv.IDENTITY_POINT
 
@@ -211,6 +214,26 @@ def test_counterexample_after_value_matches_the_hand_formula():
     jv = dv.action_jacobian(rec.g, rec.x, rec.v)
     after = dv.cone_metric(y, jv, jv)
     assert abs(after - (-0.125 + 2.0 * (6.01 / 3.02) ** 2)) <= 1e-9
+
+
+def test_counterexample_expands_in_exact_arithmetic():
+    # the witness is the translation by t, which maps x to x + t with
+    # Jacobian I; on the exact values of the floats the claim needs no
+    # tolerance
+    rec = dv.counterexample()
+    t = [1.0, 1.0, 1.01, -1.0, 0.0]
+    assert np.array_equal(rec.g, dv.translation(t))
+    # D = I, so D^T B = embed(t): positive minors put t in the open cone
+    # and the translation in the compression semigroup
+    minors = exact_minors(t)
+    assert minors == (1, 1, Fraction(45035996273705, 4503599627370496))
+    assert all(d > 0 for d in minors)
+    before = exact_cone_metric(rec.x, rec.v)
+    assert before == Fraction(15, 2)
+    y = [Fraction(a) + Fraction(b) for a, b in zip(rec.x, t)]
+    ratio = exact_cone_metric(y, rec.v) / before
+    assert ratio > 1
+    assert abs(Fraction(rec.ratio) - ratio) <= 2 * Fraction(math.ulp(rec.ratio))
 
 
 def test_spd_contraction_frozen_quarter():
