@@ -16,6 +16,7 @@ one stacked pass, row for row the arithmetic of the one-point calls.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,17 +243,18 @@ def search_violations(
 ) -> tuple[list[ContractionRecord], SearchSummary]:
     """Random sweep for metric expansion over the patterned cone.
 
-    Sample i draws an interior semigroup element, an interior base point
-    and a unit tangent from the i-th child generator of rng, so records
-    are reproducible per seed.  Row 0 is the frozen counterexample unless
-    disabled (its child draws nothing).  The sweep is certified and
-    measured in stacked passes of up to _BLOCK rows, and a failing sample
-    raises what the one-sample calls raise.  Returns the violating
-    records, which own their arrays, and the sweep summary.
+    Sample i draws an interior semigroup element, an interior base point and
+    a unit tangent from the i-th child generator of rng; the children are
+    derived, not spawned, so a rerun on rng repeats the sweep.  Row 0 is the
+    frozen counterexample unless disabled (its child draws nothing).  The
+    sweep is certified and measured in stacked passes of up to _BLOCK rows;
+    a failing sample raises what the one-sample calls raise.  Returns the
+    violating records, which own their arrays, and the sweep summary.
     """
+    n_samples = operator.index(n_samples)
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    children = rng.spawn(n_samples)
+    from .streams import child_normals  # here: the package import skips numpy.random
     first = 1 if include_counterexample else 0
     violations: list[ContractionRecord] = []
     max_ratio = -np.inf
@@ -260,8 +262,7 @@ def search_violations(
     # raises before any later one, as the loop would
     for start in range(0, n_samples, _BLOCK):
         z = np.zeros((min(_BLOCK, n_samples - start), _DRAWS))
-        for i in range(max(start, first), start + len(z)):
-            z[i - start] = children[i].standard_normal(_DRAWS)
+        child_normals(rng, max(start, first), out=z[max(first - start, 0) :])
         try:
             g, x, v = _sample_rows(z)
         except (DomainError, PatternError):

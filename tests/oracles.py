@@ -358,3 +358,29 @@ def exact_cone_metric(x, v) -> Fraction:
     M = [[sum(adj[i][k] * V[k][j] for k in range(3)) / det for j in range(3)] for i in range(3)]
     trace = sum(M[i][k] * M[k][i] for i in range(3) for k in range(3))
     return -(v1 * v1 / (a * a) + v2 * v2 / (b * b)) / 2 + 2 * trace
+
+
+def exact_gram(x) -> list[list[Fraction]]:
+    """The 5 x 5 Gram matrix of the metric at x on the coordinate basis,
+    exactly, by polarisation: (u|w) = ((u+w|u+w) - (u-w|u-w)) / 4."""
+    basis = [[int(i == j) for j in range(5)] for i in range(5)]
+
+    def form(u, w, sign):
+        return exact_cone_metric(x, [a + sign * b for a, b in zip(u, w)])
+
+    return [[(form(u, w, 1) - form(u, w, -1)) / 4 for w in basis] for u in basis]
+
+
+def ldl_pivots(m) -> list[Fraction]:
+    """The pivots of the LDL^T factorization of a symmetric matrix with
+    exact entries, by elimination without row exchanges; every pivot but
+    the last must be nonzero."""
+    m = [list(row) for row in m]
+    pivots = []
+    for k in range(len(m)):
+        pivots.append(m[k][k])
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            for j in range(k + 1, len(m)):
+                m[i][j] -= f * m[k][j]
+    return pivots

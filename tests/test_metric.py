@@ -8,7 +8,7 @@ import dualvinberg as dv
 from dualvinberg.errors import DomainError
 from dualvinberg.linalg import maxabs
 
-from oracles import exact_cone_metric, exact_minors, spd_metric_triangular
+from oracles import exact_cone_metric, exact_gram, exact_minors, ldl_pivots, spd_metric_triangular
 
 IDENTITY = dv.IDENTITY_POINT
 
@@ -234,6 +234,30 @@ def test_counterexample_expands_in_exact_arithmetic():
     ratio = exact_cone_metric(y, rec.v) / before
     assert ratio > 1
     assert abs(Fraction(rec.ratio) - ratio) <= 2 * Fraction(math.ulp(rec.ratio))
+
+
+def test_the_witness_stretch_lies_between_1_0528_and_1_0529_exactly():
+    # the largest stretch of the translation at e over all tangents is the
+    # top eigenvalue of the pencil (G_{e+t}, G_e), its Jacobian being I.
+    # G_e is positive definite, so by Sylvester's law of inertia it lies
+    # below lam when every LDL^T pivot of G_{e+t} - lam G_e is negative,
+    # and above lam when one is positive
+    rec = dv.counterexample()
+    t = [1.0, 1.0, 1.01, -1.0, 0.0]
+    g_e = exact_gram(rec.x)
+    diagonal = (Fraction(3, 2), Fraction(3, 2), 2, 4, 4)
+    assert g_e == [[d if i == j else 0 for j in range(5)] for i, d in enumerate(diagonal)]
+    g_et = exact_gram([Fraction(a) + Fraction(b) for a, b in zip(rec.x, t)])
+
+    def pivots(lam):
+        return ldl_pivots([[a - lam * b for a, b in zip(r, s)] for r, s in zip(g_et, g_e)])
+
+    assert all(p < 0 for p in pivots(Fraction("1.0529")))
+    below = pivots(Fraction("1.0528"))
+    assert all(p < 0 for p in below[:3])
+    assert Fraction("2.0e-5") < below[3] < Fraction("2.1e-5")
+    # the sampled tangent's ratio stays below the top of the pencil
+    assert rec.ratio < 1.0528
 
 
 def test_spd_contraction_frozen_quarter():

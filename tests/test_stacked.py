@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dualvinberg as dv
-from dualvinberg import metric
+from dualvinberg import metric, streams
 from dualvinberg.cone import MEMBERSHIP_TOL, embed, pattern_parts
 from dualvinberg.errors import PatternError
 from dualvinberg.group import symplectic_defect, unembed_action
@@ -189,6 +189,103 @@ def test_stacked_ratios_equal_single_calls_on_every_row():
     assert list(ratios) == [dv.contraction_ratio(*row).ratio for row in zip(g, x, v)]
 
 
+def _spawned_normals(rng, n):
+    return np.array([c.standard_normal(22) for c in rng.spawn(n)])
+
+
+def _derived_normals(rng, start, stop):
+    out = np.empty((stop - start, 22))
+    streams.child_normals(rng, start, out)
+    return out
+
+
+_PARENTS = {
+    "int": lambda: np.random.default_rng(0),
+    "tuple": lambda: np.random.default_rng((2026, 7)),
+    "list": lambda: np.random.default_rng([1, 2, 3, 4, 5, 6]),
+    "beyond 64 bits": lambda: np.random.default_rng(2**70),
+    "spawned child": lambda: np.random.default_rng(9).spawn(3)[2],
+    "grandchild": lambda: np.random.default_rng(9).spawn(3)[2].spawn(2)[1],
+    "uint32 array": lambda: np.random.default_rng(np.array([5, 2**32 - 1], dtype=np.uint32)),
+    "strings": lambda: np.random.default_rng(np.random.SeedSequence(["0x10", "010", 2**40])),
+    "pool of 8": lambda: np.random.default_rng(np.random.SeedSequence(3, pool_size=8)),
+    "MT19937": lambda: np.random.Generator(np.random.MT19937(7)),
+    "Philox": lambda: np.random.Generator(np.random.Philox(7)),
+    "SFC64": lambda: np.random.Generator(np.random.SFC64(7)),
+    "PCG64DXSM": lambda: np.random.Generator(np.random.PCG64DXSM(7)),
+}
+
+
+@pytest.mark.parametrize("parent", list(_PARENTS))
+def test_derived_child_draws_equal_the_spawned_ones(parent):
+    make = _PARENTS[parent]
+    want = _spawned_normals(make(), 40)
+    assert _derived_normals(make(), 0, 40).tobytes() == want.tobytes()
+    assert _derived_normals(make(), 13, 40).tobytes() == want[13:].tobytes()
+
+
+def test_derived_child_draws_from_os_entropy():
+    ss = np.random.SeedSequence()
+    want = _spawned_normals(np.random.default_rng(np.random.SeedSequence(ss.entropy)), 20)
+    assert _derived_normals(np.random.default_rng(ss), 0, 20).tobytes() == want.tobytes()
+
+
+def test_derived_children_number_on_from_the_spawn_count_and_leave_it():
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    rng.spawn(5)
+    twin.spawn(5)
+    got = _derived_normals(rng, 0, 20)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 5
+    assert got.tobytes() == _spawned_normals(twin, 20).tobytes()
+    # a sweep reads the count and leaves it, so a rerun repeats the sweep
+    first = dv.search_violations(rng, 40)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 5
+    _assert_same_sweep(dv.search_violations(rng, 40), first)
+
+
+def test_derived_children_stop_at_numpy_s_one_word_index():
+    ss = np.random.SeedSequence(1, n_children_spawned=2**32 - 1)
+    last = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(2**32 - 1,)))
+    got = _derived_normals(np.random.default_rng(ss), 0, 1)
+    assert got.tobytes() == last.standard_normal(22).tobytes()
+    with pytest.raises(OverflowError):
+        dv.search_violations(np.random.default_rng(ss), 2, include_counterexample=False)
+
+
+class _FixedState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that cannot spawn."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.arange(1, n_words + 1, dtype=dtype)
+
+
+def test_a_generator_that_cannot_spawn_raises_what_spawning_raises():
+    rng = np.random.Generator(np.random.PCG64(_FixedState()))
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        rng.spawn(2)
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        dv.search_violations(rng, 2)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "3", None])
+def test_search_refuses_a_sample_count_that_is_not_an_integer(n):
+    with pytest.raises(TypeError):
+        dv.search_violations(np.random.default_rng(0), n)
+
+
+@pytest.mark.parametrize("n", [0, -3, np.int64(0), False])
+def test_search_refuses_a_sample_count_below_one(n):
+    with pytest.raises(ValueError, match="n_samples must be positive"):
+        dv.search_violations(np.random.default_rng(0), n)
+
+
+@pytest.mark.parametrize("n, want", [(np.int64(3), 3), (np.uint8(3), 3), (True, 1)])
+def test_the_summary_counts_samples_as_a_python_int(n, want):
+    _, summary = dv.search_violations(np.random.default_rng(0), n)
+    assert type(summary.n_samples) is int
+    assert summary.n_samples == want
+
+
 class _Scripted:
     """A generator stub whose children replay fixed rows of 22 normals."""
 
@@ -260,6 +357,12 @@ def test_a_stack_with_bad_rows_raises_what_the_loop_raises(spoil):
 @pytest.mark.parametrize("block", [4096, 3])
 def test_a_sweep_with_failing_draws_raises_what_the_loop_raises(block, monkeypatch):
     monkeypatch.setattr(metric, "_BLOCK", block)
+    # the reference spawns the scripted children; the sweep's draw step
+    # reads the same rows
+    def scripted_normals(rng, start, out):
+        out[:] = rng.rows[start : start + len(out)]
+
+    monkeypatch.setattr(streams, "child_normals", scripted_normals)
     rng = np.random.default_rng(83)
     rows = rng.standard_normal((8, 22))
     singular = rows[4].copy()
