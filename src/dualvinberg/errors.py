@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the row check of
 stacked evaluations.  A stacked evaluation raises at its first failing
 check; where a loop of one-row calls would raise for a lower row, the
-caller reruns the rows as that loop, which decides the error."""
+caller runs the rows as that loop instead, and the loop decides."""
 
 from __future__ import annotations
 

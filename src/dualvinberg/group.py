@@ -159,6 +159,21 @@ def _tube(g) -> tuple:
     return reason, scale, m
 
 
+def _tube_members(g, scale):
+    """The tube test on a stack (n, 6, 6) given its maxabs: a mask, True
+    where tube_group_reason(g[i]) is None.  Every check runs on every row:
+    the symplectic bound, the 17 pattern zeros in one gather and the two
+    corners."""
+    rows, cols = zip(*TRIANGULAR_ZEROS, *_DT_ZEROS, *_B_ZEROS, *_C_ZEROS)
+    atol = PATTERN_TOL * (1.0 + scale)
+    return (
+        _symplectic(g, scale)
+        & (np.abs(g[:, rows, cols]) <= atol[:, None]).all(axis=1)
+        & (g[:, 2, 2] > 0)
+        & (g[:, 5, 5] > 0)
+    )
+
+
 def in_tube_group(g) -> bool:
     return tube_group_reason(g) is None
 

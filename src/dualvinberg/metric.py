@@ -23,7 +23,6 @@ import numpy as np
 
 from .cone import (
     IDENTITY_POINT,
-    MEMBERSHIP_TOL,
     cone_point,
     embed,
     embed_stack,
@@ -34,7 +33,7 @@ from .errors import DomainError, PatternError, check_rows
 from .group import act_real, mobius, translation, unembed_action
 from .linalg import inv3_stack
 from .semigroup import (
-    compression_codes,
+    compression_members,
     compression_reason,
     interior_element,
     symplectic_semigroup_reason,
@@ -124,34 +123,33 @@ class ContractionRecord:
     seed_index: int = 0
 
 
-def contraction_ratios(g, x, v, tol: float = MEMBERSHIP_TOL):
+def contraction_ratios(g, x, v):
     """(Jv|Jv) at g.x over (v|v) at x for a semigroup element g: a float for
     one (g, x, v), an array row by row for stacks (n, 6, 6), (n, 5), (n, 5).
 
     Every row runs every check of the one-row path: g in the compression
-    semigroup (one matrix takes the early-exit compression_reason, a stack
-    compression_codes), x in the open cone, v nonzero, C X + D
+    semigroup (one matrix takes compression_reason, a stack the mask
+    compression_members), x in the open cone, v nonzero, C X + D
     invertible, the image and the pushforward on the pattern, and the image
-    in the open cone.  A stack raises at its first failing check, and a
-    lower row may fail a later one: a failing stack reruns its rows as a
-    loop of one-row calls, which raises what that loop raises first.
+    in the open cone.  A stack runs as one pass when the mask certifies
+    every row.  Otherwise, or when the pass raises (at its first failing
+    check, where a lower row may fail a later one), it returns the loop of
+    one-row calls, which raises for the lowest failing row or admits a
+    member that only eigvalsh accepts.
     """
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if g.ndim == 2:
-        if (reason := compression_reason(g, tol)) is not None:
+        if (reason := compression_reason(g)) is not None:
             raise DomainError(f"not in the compression semigroup: {reason}")
         return _stretch(g, x, v)
-    try:
-        if compression_codes(g, tol).any():
-            raise DomainError("not in the compression semigroup")
-        return _stretch(g, x, v)
-    except (DomainError, PatternError):
-        # the one-row calls name the failing row and check
-        for row in zip(g, x, v):
-            contraction_ratios(*row, tol)
-        raise
+    if compression_members(g).all():
+        try:
+            return _stretch(g, x, v)
+        except (DomainError, PatternError):
+            pass
+    return np.array([contraction_ratios(*row) for row in zip(g, x, v)])
 
 
 def _stretch(g, x, v):
@@ -167,26 +165,26 @@ def _stretch(g, x, v):
     return after / before
 
 
-def contraction_ratio(g, x, v, tol: float = MEMBERSHIP_TOL) -> ContractionRecord:
+def contraction_ratio(g, x, v) -> ContractionRecord:
     """One probe of contraction_ratios as a record; a ratio beyond
     1 + VIOLATION_THRESHOLD is a violation.  The ratio is invariant under
     scaling v."""
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    ratio = contraction_ratios(g, x, v, tol)
+    ratio = contraction_ratios(g, x, v)
     return ContractionRecord(
         g=g, x=x, v=v, ratio=ratio, violated=bool(ratio > 1.0 + VIOLATION_THRESHOLD)
     )
 
 
-def contraction_ratio_spd(g, x, v, tol: float = MEMBERSHIP_TOL) -> float:
+def contraction_ratio_spd(g, x, v) -> float:
     """Same stretch for the full positive definite cone and its metric;
     never exceeds 1 for a symplectic compression."""
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if (reason := symplectic_semigroup_reason(g, tol)) is not None:
+    if (reason := symplectic_semigroup_reason(g)) is not None:
         raise DomainError(f"not in the symplectic semigroup: {reason}")
     y, Mi = mobius(g, x)
     y = (y + y.T) / 2

@@ -27,8 +27,6 @@ import numpy as np
 
 from .cone import (
     MEMBERSHIP_TOL,
-    PATTERN_TOL,
-    TRIANGULAR_ZEROS,
     _embed_rows,
     closed_cone_reason,
     cone_point,
@@ -45,14 +43,11 @@ from .cone import (
 )
 from .errors import ConvergenceError, DomainError, InconsistencyError, SingularityError, check_rows
 from .group import (
-    _B_ZEROS,
-    _C_ZEROS,
-    _DT_ZEROS,
     TUBE_GROUP_REASONS,
     TripleFactors,
     _matrix6,
-    _symplectic,
     _tube,
+    _tube_members,
     congruence_embed,
     is_symplectic,
     triple_compose,
@@ -86,8 +81,7 @@ POLAR_RESIDUAL_TOL = 1e-8
 # in the block order 3, 4, 5, 0, 1, 2
 _TAU_INVERSE = np.ix_([3, 4, 5, 0, 1, 2], [3, 4, 5, 0, 1, 2])
 
-# failure reasons of compression_reason in check order; compression_codes
-# returns k for the k-th
+# failure reasons of compression_reason, in check order
 COMPRESSION_REASONS = TUBE_GROUP_REASONS + (
     "det D = 0",
     "D^T B leaves the patterned subspace",
@@ -174,57 +168,28 @@ def _chart_reason(g, tol, products=None) -> str | None:
     return None
 
 
-def compression_codes(g, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """compression_reason over a stack (n, 6, 6): 0 for a member, k where
-    compression_reason returns COMPRESSION_REASONS[k - 1].
-
-    Every check runs on every row with no early exit, through the rules
-    the one-matrix route calls where they take stacks (the symplectic
-    test, pattern zeros, patterned coordinates, singularity rule, the
-    closed-form semidefinite rule), and a row's code is its first failing
-    check.  eigvalsh runs only on the rows that reach the closed-cone test
-    and fail its closed form, as in closed_cone_reason.  The one-matrix route keeps
-    its early exits, which make it the faster of the two at n = 1.
-    """
+def compression_members(g) -> np.ndarray:
+    """A mask over a stack (n, 6, 6), True only where
+    compression_reason(g[i]) is None: its checks at MEMBERSHIP_TOL, ANDed
+    on every row with no check order.  The closed-cone test is its closed
+    form alone, so a member that the closed form cannot prove reads
+    False; a caller that must decide such a row asks compression_reason."""
     g = np.asarray(g, dtype=float)
+    tol = MEMBERSHIP_TOL
     B, C, D = g[:, :3, 3:], g[:, 3:, :3], g[:, 3:, 3:]
-
-    def zeros_hold(slots):  # group's pattern zeros, read on g
-        rows, cols = zip(*slots)
-        return (np.abs(g[:, rows, cols]) <= atol[:, None]).all(axis=1)
-
     with np.errstate(all="ignore"):  # failed rows run on with inf and NaN
-        scale = stack_maxabs(g)
-        atol = PATTERN_TOL * (1.0 + scale)
         S = D.swapaxes(1, 2) @ B
         S = (S + S.swapaxes(1, 2)) / 2
         off, vS = pattern_parts(S)
         P = C @ D.swapaxes(1, 2)
-        # the failing rows of each check, in the order of COMPRESSION_REASONS
-        fails = [
-            ~_symplectic(g, scale),
-            ~zeros_hold(TRIANGULAR_ZEROS),
-            ~(g[:, 2, 2] > 0),
-            ~zeros_hold(_DT_ZEROS),
-            ~(g[:, 5, 5] > 0),
-            ~zeros_hold(_B_ZEROS),
-            ~zeros_hold(_C_ZEROS),
-            is_singular3(D),
-            off > tol * (1.0 + stack_maxabs(S)),
-        ]
-        # closed_cone_reason on the rows that reach it with finite
-        # coordinates: the closed form accepts, eigvalsh decides the rest
-        m_scale = np.abs(vS).max(axis=1)  # maxabs(embed(vS))
-        t = tol * (1.0 + m_scale)
-        reached = np.isfinite(m_scale) & ~np.logical_or.reduce(fails)
-        ok = reached & semidefinite3(_embed_rows(vS.T), t)
-        redo = reached & ~ok
-        if redo.any():
-            ok[redo] = np.linalg.eigvalsh(embed_stack(vS[redo]))[:, 0] >= -t[redo]
-        fails.append(~ok)
-        fails.append(~(np.minimum(P[:, 0, 0], P[:, 1, 1]) >= -tol * (1.0 + stack_maxabs(P))))
-    fails = np.array(fails)
-    return np.where(fails.any(axis=0), fails.argmax(axis=0) + 1, 0)
+        return (
+            _tube_members(g, stack_maxabs(g))
+            & ~is_singular3(D)
+            & (off <= tol * (1.0 + stack_maxabs(S)))
+            # closed_cone_reason's bound, at maxabs(embed(vS))
+            & semidefinite3(_embed_rows(vS.T), tol * (1.0 + np.abs(vS).max(axis=1)))
+            & (np.minimum(P[:, 0, 0], P[:, 1, 1]) >= -tol * (1.0 + stack_maxabs(P)))
+        )
 
 
 def in_compression_semigroup(g, tol: float = MEMBERSHIP_TOL) -> bool:

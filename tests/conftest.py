@@ -45,6 +45,20 @@ def generator_product(rng, length: int = 3) -> np.ndarray:
     return g
 
 
+def count_eigvalsh(monkeypatch) -> list:
+    """Wrap np.linalg.eigvalsh for the rest of the test; the list returned
+    gets the shape of each argument it is called on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
 def overflowing_defect_matrix() -> np.ndarray:
     """[[0, s B'], [0, s D']] with s = 1.3e154, D' = ones and B' = ones but
     B'[2,2] = 0.5: D^T B overflows to inf on both sides of its diagonal, so

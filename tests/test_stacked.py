@@ -7,12 +7,18 @@ import pytest
 
 import dualvinberg as dv
 from dualvinberg import metric, streams
-from dualvinberg.cone import MEMBERSHIP_TOL, embed, pattern_parts
+from dualvinberg.cone import embed, pattern_parts
 from dualvinberg.errors import PatternError
-from dualvinberg.group import symplectic_defect, unembed_action
-from dualvinberg.semigroup import COMPRESSION_REASONS, compression_codes, compression_reason
+from dualvinberg.group import _tube_members, symplectic_defect, tube_group_reason, unembed_action
+from dualvinberg.linalg import stack_maxabs
+from dualvinberg.semigroup import COMPRESSION_REASONS, compression_members, compression_reason
 
-from conftest import generator_product, overflowing_defect_matrix, sample_chart_element
+from conftest import (
+    count_eigvalsh,
+    generator_product,
+    overflowing_defect_matrix,
+    sample_chart_element,
+)
 from oracles import search_violations_reference
 
 I3 = np.eye(3)
@@ -67,8 +73,10 @@ def _certificate_corpus():
         rows.append(scale * members[rng.integers(len(members))])
     # boundary shifts that a tol-0 closed-cone test sees on either side of
     # its closed form: exactly singular ([0.2, 1, 0.2, 0.2, 0]), a zero
-    # leading pivot that eigvalsh accepts, and singular sums of squares
-    rows += [dv.translation(v) for v in ([0.2, 1.0, 0.2, 0.2, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0])]
+    # leading pivot that eigvalsh accepts, the same at MEMBERSHIP_TOL, and
+    # singular sums of squares
+    shifts = ([0.2, 1.0, 0.2, 0.2, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0], [-2e-9, 1.0, 1.0, 0.0, 0.0])
+    rows += [dv.translation(v) for v in shifts]
     for _ in range(20):
         L = dv.sample_positive_triangular(rng, 1.0)
         eps = (rng.random(3) >= 0.5).astype(float)
@@ -82,18 +90,29 @@ def _certificate_corpus():
     return np.array(rows)
 
 
-@pytest.mark.parametrize("tol", [MEMBERSHIP_TOL, 0.0, 1e-3, np.nan])
-def test_compression_codes_match_compression_reason_row_by_row(tol):
+def test_the_member_mask_never_admits_a_non_member(monkeypatch):
     G = _certificate_corpus()
+    calls = count_eigvalsh(monkeypatch)
     with np.errstate(all="ignore"):
-        codes = compression_codes(G, tol)
-        reasons = [compression_reason(g, tol) for g in G]
-    assert [None if c == 0 else COMPRESSION_REASONS[c - 1] for c in codes] == reasons
+        tube = _tube_members(G, stack_maxabs(G))
+        mask = compression_members(G)
+        reasons, measured = [], []
+        for g in G:
+            n = len(calls)
+            reasons.append(compression_reason(g))
+            measured.append(len(calls) > n)
+        assert list(tube) == [tube_group_reason(g) is None for g in G]
+    members = np.array([r is None for r in reasons])
+    assert not (mask & ~members).any()
+    # a member reads False only where eigvalsh admitted it (a zero
+    # leading pivot of the closed form)
+    measured = np.array(measured)
+    assert mask[members & ~measured].all()
+    assert (members & measured & ~mask).any()
+    # every reason and both kinds of member are covered
+    assert reasons[: len(COMPRESSION_REASONS)] == list(COMPRESSION_REASONS)
+    assert set(reasons) == {None, *COMPRESSION_REASONS}
     assert reasons[-1] == "not symplectic"
-    if tol == MEMBERSHIP_TOL:
-        # every reason and both kinds of member are covered
-        assert set(codes) == set(range(len(COMPRESSION_REASONS) + 1))
-        assert list(codes[: len(COMPRESSION_REASONS)]) == list(range(1, len(COMPRESSION_REASONS) + 1))
 
 
 def test_symplectic_defect_of_a_stack_equals_the_loop():
@@ -187,6 +206,16 @@ def test_stacked_ratios_equal_single_calls_on_every_row():
     v = rng.standard_normal((40, 5))
     ratios = dv.contraction_ratios(g, x, v)
     assert list(ratios) == [dv.contraction_ratio(*row).ratio for row in zip(g, x, v)]
+
+
+def test_a_member_that_only_eigvalsh_admits_takes_the_one_row_loop():
+    g, x, v = _stack(np.random.default_rng(83))
+    # the closed form's leading pivot is x1 + tol * (1 + 1) = 0 exactly
+    g[4] = dv.translation([-2e-9, 1.0, 1.0, 0.0, 0.0])
+    assert list(compression_members(g)) == [i != 4 for i in range(len(g))]
+    assert compression_reason(g[4]) is None
+    want = np.array([dv.contraction_ratio(*row).ratio for row in zip(g, x, v)])
+    assert dv.contraction_ratios(g, x, v).tobytes() == want.tobytes()
 
 
 def _spawned_normals(rng, n):
