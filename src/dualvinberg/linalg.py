@@ -3,10 +3,11 @@
 Determinants and inverses go through explicit cofactors rather than LU:
 the formulas are dtype-generic (real or complex) and keep exact zeros and
 small-integer arithmetic exact, which the reference values in the test
-suite rely on.  The same formulas run on stacks (..., 3, 3) through
-inv3_stack, entry for entry as on one matrix, so a stacked evaluation
-agrees with a loop of single ones to the bit.  semidefinite3 decides
-semidefiniteness by LDL^T elimination, likewise on one matrix or a stack.
+suite rely on.  inv3_stack gathers adjugate3's cofactors from flat rows
+(..., 9); its a*adj00 + b*adj10 + c*adj20 is det3 with a sign moved
+exactly into a cofactor, so it agrees with adjugate3/det3 to the bit but
+for a zero determinant's sign, which is_singular3 rejects.  semidefinite3
+decides semidefiniteness by LDL^T elimination on one matrix or a stack.
 
 One-matrix certificates follow one arithmetic rule: every matrix product
 is a numpy @, so the one-matrix and stacked routes agree to the bit, and
@@ -53,8 +54,8 @@ def float_maxabs(values) -> float:
 
 
 def det3(m):
-    """Cofactor determinant of one matrix, as an array or nested lists, or
-    of an entries-first stack; entries are read as m[i][j]."""
+    """Cofactor determinant of one matrix, as an array or nested lists;
+    entries are read as m[i][j].  Stacks take inv3_stack's kernel."""
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -63,8 +64,8 @@ def det3(m):
 
 
 def adjugate3(m) -> np.ndarray:
-    """Transposed cofactor matrix, so that m @ adjugate3(m) = det3(m) * I;
-    m as det3 takes it."""
+    """Transposed cofactor matrix of one matrix, so that m @ adjugate3(m) =
+    det3(m) * I; m as det3 takes it."""
     a, b, c = m[0]
     d, e, f = m[1]
     g, h, i = m[2]
@@ -84,8 +85,7 @@ def is_singular3(m, d=None):
     its rows as Python floats, gives a bool; a stack (..., 3, 3) gives a
     mask."""
     if isinstance(m, np.ndarray) and m.ndim > 2:
-        if d is None:
-            d = det3(entries_first(m))
+        d = inv3_stack(m)[1] if d is None else d
         s = stack_maxabs(m)
         return ~(np.abs(d) > SINGULAR_TOL * (1.0 + s * s * s))
     if isinstance(m, np.ndarray):
@@ -149,20 +149,27 @@ def midpoint(a, b):
 
 def entries_first(m):
     """A stack array (..., 3, 3) as the 3x3 grid of its entry stacks, so
-    that det3 and adjugate3 read it as one matrix; one matrix comes back
-    as it is."""
+    that code written for one matrix's m[i][j] reads the stack; one matrix
+    comes back as it is."""
     n = m.ndim
     return m if n == 2 else np.transpose(m, (n - 2, n - 1) + tuple(range(n - 2)))
 
 
+# adjugate3's row-major entries are f[P] * f[Q] - f[R] * f[S] of flat f; rows P, Q, R, S
+_COFACTOR_TERMS = np.array([[4, 2, 1, 5, 0, 2, 3, 1, 0], [8, 7, 5, 6, 8, 3, 7, 6, 4],
+                            [5, 1, 2, 3, 2, 0, 4, 0, 1], [7, 8, 4, 8, 6, 5, 6, 7, 3]])
+
+
 def inv3_stack(m):
     """adjugate3/det3 of one matrix or every matrix of a stack (..., 3, 3),
-    and the determinants.  Raises nothing: a matrix that is_singular3
-    rejects gets a garbage inverse."""
+    and the determinants a*adj00 + b*adj10 + c*adj20, summed left to right.
+    Raises nothing: a matrix that is_singular3 rejects gets a garbage
+    inverse."""
     m = np.asarray(m)
-    d = det3(entries_first(m))
-    adj = adjugate3(entries_first(m))
-    if m.ndim > 2:
-        adj = np.ascontiguousarray(np.transpose(adj, tuple(range(2, m.ndim)) + (0, 1)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return adj / (d[..., None, None] if m.ndim > 2 else d), d
+    f = m.reshape(m.shape[:-2] + (9,))
+    with np.errstate(all="ignore"):  # rejected rows run on with inf and NaN
+        t = f[..., _COFACTOR_TERMS]
+        p = t[..., ::2, :] * t[..., 1::2, :]
+        adj = p[..., 0, :] - p[..., 1, :]
+        d = f[..., 0] * adj[..., 0] + f[..., 1] * adj[..., 3] + f[..., 2] * adj[..., 6]
+        return (adj / d[..., None]).reshape(m.shape), d

@@ -48,9 +48,7 @@ def cone_metric(x, v, w):
     point, an array row by row for stacks (n, 5).  DomainError for a base
     point outside the open cone, then for one whose determinant (the third
     minor) or form is not finite: inv(X) would divide by inf."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
+    x, v, w = (np.asarray(a, dtype=float) for a in (x, v, w))
     check_rows(
         np.logical_not(in_open_cone(x)),
         lambda r: DomainError("base point outside the open cone"),
@@ -59,7 +57,8 @@ def cone_metric(x, v, w):
     Xi, d = inv3_stack(embed_stack(x))
     (x1, x2), (v1, v2), (w1, w2) = x.T[:2], v.T[:2], w.T[:2]
     first = -0.5 * (v1 * w1 / (x1 * x1) + v2 * w2 / (x2 * x2))
-    second = 2.0 * np.trace(Xi @ embed_stack(v) @ Xi @ embed_stack(w), axis1=-2, axis2=-1)
+    V = embed_stack(v)  # once where w is v, as the ratio pass calls it
+    second = 2.0 * np.trace(Xi @ V @ Xi @ (V if w is v else embed_stack(w)), axis1=-2, axis2=-1)
     form = first + second
     check_rows(
         ~(np.isfinite(d) & np.isfinite(form)),
@@ -128,18 +127,17 @@ def contraction_ratios(g, x, v):
     one (g, x, v), an array row by row for stacks (n, 6, 6), (n, 5), (n, 5).
 
     Every row runs every check of the one-row path: g in the compression
-    semigroup (one matrix takes compression_reason, a stack the mask
+    semigroup (compression_reason, or for a stack the mask
     compression_members), x in the open cone, v nonzero, C X + D
-    invertible, the image and the pushforward on the pattern, and the image
-    in the open cone.  A stack runs as one pass when the mask certifies
+    invertible, the image and then the pushforward on the pattern, the
+    image in the open cone, and the forms and minors at x, then at the
+    image, finite.  A stack runs as one pass when the mask certifies
     every row.  Otherwise, or when the pass raises (at its first failing
     check, where a lower row may fail a later one), it returns the loop of
     one-row calls, which raises for the lowest failing row or admits a
     member that only eigvalsh accepts.
     """
-    g = np.asarray(g, dtype=float)
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
+    g, x, v = (np.asarray(a, dtype=float) for a in (g, x, v))
     if g.ndim == 2:
         if (reason := compression_reason(g)) is not None:
             raise DomainError(f"not in the compression semigroup: {reason}")
@@ -153,16 +151,21 @@ def contraction_ratios(g, x, v):
 
 
 def _stretch(g, x, v):
-    """contraction_ratios past the semigroup check."""
+    """contraction_ratios past the semigroup check, as one pass over a
+    stack.  One row runs as a stack of one and divides Python floats, so
+    that a zero form raises, as it always has."""
+    if one := g.ndim == 2:
+        g, x, v = g[None], x[None], v[None]
+    n = len(x)
     with np.errstate(all="ignore"):  # a failing row computes garbage until its check raises
-        before = cone_metric(x, v, v)
+        check_rows(~in_open_cone(x), lambda r: DomainError("base point outside the open cone"))
         check_rows(~np.any(v, axis=-1), lambda r: DomainError("zero tangent vector"))
         # one kernel call gives both the image point and the pushforward
         W, Mi = mobius(g, embed_stack(x))
-        y = unembed_action(W)
-        jv = unembed_action(np.swapaxes(Mi, -1, -2) @ embed_stack(v) @ Mi)
-        after = cone_metric(y, jv, jv)
-    return after / before
+        yjv = unembed_action(np.concatenate((W, np.swapaxes(Mi, -1, -2) @ embed_stack(v) @ Mi)))
+        tangents = np.concatenate((v, yjv[n:]))
+        form = cone_metric(np.concatenate((x, yjv[:n])), tangents, tangents)
+    return float(form[1]) / float(form[0]) if one else form[n:] / form[:n]
 
 
 def contraction_ratio(g, x, v) -> ContractionRecord:

@@ -45,17 +45,18 @@ def generator_product(rng, length: int = 3) -> np.ndarray:
     return g
 
 
-def count_eigvalsh(monkeypatch) -> list:
-    """Wrap np.linalg.eigvalsh for the rest of the test; the list returned
-    gets the shape of each argument it is called on."""
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap owner.name for the rest of the test, as np.linalg.eigvalsh or
+    a module's imported name; the list returned gets the shape of the
+    first argument of each call."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    wrapped = getattr(owner, name)
 
     def counted(m, *args, **kwargs):
         calls.append(np.shape(m))
-        return eigvalsh(m, *args, **kwargs)
+        return wrapped(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dualvinberg as dv
@@ -11,6 +11,7 @@ from dualvinberg.linalg import (
     det3,
     float_maxabs,
     inv3,
+    inv3_stack,
     is_singular3,
     maxabs,
 )
@@ -118,3 +119,59 @@ def test_is_singular3_of_a_stack_is_the_rule_matrix_by_matrix(values):
     m = np.array(values).reshape(2, 3, 3)
     with np.errstate(all="ignore"):
         assert is_singular3(m).tolist() == [is_singular3(x) for x in m]
+
+
+# zeros of both signs, subnormals, entries whose products underflow or
+# overflow, inf and NaN, small integers (exact zero determinants), then
+# every float64
+kernel_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-150, -1e-150, 1e150, -1e150, np.inf, -np.inf, np.nan]),
+    st.integers(-2, 2).map(float),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+
+
+def assert_kernel_is_the_one_matrix_route(m):
+    """inv3_stack and is_singular3 on m (..., 3, 3) against adjugate3/det3
+    and the rule on each matrix's rows as Python floats."""
+    with np.errstate(all="ignore"):
+        inv, d = inv3_stack(m)
+        masks = np.asarray(is_singular3(m)), np.asarray(is_singular3(m, d))
+        for i in np.ndindex(m.shape[:-2]):
+            rows = m[i].tolist()
+            singular = is_singular3(rows)
+            # the rule, det +-0 included; the kernel's determinant decides as det3's
+            assert [mask[i] for mask in masks] == [singular, singular]
+            if not singular:
+                assert same_float(np.asarray(d)[i], det3(rows))
+                want = adjugate3(rows) / det3(rows)
+                assert all(map(same_float, inv[i].ravel().tolist(), want.ravel().tolist()))
+
+
+S = 5e102  # S**3 is finite, and the determinant -4 S**3 of this sign pattern overflows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(-110, 110),
+    st.dictionaries(st.integers(0, 3 * 36 - 1), kernel_floats, max_size=16),
+)
+@example(0, 0, {6 * r + c: [[S, S, -S], [S, -S, S], [-S, S, S]][r][c] for r in range(3) for c in range(3)})
+@example(0, 0, {6 * r + c: [[1.0, 0.0, 0.0], [0.0, -0.0, 0.0], [0.0, 0.0, 1.0]][r][c] for r in range(3) for c in range(3)})
+def test_the_cofactor_kernel_is_adjugate_over_det_where_the_rule_admits(seed, exponent, spoils):
+    # three 6x6 matrices of normals at scale 10**exponent, some entries
+    # replaced by hostile floats; both sides of the rule occur
+    g = np.random.default_rng(seed).standard_normal(3 * 36) * 10.0**exponent
+    g[list(spoils)] = list(spoils.values())
+    g = g.reshape(3, 6, 6)
+    assert_kernel_is_the_one_matrix_route(g[0, :3, :3])  # one array
+    assert_kernel_is_the_one_matrix_route(g[:, :3, :3].copy())  # a contiguous stack
+    assert_kernel_is_the_one_matrix_route(g[:, 3:, 3:])  # strided views
+
+
+def test_the_cofactor_kernel_on_random_stacks():
+    rng = np.random.default_rng(20)
+    m = rng.standard_normal((2000, 3, 3)) * np.exp(rng.uniform(-300, 300, (2000, 1, 1)))
+    assert_kernel_is_the_one_matrix_route(m)
+    assert_kernel_is_the_one_matrix_route(m.reshape(40, 50, 3, 3))

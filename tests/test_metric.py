@@ -62,6 +62,18 @@ def test_cone_metric_refuses_an_interior_point_whose_determinant_overflows():
     assert dv.cone_metric(np.array([IDENTITY, IDENTITY]), np.array([e1, e1]), np.array([e1, e1])).tolist() == [1.5, 1.5]
 
 
+def test_the_ratio_pass_checks_the_forms_last():
+    # the base point's form and minor are checked after every other check
+    # of the pass, so the same point with a zero tangent reports the tangent
+    g = dv.translation([1.0, 1.0, 1.01, -1.0, 0.0])
+    x = np.array([1e200, 1.0, 1e250, 0.0, 0.0])
+    with np.errstate(all="ignore"):
+        with pytest.raises(DomainError, match="^zero tangent vector$"):
+            dv.contraction_ratio(g, x, np.zeros(5))
+        with pytest.raises(DomainError, match="^metric form or base point minor not finite$"):
+            dv.contraction_ratio(g, x, np.eye(5)[0])
+
+
 def test_cone_metric_is_symmetric_and_bilinear():
     rng = np.random.default_rng(60)
     for _ in range(100):

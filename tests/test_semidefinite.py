@@ -15,7 +15,7 @@ from dualvinberg.cone import MEMBERSHIP_TOL, closed_cone_reason, embed
 from dualvinberg.linalg import entries_first, maxabs, semidefinite3
 from dualvinberg.semigroup import compression_reason, symplectic_semigroup_reason
 
-from conftest import count_eigvalsh
+from conftest import count_calls
 from oracles import (
     closed_cone_reason_reference,
     lambda_min,
@@ -200,7 +200,7 @@ def _criterion_6_family(n):
 
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
-    return count_eigvalsh(monkeypatch)
+    return count_calls(monkeypatch, np.linalg, "eigvalsh")
 
 
 def test_members_never_reach_eigvalsh(eigvalsh_calls):

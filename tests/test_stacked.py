@@ -14,7 +14,7 @@ from dualvinberg.linalg import stack_maxabs
 from dualvinberg.semigroup import COMPRESSION_REASONS, compression_members, compression_reason
 
 from conftest import (
-    count_eigvalsh,
+    count_calls,
     generator_product,
     overflowing_defect_matrix,
     sample_chart_element,
@@ -92,7 +92,7 @@ def _certificate_corpus():
 
 def test_the_member_mask_never_admits_a_non_member(monkeypatch):
     G = _certificate_corpus()
-    calls = count_eigvalsh(monkeypatch)
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     with np.errstate(all="ignore"):
         tube = _tube_members(G, stack_maxabs(G))
         mask = compression_members(G)
@@ -371,6 +371,8 @@ def _loop(g, x, v):
         # an interior base point whose determinant overflows
         [(2, "x", [1e200, 1.0, 1e250, 0.0, 0.0])],
         [(2, "x", [1e200, 1.0, 1e250, 0.0, 0.0]), (5, "v", np.zeros(5))],
+        # the same row with a zero tangent reports the tangent
+        [(2, "x", [1e200, 1.0, 1e250, 0.0, 0.0]), (2, "v", np.zeros(5))],
     ],
 )
 def test_a_stack_with_bad_rows_raises_what_the_loop_raises(spoil):
@@ -381,6 +383,26 @@ def test_a_stack_with_bad_rows_raises_what_the_loop_raises(spoil):
     want = _first_error(_loop, g, x, v)
     assert want is not None
     assert _first_error(dv.contraction_ratios, g, x, v) == want
+
+
+def test_a_sweep_block_runs_each_kernel_of_the_ratio_pass_once(monkeypatch):
+    # one mobius on the block, one unembed_action on [image; pushforward]
+    # and one cone_metric on [x; image]; a one-row call runs the same pass
+    calls = {name: count_calls(monkeypatch, metric, name) for name in ("mobius", "unembed_action", "cone_metric")}
+    dv.search_violations(np.random.default_rng(2711), 32)
+    assert calls == {
+        "mobius": [(32, 6, 6)],
+        "unembed_action": [(64, 3, 3)],
+        "cone_metric": [(64, 5)],
+    }
+    for c in calls.values():
+        c.clear()
+    dv.counterexample()
+    assert calls == {
+        "mobius": [(1, 6, 6)],
+        "unembed_action": [(2, 3, 3)],
+        "cone_metric": [(2, 5)],
+    }
 
 
 @pytest.mark.parametrize("block", [4096, 3])
