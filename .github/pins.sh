@@ -24,6 +24,23 @@ test "$out" = '{"max_ratio": 1.039430288145257, "violation_count": 2, "n_samples
 echo "a1ab520906ae13058f9c1bc0ad22e4e47270dcb9b28b45d6118a3feeedf23da1  s.csv" | sha256sum -c -
 echo "::endgroup::"
 
+echo "::group::Benchmark-shaped search pin"
+# the CSV bytes of 200 sweeps of 32 samples at default_rng((2026, k)), the
+# benchmark op's shape, where every sweep runs only the stacked pass
+out="$(python -c "
+import hashlib, io, numpy as np, dualvinberg as dv
+from dualvinberg import serialize
+h = hashlib.sha256()
+for k in range(200):
+    f = io.StringIO()
+    serialize.write_records_csv(f, dv.search_violations(np.random.default_rng((2026, k)), 32)[0])
+    h.update(f.getvalue().encode())
+print(h.hexdigest())
+")"
+echo "$out"
+test "$out" = a882b4bdd7e76c21172f5463f432fa2d1f495b645a209c54c3b0884f8448dfd4
+echo "::endgroup::"
+
 echo "::group::Derived child streams pin"
 # the search derives each sample's child seed with numpy's SeedSequence
 # algorithm instead of spawning it; a numpy release that changes that

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PatternError, check_rows
-from .linalg import entries_first, float_maxabs, midpoint, semidefinite3, stack_maxabs
+from .linalg import float_maxabs, midpoint, semidefinite3, stack_maxabs
 
 IDENTITY_POINT = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -40,6 +40,12 @@ TRIANGULAR_ZEROS = ((0, 1), (0, 2), (1, 0), (1, 2))
 # Zero slots of the flat slice diag(u1, u2, 0).
 FLAT_ZEROS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
 
+# Flat (..., 9) slots: embed_stack writes coordinate _EMBED_COORDS[k] to _EMBED_SLOTS[k];
+# pattern_parts reads the coordinates' mirror slots, and the gaps' (0,1), (1,0), (0,2), (1,2).
+_EMBED_SLOTS, _EMBED_COORDS = np.array([0, 4, 8, 2, 6, 5, 7]), np.array([0, 1, 2, 3, 3, 4, 4])
+_MIRRORS, _GAPS = np.array([[0, 4, 8, 2, 5], [0, 4, 8, 6, 7]]), np.array([1, 3, 2, 5])
+_EYE3 = np.eye(3)  # embed(IDENTITY_POINT)
+
 
 def embed(x) -> np.ndarray:
     """Patterned symmetric matrix of a coordinate vector (complex allowed)."""
@@ -54,59 +60,59 @@ def embed(x) -> np.ndarray:
 
 
 def embed_stack(x) -> np.ndarray:
-    """embed for one coordinate vector or a stack of them (..., 5), real or
-    complex.  embed keeps its own one-point form, which the stacked
-    indexing would make twice as slow; the membership and polar routes
-    embed one point at a time."""
+    """embed for one coordinate vector or a stack of them (..., 5), as one
+    scatter into flat rows; embed's own one-point form is twice as fast."""
     x = np.asarray(x)
-    if x.ndim == 1:
-        return embed(x)
-    m = np.zeros(x.shape[:-1] + (3, 3), dtype=complex if np.iscomplexobj(x) else float)
-    m[..., 0, 0] = x[..., 0]
-    m[..., 1, 1] = x[..., 1]
-    m[..., 2, 2] = x[..., 2]
-    m[..., 0, 2] = m[..., 2, 0] = x[..., 3]
-    m[..., 1, 2] = m[..., 2, 1] = x[..., 4]
-    return m
+    m = np.zeros(x.shape[:-1] + (9,), dtype=complex if np.iscomplexobj(x) else float)
+    m[..., _EMBED_SLOTS] = x[..., _EMBED_COORDS]
+    return m.reshape(x.shape[:-1] + (3, 3))
 
 
 def pattern_parts(m):
     """Off-pattern mass and coordinates of one 3x3 array, or of each of a
-    stack (n, 3, 3) as (n,) and (n, 5); one matrix given as nested Python
-    floats gets its coordinates as a list.  The mass is the max of |m01|,
-    |m10| and the two mirror gaps, NaN when any of them is; mirror pairs
-    are averaged by linalg.midpoint."""
+    stack (..., 3, 3) as (...) and (..., 5); one matrix given as nested
+    Python floats gets its coordinates as a list.  The mass is the max of
+    |m01|, |m10| and the two mirror gaps, NaN when any of them is; mirror
+    pairs are averaged by linalg.midpoint, a stack's in one call with its
+    diagonal, since midpoint(a, a) is a, after two gathers of flat rows."""
     listed = isinstance(m, list)
-    if not listed:
+    if listed or m.ndim == 2:
         # one matrix as Python numbers, which do the same float arithmetic faster
-        m = m.tolist() if m.ndim == 2 else entries_first(m)
-    gaps = (m[0][1], m[1][0], m[0][2] - m[2][0], m[1][2] - m[2][1])
-    off = float_maxabs(gaps) if isinstance(m, list) else np.abs(gaps).max(0)
-    x = [m[0][0], m[1][1], m[2][2], midpoint(m[0][2], m[2][0]), midpoint(m[1][2], m[2][1])]
-    return off, (x if listed else np.array(x).T)
+        m = m if listed else m.tolist()
+        gaps = (m[0][1], m[1][0], m[0][2] - m[2][0], m[1][2] - m[2][1])
+        x = [m[0][0], m[1][1], m[2][2], midpoint(m[0][2], m[2][0]), midpoint(m[1][2], m[2][1])]
+        return float_maxabs(gaps), (x if listed else np.array(x))
+    f = m.reshape(m.shape[:-2] + (9,))
+    pairs, gaps = f[..., _MIRRORS], f[..., _GAPS]
+    gaps[..., 2:] -= pairs[..., 1, 3:]
+    return np.abs(gaps).max(-1), midpoint(pairs[..., 0, :], pairs[..., 1, :])
 
 
-def unembed(m, atol=None) -> np.ndarray:
-    """Coordinates of a patterned symmetric matrix, or of each of a stack
-    (n, 3, 3) with one atol per matrix.
-
-    The forbidden slot is (0,1)/(1,0) and the mirror pairs must match;
-    off-pattern mass beyond ``atol`` (default 1e-12, scale-relative) or a
-    non-finite forbidden entry, which the default bound would grow with,
-    raises PatternError for the first failing matrix.  Mirror pairs are
-    averaged (pattern_parts).
-    """
+def read_pattern(m, atol=None):
+    """unembed's reading of m (..., 3, 3), raising nothing: the
+    coordinates, the off-pattern mass and the mask of what it refuses."""
     m = np.asarray(m)
     if atol is None:
         atol = PATTERN_TOL * (1.0 + stack_maxabs(m))
     off, x = pattern_parts(m)
-    e = entries_first(m)
-    check_rows(
-        (off > atol) | ~((abs(e[0][1]) < math.inf) & (abs(e[1][0]) < math.inf)),
-        lambda r: PatternError(
-            f"matrix leaves the patterned subspace by {np.reshape(off, -1)[r]:.3e}"
-        ),
-    )
+    return x, off, (off > atol) | ~(np.isfinite(m[..., 0, 1]) & np.isfinite(m[..., 1, 0]))
+
+
+def refuse_off_pattern(refused, off) -> None:
+    """unembed's PatternError for the first matrix read_pattern refused."""
+    message = "matrix leaves the patterned subspace by {:.3e}"
+    check_rows(refused, lambda r: PatternError(message.format(np.reshape(off, -1)[r])))
+
+
+def unembed(m, atol=None) -> np.ndarray:
+    """Coordinates of a patterned symmetric matrix, or of each of a stack
+    (..., 3, 3) with one atol per matrix.  The forbidden slot is (0,1)/(1,0)
+    and the mirror pairs must match; off-pattern mass beyond ``atol``
+    (default 1e-12, scale-relative) or a non-finite forbidden entry, which
+    the default bound would grow with, raises PatternError for the first
+    failing matrix.  Mirror pairs are averaged (pattern_parts)."""
+    x, off, refused = read_pattern(m, atol)
+    refuse_off_pattern(refused, off)
     return x
 
 
@@ -256,9 +262,7 @@ def sample_triangular(rng, sigma: float = 1.0) -> np.ndarray:
     """Random element of the full triangular group: the first two diagonal
     entries carry random signs, a3 stays positive."""
     A = sample_positive_triangular(rng, sigma)
-    signs = np.where(rng.random(2) < 0.5, -1.0, 1.0)
-    A[0, 0] *= signs[0]
-    A[1, 1] *= signs[1]
+    A[[0, 1], [0, 1]] *= np.where(rng.random(2) < 0.5, -1.0, 1.0)
     return A
 
 
@@ -266,8 +270,12 @@ def cone_point(w) -> np.ndarray:
     """The identity point pushed by positive_triangular(w), for one row or
     each row of a stack; the congruence keeps the pattern zeros exact
     unless an entry overflows (PatternError)."""
-    T = positive_triangular(w)
-    return unembed(T @ embed(IDENTITY_POINT) @ np.swapaxes(T, -1, -2))
+    return unembed(push_identity(positive_triangular(w)))
+
+
+def push_identity(T) -> np.ndarray:
+    """T embed(IDENTITY_POINT) T^T for T (..., 3, 3)."""
+    return T @ _EYE3 @ np.swapaxes(T, -1, -2)
 
 
 def sample_cone(rng, sigma: float = 1.0) -> np.ndarray:

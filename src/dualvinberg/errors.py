@@ -34,5 +34,5 @@ def check_rows(mask, error) -> None:
     if not isinstance(mask, np.ndarray):  # a bool, tested by type: np.ndim costs more
         if mask:
             raise error(0)
-    elif mask.any():
+    elif np.count_nonzero(mask):  # a fraction of the cost of mask.any(), a ufunc reduction
         raise error(np.flatnonzero(mask)[0])

@@ -115,6 +115,9 @@ def is_symplectic(g) -> bool:
 _DT_ZEROS = tuple((3 + j, 3 + i) for i, j in TRIANGULAR_ZEROS)
 _B_ZEROS = ((0, 4), (1, 3))
 _C_ZEROS = tuple((3 + i, j) for i, j in FLAT_ZEROS)
+# flat slots of g that the stacked tube test reads: 17 zeros, A[2,2] and D[2,2]
+_TUBE_ZEROS = TRIANGULAR_ZEROS + _DT_ZEROS + _B_ZEROS + _C_ZEROS
+_TUBE_SLOTS = np.array([6 * i + j for i, j in _TUBE_ZEROS] + [14, 35])
 
 
 def _zeros_hold(m, slots, atol) -> bool:
@@ -163,15 +166,11 @@ def _tube_members(g, scale):
     """The tube test on a stack (n, 6, 6) given its maxabs: a mask, True
     where tube_group_reason(g[i]) is None.  Every check runs on every row:
     the symplectic bound, the 17 pattern zeros in one gather and the two
-    corners."""
-    rows, cols = zip(*TRIANGULAR_ZEROS, *_DT_ZEROS, *_B_ZEROS, *_C_ZEROS)
+    corners, gathered by flat index."""
+    t = g.reshape(len(g), 36)[:, _TUBE_SLOTS]
     atol = PATTERN_TOL * (1.0 + scale)
-    return (
-        _symplectic(g, scale)
-        & (np.abs(g[:, rows, cols]) <= atol[:, None]).all(axis=1)
-        & (g[:, 2, 2] > 0)
-        & (g[:, 5, 5] > 0)
-    )
+    zeros, corners = np.abs(t[:, :17]) <= atol[:, None], t[:, 17:] > 0
+    return _symplectic(g, scale) & zeros.all(1) & corners.all(1)
 
 
 def in_tube_group(g) -> bool:

@@ -6,7 +6,8 @@ small-integer arithmetic exact, which the reference values in the test
 suite rely on.  inv3_stack gathers adjugate3's cofactors from flat rows
 (..., 9); its a*adj00 + b*adj10 + c*adj20 is det3 with a sign moved
 exactly into a cofactor, so it agrees with adjugate3/det3 to the bit but
-for a zero determinant's sign, which is_singular3 rejects.  semidefinite3
+for a zero determinant's sign, which is_singular3 rejects.  A stacked
+is_singular3 gathers those three cofactors alone.  semidefinite3
 decides semidefiniteness by LDL^T elimination on one matrix or a stack.
 
 One-matrix certificates follow one arithmetic rule: every matrix product
@@ -83,9 +84,11 @@ def is_singular3(m, d=None):
     1e-12 * (1 + maxabs(m)**3), a NaN determinant, or an overflowed bound;
     given the determinant d or computing it.  One matrix, as an array or
     its rows as Python floats, gives a bool; a stack (..., 3, 3) gives a
-    mask."""
+    mask, and computes only the three cofactors of its determinant, which
+    is inv3_stack's to the bit."""
     if isinstance(m, np.ndarray) and m.ndim > 2:
-        d = inv3_stack(m)[1] if d is None else d
+        if d is None:  # it warns where it overflows, as the bound does
+            d = _cofactors(m.reshape(m.shape[:-2] + (9,)), _COFACTOR_TERMS[:, ::3])[1]
         s = stack_maxabs(m)
         return ~(np.abs(d) > SINGULAR_TOL * (1.0 + s * s * s))
     if isinstance(m, np.ndarray):
@@ -144,32 +147,31 @@ def midpoint(a, b):
     if not isinstance(h, np.ndarray) or h.ndim == 0:
         return a / 2 + b / 2 if abs(h) == math.inf else h
     over = np.isinf(h)
-    return np.where(over, a / 2 + b / 2, h) if over.any() else h
+    return np.where(over, a / 2 + b / 2, h) if np.count_nonzero(over) else h
 
 
-def entries_first(m):
-    """A stack array (..., 3, 3) as the 3x3 grid of its entry stacks, so
-    that code written for one matrix's m[i][j] reads the stack; one matrix
-    comes back as it is."""
-    n = m.ndim
-    return m if n == 2 else np.transpose(m, (n - 2, n - 1) + tuple(range(n - 2)))
-
-
-# adjugate3's row-major entries are f[P] * f[Q] - f[R] * f[S] of flat f; rows P, Q, R, S
+# adjugate3's row-major entries are f[P] * f[Q] - f[R] * f[S] of flat f; rows
+# P, Q, R, S.  Every third column, adj00, adj10 and adj20, gives the determinant.
 _COFACTOR_TERMS = np.array([[4, 2, 1, 5, 0, 2, 3, 1, 0], [8, 7, 5, 6, 8, 3, 7, 6, 4],
                             [5, 1, 2, 3, 2, 0, 4, 0, 1], [7, 8, 4, 8, 6, 5, 6, 7, 3]])
 
 
+def _cofactors(f, terms):
+    """f[P] * f[Q] - f[R] * f[S] of flat rows f (..., 9) for all nine or every
+    third column of terms, and a*adj00 + b*adj10 + c*adj20, left to right."""
+    t = f[..., terms]
+    p = t[..., ::2, :] * t[..., 1::2, :]
+    c = p[..., 0, :] - p[..., 1, :]
+    p = f[..., :3] * c[..., :: len(terms[0]) // 3]
+    return c, p[..., 0] + p[..., 1] + p[..., 2]
+
+
 def inv3_stack(m):
     """adjugate3/det3 of one matrix or every matrix of a stack (..., 3, 3),
-    and the determinants a*adj00 + b*adj10 + c*adj20, summed left to right.
-    Raises nothing: a matrix that is_singular3 rejects gets a garbage
-    inverse."""
+    and the determinants.  Raises nothing: a matrix that is_singular3
+    rejects gets a garbage inverse."""
     m = np.asarray(m)
     f = m.reshape(m.shape[:-2] + (9,))
     with np.errstate(all="ignore"):  # rejected rows run on with inf and NaN
-        t = f[..., _COFACTOR_TERMS]
-        p = t[..., ::2, :] * t[..., 1::2, :]
-        adj = p[..., 0, :] - p[..., 1, :]
-        d = f[..., 0] * adj[..., 0] + f[..., 1] * adj[..., 3] + f[..., 2] * adj[..., 6]
+        adj, d = _cofactors(f, _COFACTOR_TERMS)
         return (adj / d[..., None]).reshape(m.shape), d

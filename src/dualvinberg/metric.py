@@ -23,11 +23,14 @@ import numpy as np
 
 from .cone import (
     IDENTITY_POINT,
-    cone_point,
     embed,
     embed_stack,
     in_open_cone,
     log_char_function,
+    positive_triangular,
+    push_identity,
+    read_pattern,
+    refuse_off_pattern,
 )
 from .errors import DomainError, PatternError, check_rows
 from .group import act_real, mobius, translation, unembed_action
@@ -58,8 +61,9 @@ def cone_metric(x, v, w):
     (x1, x2), (v1, v2), (w1, w2) = x.T[:2], v.T[:2], w.T[:2]
     first = -0.5 * (v1 * w1 / (x1 * x1) + v2 * w2 / (x2 * x2))
     V = embed_stack(v)  # once where w is v, as the ratio pass calls it
-    second = 2.0 * np.trace(Xi @ V @ Xi @ (V if w is v else embed_stack(w)), axis1=-2, axis2=-1)
-    form = first + second
+    Q = Xi @ V @ Xi @ (V if w is v else embed_stack(w))
+    # the trace as np.trace sums it: from 0, along the diagonal
+    form = first + 2.0 * (0.0 + Q[..., 0, 0] + Q[..., 1, 1] + Q[..., 2, 2])
     check_rows(
         ~(np.isfinite(d) & np.isfinite(form)),
         lambda r: DomainError("metric form or base point minor not finite"),
@@ -80,17 +84,13 @@ def spd_metric(x, v, w) -> float:
         half = np.linalg.solve(L, np.asarray(m, dtype=float))
         return np.linalg.solve(L, half.T)
 
-    av = whiten(v)
-    aw = whiten(w)
-    return float(2.0 * np.sum(av * aw.T))
+    return float(2.0 * np.sum(whiten(v) * whiten(w).T))
 
 
 def cone_metric_fd(x, v, w, h: float = 1e-4) -> float:
     """Central second difference of log char along (v, w); all four
     stencil points must stay in the open cone."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
+    x, v, w = (np.asarray(a, dtype=float) for a in (x, v, w))
     f = log_char_function
     return (
         f(x + h * (v + w)) - f(x + h * (v - w)) - f(x - h * (v - w)) + f(x - h * (v + w))
@@ -105,8 +105,7 @@ def action_jacobian(g, x, v) -> np.ndarray:
 
 
 def action_jacobian_fd(g, x, v, h: float = 1e-4) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     return (act_real(g, x + h * v) - act_real(g, x - h * v)) / (2.0 * h)
 
 
@@ -152,29 +151,29 @@ def contraction_ratios(g, x, v):
 
 def _stretch(g, x, v):
     """contraction_ratios past the semigroup check, as one pass over a
-    stack.  One row runs as a stack of one and divides Python floats, so
-    that a zero form raises, as it always has."""
+    stack; one row runs as a stack of one.  The last check is the
+    division's: a tangent whose form at x underflows to zero raises."""
     if one := g.ndim == 2:
         g, x, v = g[None], x[None], v[None]
     n = len(x)
     with np.errstate(all="ignore"):  # a failing row computes garbage until its check raises
         check_rows(~in_open_cone(x), lambda r: DomainError("base point outside the open cone"))
-        check_rows(~np.any(v, axis=-1), lambda r: DomainError("zero tangent vector"))
+        check_rows(~v.any(-1), lambda r: DomainError("zero tangent vector"))
         # one kernel call gives both the image point and the pushforward
         W, Mi = mobius(g, embed_stack(x))
         yjv = unembed_action(np.concatenate((W, np.swapaxes(Mi, -1, -2) @ embed_stack(v) @ Mi)))
         tangents = np.concatenate((v, yjv[n:]))
         form = cone_metric(np.concatenate((x, yjv[:n])), tangents, tangents)
-    return float(form[1]) / float(form[0]) if one else form[n:] / form[:n]
+        check_rows(form[:n] == 0, lambda r: DomainError("tangent form underflows to zero"))
+        ratios = form[n:] / form[:n]
+    return float(ratios[0]) if one else ratios
 
 
 def contraction_ratio(g, x, v) -> ContractionRecord:
     """One probe of contraction_ratios as a record; a ratio beyond
     1 + VIOLATION_THRESHOLD is a violation.  The ratio is invariant under
     scaling v."""
-    g = np.asarray(g, dtype=float)
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
+    g, x, v = (np.asarray(a, dtype=float) for a in (g, x, v))
     ratio = contraction_ratios(g, x, v)
     return ContractionRecord(
         g=g, x=x, v=v, ratio=ratio, violated=bool(ratio > 1.0 + VIOLATION_THRESHOLD)
@@ -184,9 +183,7 @@ def contraction_ratio(g, x, v) -> ContractionRecord:
 def contraction_ratio_spd(g, x, v) -> float:
     """Same stretch for the full positive definite cone and its metric;
     never exceeds 1 for a symplectic compression."""
-    g = np.asarray(g, dtype=float)
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
+    g, x, v = (np.asarray(a, dtype=float) for a in (g, x, v))
     if (reason := symplectic_semigroup_reason(g)) is not None:
         raise DomainError(f"not in the symplectic semigroup: {reason}")
     y, Mi = mobius(g, x)
@@ -195,9 +192,8 @@ def contraction_ratio_spd(g, x, v) -> float:
     return spd_metric(y, jv, jv) / spd_metric(x, v, v)
 
 
-def _witness() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    g = translation([1.0, 1.0, 1.01, -1.0, 0.0])
-    return g, IDENTITY_POINT.copy(), np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+_WITNESS = (translation([1.0, 1.0, 1.01, -1.0, 0.0]), IDENTITY_POINT.copy(),
+            np.array([1.0, 0.0, 1.0, 1.0, 0.0]))
 
 
 def counterexample() -> ContractionRecord:
@@ -208,7 +204,7 @@ def counterexample() -> ContractionRecord:
     (1, 0, 1, 1, 0): the form value moves from exactly 7.5 to
     -1/8 + 2 (6.01/3.02)^2, a ratio of about 1.0394.
     """
-    return contraction_ratio(*_witness())
+    return contraction_ratio(*(a.copy() for a in _WITNESS))
 
 
 @dataclass(frozen=True)
@@ -225,18 +221,25 @@ _DRAWS = 22
 # rows per stacked pass of the search
 _BLOCK = 4096
 
+# one sample's parameters of L and of the triangular factors of v and x
+_TRIANGULAR_DRAWS = np.array([[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [12, 13, 14, 15, 16]])
+
 
 def _sample_rows(z):
     """g, x and the unit tangent v of one row of normals (22,) or of every
     row of a stack (n, 22), as sample_semigroup, sample_cone and the
-    tangent normalisation build them one sample at a time, to the bit."""
-    g = interior_element(z[..., :12])
-    x = cone_point(z[..., 12:17])
-    t = z[..., 17:22]
-    # the BLAS dot of np.linalg.norm, row by row (a reduction along the
-    # axis sums in another order); a witness row of zeros gives NaN here
-    with np.errstate(invalid="ignore"):
-        return g, x, t / np.sqrt(t[..., None, :] @ t[..., :, None])[..., 0]
+    tangent normalisation build them one at a time, to the bit.  One row
+    raises in their order (v off pattern, L singular, x off pattern)."""
+    with np.errstate(all="ignore"):  # a failing row computes garbage until its check raises
+        T = positive_triangular(z[..., _TRIANGULAR_DRAWS])
+        vx, off, refused = read_pattern(push_identity(T[..., 1:, :, :]))
+        refuse_off_pattern(refused[..., 0], off[..., 0])
+        g = interior_element(T[..., 0, :, :], vx[..., 0, :], z[..., 10:12])
+        refuse_off_pattern(refused[..., 1], off[..., 1])
+        t = z[..., 17:22]
+        # the BLAS dot of np.linalg.norm, row by row (a reduction along the
+        # axis sums in another order); a witness row of zeros gives NaN here
+        return g, vx[..., 1, :], t / np.sqrt(t[..., None, :] @ t[..., :, None])[..., 0]
 
 
 def search_violations(
@@ -272,7 +275,7 @@ def search_violations(
                 contraction_ratios(*_sample_rows(z[i - start]))
             raise
         if start < first:
-            g[0], x[0], v[0] = _witness()
+            g[0], x[0], v[0] = _WITNESS
         # with every row sampled, this raises what the loop raises
         ratios = contraction_ratios(g, x, v)
         violations += [

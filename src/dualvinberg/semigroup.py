@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import (
+    _MIRRORS,
     MEMBERSHIP_TOL,
     _embed_rows,
     closed_cone_reason,
@@ -179,13 +180,15 @@ def compression_members(g) -> np.ndarray:
     B, C, D = g[:, :3, 3:], g[:, 3:, :3], g[:, 3:, 3:]
     with np.errstate(all="ignore"):  # failed rows run on with inf and NaN
         S = D.swapaxes(1, 2) @ B
-        S = (S + S.swapaxes(1, 2)) / 2
-        off, vS = pattern_parts(S)
+        S = ((S + S.swapaxes(1, 2)) / 2).reshape(len(g), 9)
+        # pattern_parts of S, symmetric to the bit: its upper slots, and mirror gaps 0, or NaN
+        # where a coordinate is not finite, which the closed form rejects: its bound is not finite
+        vS = S[:, _MIRRORS[0]]
         P = C @ D.swapaxes(1, 2)
         return (
             _tube_members(g, stack_maxabs(g))
             & ~is_singular3(D)
-            & (off <= tol * (1.0 + stack_maxabs(S)))
+            & (np.abs(S[:, 1]) <= tol * (1.0 + np.abs(S).max(1)))
             # closed_cone_reason's bound, at maxabs(embed(vS))
             & semidefinite3(_embed_rows(vS.T), tol * (1.0 + np.abs(vS).max(axis=1)))
             & (np.minimum(P[:, 0, 0], P[:, 1, 1]) >= -tol * (1.0 + stack_maxabs(P)))
@@ -503,38 +506,36 @@ def polar_factor(g):
     return A, InvariantConeElement(v=np.array(v), u=np.array(u))
 
 
-def interior_element(w) -> np.ndarray:
-    """triple_compose(v, A, u) for sigma-scaled normals w (12,) or each row
-    of a stack (n, 12): A = positive_triangular(w1..w5), v =
-    cone_point(w6..w10), u = exp(w11, w12).  PatternError where v
-    overflows, then SingularityError where A is singular."""
-    w = np.asarray(w, dtype=float)
-    n = w.shape[:-1]
-    L = positive_triangular(w[..., 0:5])
-    upper = np.tile(np.eye(6), n + (1, 1))
-    upper[..., :3, 3:] = embed_stack(cone_point(w[..., 5:10]))
+# interior_element's upper, linear and lower factors before their blocks are written
+_FACTORS = np.array([1.0, 0.0, 1.0])[:, None, None] * np.eye(6)
+
+
+def interior_element(L, v, u) -> np.ndarray:
+    """triple_compose(v, L, exp(u)) for a unit L (..., 3, 3), a point v
+    (..., 5) and normals u (..., 2); SingularityError where L is singular."""
     # congruence_embed(L) with inv3's singularity test
     Li, d = inv3_stack(L)
     check_rows(is_singular3(L, d), lambda r: SingularityError(SINGULAR_MESSAGE))
-    linear = np.zeros(n + (6, 6))
-    linear[..., :3, :3] = L
-    linear[..., 3:, 3:] = np.swapaxes(Li, -1, -2)
-    lower = np.tile(np.eye(6), n + (1, 1))
-    lower[..., [3, 4], [0, 1]] = np.exp(w[..., 10:12])
-    return upper @ linear @ lower
+    f = np.broadcast_to(_FACTORS, L.shape[:-2] + (3, 6, 6)).copy()
+    f[..., 0, :3, 3:] = embed_stack(v)
+    f[..., 1, :3, :3] = L
+    f[..., 1, 3:, 3:] = np.swapaxes(Li, -1, -2)
+    f[..., 2, [3, 4], [0, 1]] = np.exp(u)
+    return f[..., 0, :, :] @ f[..., 1, :, :] @ f[..., 2, :, :]
 
 
 def sample_semigroup(rng, interior: bool = True, sigma: float = 1.0) -> np.ndarray:
     """Random semigroup element from chart factors.
 
     interior=True keeps v in the open cone and u strictly positive
-    (interior_element of 12 normals);
+    (interior_element of 12 normals: L, cone_point's factor and u);
     interior=False pushes v onto a random boundary orbit (congruence of a
     0/1 diagonal) and masks u entries to zero at random, so zeroed
     randomness gives the identity.
     """
     if interior:
-        return interior_element(sigma * rng.standard_normal(12))
+        w = sigma * rng.standard_normal(12)
+        return interior_element(positive_triangular(w[:5]), cone_point(w[5:10]), w[10:])
     A = sample_positive_triangular(rng, sigma)
     L2 = sample_positive_triangular(rng, sigma)
     eps = (rng.random(3) >= 0.5).astype(float)

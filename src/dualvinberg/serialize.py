@@ -3,7 +3,8 @@
 Vectors are plain JSON arrays (5 numbers; triangular matrices travel as
 their 5 parameters a1..a5), 6x6 matrices are row-major arrays of 36
 numbers, factor records are small objects.  Floats serialize through
-Python's shortest round-trip repr, so dump/load is lossless.
+Python's shortest round-trip repr, so dump/load is lossless.  The CSV
+rows embed their JSON as json.dumps(obj, separators=(",", ":")) does.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .metric import ContractionRecord, SearchSummary
 from .semigroup import InvariantConeElement
 
 CSV_COLUMNS = ("seed_index", "ratio", "violated", "g_json", "x_json", "v_json")
+
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _as_floats(obj, n: int, what: str) -> np.ndarray:
@@ -54,7 +57,7 @@ def load_matrix6(obj) -> np.ndarray:
 
 
 def dump_matrix6(g) -> list[float]:
-    return [float(e) for e in np.asarray(g, dtype=float).ravel()]
+    return np.asarray(g, dtype=float).ravel().tolist()
 
 
 def dump_triangular(A) -> list[float]:
@@ -90,15 +93,9 @@ def write_records_csv(fileobj, records: Iterable[ContractionRecord]) -> None:
     JSON strings so a row is self-contained."""
     w = csv.writer(fileobj, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
-    compact = {"separators": (",", ":")}
-    for r in records:
-        w.writerow(
-            [
-                r.seed_index,
-                repr(float(r.ratio)),
-                "true" if r.violated else "false",
-                json.dumps(dump_matrix6(r.g), **compact),
-                json.dumps(dump_vector5(r.x), **compact),
-                json.dumps(dump_vector5(r.v), **compact),
-            ]
-        )
+    w.writerows(
+        (r.seed_index, repr(float(r.ratio)), "true" if r.violated else "false",
+         _compact_json(dump_matrix6(r.g)), _compact_json(dump_vector5(r.x)),
+         _compact_json(dump_vector5(r.v)))
+        for r in records
+    )

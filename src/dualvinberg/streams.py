@@ -1,5 +1,7 @@
 """numpy SeedSequence's children, a block at a time in wrapping uint32 arrays."""
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence, SeedSequence
 
@@ -17,9 +19,17 @@ def _n_words(value) -> int:
     return sum(map(_n_words, value))
 
 
+@lru_cache(maxsize=8)
+def _words(init, mult, k, n) -> np.ndarray:
+    """_hash's multipliers init * mult**(k + j) mod 2**32, j = 0..n."""
+    h = np.array([init * pow(mult, k + j, 1 << 32) % (1 << 32) for j in range(n + 1)], np.uint32)
+    h.flags.writeable = False  # one array, shared by every call
+    return h
+
+
 def _hash(data, init, mult, k, n):
     """mix_entropy's and generate_state's word hash of data (..., n)."""
-    h = np.array([init * pow(mult, k + j, 1 << 32) % (1 << 32) for j in range(n + 1)], np.uint32)
+    h = _words(init, mult, k, n)
     out = (data ^ h[:-1]) * h[1:]
     return out ^ (out >> 16)
 
@@ -31,9 +41,9 @@ class _ChildSeed(ISeedSequence):
         self.pool, self.pcg64_state = pool, pcg64_state
 
     def generate_state(self, n_words, dtype=np.uint32):
-        dtype = np.dtype(dtype)
-        if dtype == np.uint64 and n_words == 4 and self.pcg64_state is not None:
+        if dtype is np.uint64 and n_words == 4 and self.pcg64_state is not None:  # PCG64's ask
             return self.pcg64_state
+        dtype = np.dtype(dtype)
         if dtype not in (np.uint32, np.uint64):
             raise ValueError("only support uint32 or uint64")
         n = n_words * dtype.itemsize // 4

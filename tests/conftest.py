@@ -45,6 +45,14 @@ def generator_product(rng, length: int = 3) -> np.ndarray:
     return g
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and bits, with every NaN taken as one value: IEEE
+    leaves the sign and payload of a NaN result open."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
 def count_calls(monkeypatch, owner, name: str) -> list:
     """Wrap owner.name for the rest of the test, as np.linalg.eigvalsh or
     a module's imported name; the list returned gets the shape of the

@@ -406,7 +406,7 @@ def test_tube_routes_part_in_the_product_tolerance_band():
     # looser than the slot bound PATTERN_TOL (1 + maxabs(g)) on B and C:
     # at maxabs(g) = 4 an off-pattern entry of 5e-11 is rejected by the
     # slot test and admitted by the product test.  Pinned as it stands;
-    # the scale-invariant rules of ROADMAP item 3 are to close the band.
+    # the scale-invariant rules of ROADMAP item 1 are to close the band.
     g = dv.translation([1.0, 1.0, 1.0, 0.0, 0.0]) @ dv.congruence_embed(4.0 * np.eye(3))
     for slot, reason in (((0, 4), "B off pattern"), ((3, 1), "C off pattern")):
         h = g.copy()
@@ -420,7 +420,7 @@ def test_chart_and_psd_routes_part_in_the_product_tolerance_band():
     # route sees an off-flat C entry the tube test's slot bound
     # PATTERN_TOL (1 + 1e4) admits: a zero diagonal entry beside 5e-9
     # gives an eigenvalue of -2.5e-9, below -1e-9.  Pinned as it stands;
-    # the scale-invariant rules of ROADMAP item 3 are to close the band.
+    # the scale-invariant rules of ROADMAP item 1 are to close the band.
     g = dv.congruence_embed(np.diag([1.0, 1.0, 1e4]))
     g[5, 1] = 5e-9
     assert semigroup.compression_reason(g) is None

@@ -11,13 +11,16 @@ from dualvinberg.cone import (
     diag_pair,
     embed,
     embed_diag_pair,
+    embed_stack,
     is_triangular_pattern,
     open_cone_reason,
+    pattern_parts,
+    read_pattern,
     unembed,
 )
 from dualvinberg.errors import DomainError, PatternError
 
-from conftest import ZeroRandomness
+from conftest import ZeroRandomness, same_bits
 from oracles import in_positive_triangular
 
 TOL = 1e-10
@@ -65,6 +68,64 @@ def test_unembed_keeps_the_coordinates_of_a_non_finite_pattern_entry(value, slot
         m[slot] = value
     want = [m[0, 0], m[1, 1], m[2, 2], (m[0, 2] + m[2, 0]) / 2, (m[1, 2] + m[2, 1]) / 2]
     assert np.array_equal(unembed(m), want, equal_nan=True)
+
+
+# zeros of both signs, subnormals, +-1e+-300, inf and NaN drawn often,
+# then every float64
+hostile = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PatternError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(-300, 300),
+    st.dictionaries(st.integers(0, 4 * 36 - 1), hostile, max_size=12),
+)
+def test_stacked_pattern_reads_are_the_one_matrix_reads_row_by_row(seed, exponent, spoils):
+    # four 6x6 matrices at scale 10**exponent whose diagonal blocks are
+    # patterned and off-diagonal ones not, some entries hostile floats; read
+    # as (n, 3, 3) and (n, 2, 3, 3) stacks, contiguous and strided
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 6, 6)) * 10.0**exponent
+    g[:, :3, :3], g[:, 3:, 3:] = embed_stack(rng.standard_normal((2, 4, 5)) * 10.0**exponent)
+    g.reshape(-1)[list(spoils)] = list(spoils.values())
+    halves = g.reshape(4, 2, 3, 6)
+    for W in (g[:, :3, :3].copy(), g[:, 3:, 3:], g[:, :3, 3:], halves[..., 3:].copy(), halves[..., :3]):
+        with np.errstate(all="ignore"):
+            off, x = pattern_parts(W)
+            _, _, refused = read_pattern(W)
+            rows = [W[i] for i in np.ndindex(W.shape[:-2])]
+            assert same_bits(off, np.reshape([pattern_parts(m)[0] for m in rows], W.shape[:-2]))
+            assert same_bits(x, np.reshape([pattern_parts(m)[1] for m in rows], W.shape[:-2] + (5,)))
+            # unembed raises the first refused matrix's error, or reads every one
+            want = [_outcome(unembed, m) for m in rows]
+            errors = [w for w in want if isinstance(w, str)]
+            assert refused.reshape(-1).tolist() == [isinstance(w, str) for w in want]
+            got = _outcome(unembed, W)
+            assert got == errors[0] if errors else same_bits(got, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, st.sampled_from([(5,), (1, 5), (4, 5), (3, 2, 5)]), elements=hostile))
+def test_embed_stack_is_embed_row_by_row(x):
+    strided = np.zeros(x.shape[:-1] + (10,))
+    strided[..., ::2] = x
+    z = np.zeros(x.shape, dtype=complex)
+    z.real, z.imag = x, x[..., ::-1]
+    for y in (x, strided[..., ::2], z):
+        got = embed_stack(y)
+        assert got.shape == y.shape[:-1] + (3, 3)
+        assert all(same_bits(got[i], embed(y[i])) for i in np.ndindex(y.shape[:-1]))
 
 
 def test_diag_pair_embedding():

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dualvinberg as dv
 from dualvinberg.errors import SingularityError
 from dualvinberg.linalg import (
+    _COFACTOR_TERMS,
     SINGULAR_TOL,
+    _cofactors,
     adjugate3,
     det3,
     float_maxabs,
@@ -14,9 +17,12 @@ from dualvinberg.linalg import (
     inv3_stack,
     is_singular3,
     maxabs,
+    midpoint,
 )
 from dualvinberg.group import triple_decomposition_reason
 from dualvinberg.semigroup import symplectic_semigroup_reason
+
+from conftest import same_bits
 
 # NaN, +-inf, +-1e308, the smallest subnormal and both zeros drawn often,
 # then every float64
@@ -137,6 +143,9 @@ def assert_kernel_is_the_one_matrix_route(m):
     with np.errstate(all="ignore"):
         inv, d = inv3_stack(m)
         masks = np.asarray(is_singular3(m)), np.asarray(is_singular3(m, d))
+        # a stack's rule gathers only the determinant's cofactors, to the same bits
+        f = np.reshape(m, m.shape[:-2] + (9,))
+        assert same_bits(_cofactors(f, _COFACTOR_TERMS[:, ::3])[1], d)
         for i in np.ndindex(m.shape[:-2]):
             rows = m[i].tolist()
             singular = is_singular3(rows)
@@ -168,6 +177,16 @@ def test_the_cofactor_kernel_is_adjugate_over_det_where_the_rule_admits(seed, ex
     assert_kernel_is_the_one_matrix_route(g[0, :3, :3])  # one array
     assert_kernel_is_the_one_matrix_route(g[:, :3, :3].copy())  # a contiguous stack
     assert_kernel_is_the_one_matrix_route(g[:, 3:, 3:])  # strided views
+    assert_kernel_is_the_one_matrix_route(g.reshape(3, 2, 3, 6)[..., 3:])  # (n, 2, 3, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, st.sampled_from([(7,), (4, 5), (3, 2, 5)]), elements=kernel_floats))
+def test_midpoint_of_an_entry_with_itself_is_the_entry(a):
+    # pattern_parts averages a stack's diagonal with itself
+    with np.errstate(all="ignore"):
+        assert same_bits(midpoint(a, a), a)
+        assert same_bits(midpoint(a[..., ::2], a[..., ::2]), a[..., ::2])
 
 
 def test_the_cofactor_kernel_on_random_stacks():

@@ -74,6 +74,19 @@ def test_the_ratio_pass_checks_the_forms_last():
             dv.contraction_ratio(g, x, np.eye(5)[0])
 
 
+def test_an_underflowing_tangent_raises_a_domain_error_on_both_routes():
+    # the form of v = 1e-300 e1 at x, 3/2 v1^2, underflows to 0; a sampled
+    # tangent is a unit vector and cannot reach this
+    g = dv.translation([1.0, 1.0, 1.01, -1.0, 0.0])
+    v = np.array([1e-300, 0.0, 0.0, 0.0, 0.0])
+    assert dv.cone_metric(IDENTITY, v, v) == 0.0
+    with pytest.raises(DomainError, match="^tangent form underflows to zero$"):
+        dv.contraction_ratio(g, IDENTITY, v)
+    # a stack raises for its lowest failing row, with no warning from the division
+    with pytest.raises(DomainError, match="^tangent form underflows to zero$"):
+        dv.contraction_ratios(np.stack([g, g, g]), np.stack([IDENTITY] * 3), np.stack([np.eye(5)[0], v, v]))
+
+
 def test_cone_metric_is_symmetric_and_bilinear():
     rng = np.random.default_rng(60)
     for _ in range(100):

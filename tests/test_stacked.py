@@ -4,19 +4,22 @@ the bit, failures included."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualvinberg as dv
 from dualvinberg import metric, streams
-from dualvinberg.cone import embed, pattern_parts
-from dualvinberg.errors import PatternError
+from dualvinberg.cone import embed, embed_stack, pattern_parts
+from dualvinberg.errors import DomainError, PatternError, SingularityError
 from dualvinberg.group import _tube_members, symplectic_defect, tube_group_reason, unembed_action
-from dualvinberg.linalg import stack_maxabs
+from dualvinberg.linalg import inv3_stack, stack_maxabs
 from dualvinberg.semigroup import COMPRESSION_REASONS, compression_members, compression_reason
 
 from conftest import (
     count_calls,
     generator_product,
     overflowing_defect_matrix,
+    same_bits,
     sample_chart_element,
 )
 from oracles import search_violations_reference
@@ -454,6 +457,84 @@ def test_a_stacked_mobius_raises_for_a_singular_row():
     W, Mi = dv.group.mobius(g[[0, 2]], np.stack([I3, 2.0 * I3]))
     assert np.array_equal(W, np.stack([I3, 2.0 * I3]))
     assert np.array_equal(Mi, np.stack([I3, I3]))
+
+
+# zeros of both signs, subnormals, +-1e+-300, inf and NaN
+hostile = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.dictionaries(st.integers(0, 2 * 8 * 5 - 1), hostile, max_size=10))
+def test_cone_metric_sums_the_trace_as_np_trace(seed, spoils):
+    # the form as np.trace gave it, on sampled base points and hostile
+    # tangents: every finite form to the bit, or the DomainError
+    rng = np.random.default_rng(seed)
+    x = np.array([dv.sample_cone(rng) for _ in range(7)] + [dv.IDENTITY_POINT])
+    v, w = rng.standard_normal(80).reshape(2, 8, 5)
+    v.reshape(-1)[[k % 40 for k in spoils]] = list(spoils.values())
+    w.reshape(-1)[[k // 2 for k in spoils]] = list(spoils.values())
+    with np.errstate(all="ignore"):
+        Xi, _ = inv3_stack(embed_stack(x))
+        for b in (w, v):
+            (x1, x2), (v1, v2), (w1, w2) = x.T[:2], v.T[:2], b.T[:2]
+            trace = np.trace(Xi @ embed_stack(v) @ Xi @ embed_stack(b), axis1=-2, axis2=-1)
+            want = -0.5 * (v1 * w1 / (x1 * x1) + v2 * w2 / (x2 * x2)) + 2.0 * trace
+            if np.isfinite(want).all():
+                assert same_bits(dv.cone_metric(x, v, b), want)
+            else:
+                with pytest.raises(DomainError, match="not finite"):
+                    dv.cone_metric(x, v, b)
+
+
+def _one_sample(row):
+    """sample_semigroup, sample_cone and the normalised tangent from a
+    child whose normals are row."""
+    child = _ScriptedChild(row)
+    g = dv.sample_semigroup(child, interior=True)
+    x = dv.sample_cone(child)
+    t = child.standard_normal(5)
+    return g, x, t / np.linalg.norm(t)
+
+
+# normals whose exp overflows or underflows, and hostile floats
+spoiled_normal = st.sampled_from([800.0, -800.0, np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, 5e-324])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.dictionaries(st.integers(0, 6 * 22 - 1), spoiled_normal, max_size=8))
+def test_sampled_rows_are_the_one_sample_calls_to_the_bit(seed, spoils):
+    z = np.random.default_rng(seed).standard_normal(6 * 22)
+    z[list(spoils)] = list(spoils.values())
+    z = z.reshape(6, 22)
+    with np.errstate(all="ignore"):
+        want = [_first_error(_one_sample, row) or _one_sample(row) for row in z]
+        got = [_first_error(metric._sample_rows, row) or metric._sample_rows(row) for row in z]
+        stacked = _first_error(metric._sample_rows, z) or metric._sample_rows(z)
+    for a, b in zip(got, want):
+        assert a == b if isinstance(b[0], type) else all(map(same_bits, a, b))
+    errors = [b for b in want if isinstance(b[0], type)]
+    # a stack raises for some failing row: the search reruns it as the loop
+    assert stacked in errors if errors else all(map(same_bits, stacked, map(np.array, zip(*want))))
+
+
+@pytest.mark.parametrize(
+    "spoil, want",
+    [
+        ({5: 800.0}, PatternError),  # v overflows
+        ({0: -800.0}, SingularityError),  # L underflows to singular
+        ({12: 800.0}, PatternError),  # x overflows
+        ({5: 800.0, 0: -800.0, 12: 800.0}, PatternError),
+        ({0: -800.0, 12: 800.0}, SingularityError),
+    ],
+)
+def test_one_sampled_row_raises_in_the_one_sample_order(spoil, want):
+    row = np.random.default_rng(84).standard_normal(22)
+    row[list(spoil)] = list(spoil.values())
+    with np.errstate(all="ignore"):
+        with pytest.raises(want):
+            _one_sample(row)
+        with pytest.raises(want):
+            metric._sample_rows(row)
 
 
 def test_the_witness_is_row_zero_of_every_sweep():
