@@ -71,6 +71,42 @@ echo "$out"
 test "$out" = e40c29f927493dd7274ac8faac74da26b87b6a37f6f99757c5661fb70eec3dd9
 echo "::endgroup::"
 
+echo "::group::Membership routes pin"
+# every one-matrix route's answer, and the compression_factors and polar
+# payloads, on 600 queries: interior and boundary members, and translations
+# by a negated cone point and symplectic compressions, which are not
+# members.  The routes share memoised reads of g; the run that clears them
+# before each call and the one that keeps them must give the same digest.
+for memo in cold warm; do
+  out="$(python -c "
+import hashlib, json, sys, numpy as np, dualvinberg as dv
+from dualvinberg import group, semigroup, serialize
+def ask(route, g, dump=lambda r: r):
+    if sys.argv[1] == 'cold':
+        group._tube.cache_clear()
+        semigroup._chart_products.cache_clear()
+    try:
+        return dump(route(g))
+    except (dv.DomainError, dv.ConvergenceError, dv.InconsistencyError) as exc:
+        return f'{type(exc).__name__}: {exc}'
+rng, h = np.random.default_rng(2401), hashlib.sha256()
+kinds = (lambda: dv.sample_semigroup(rng, True), lambda: dv.sample_semigroup(rng, False),
+         lambda: dv.translation(-dv.sample_cone(rng)), lambda: dv.sample_symplectic_semigroup(rng))
+routes = (semigroup.compression_reason, group.tube_group_reason, group.tube_group_alt_reason,
+          semigroup.symplectic_semigroup_reason, dv.is_symplectic, dv.cross_check_membership)
+for k in range(600):
+    g = kinds[k % 4]()
+    answers = [ask(route, g) for route in routes]
+    answers.append(ask(dv.compression_factors, g, serialize.dump_semigroup_factors))
+    answers.append(ask(dv.polar_factor, g, lambda r: serialize.dump_polar(*r)))
+    h.update(json.dumps(answers).encode())
+print(h.hexdigest())
+" "$memo")"
+  echo "$memo $out"
+  test "$out" = d179d3eab7379db31dff0584220503e61284439ce34366496e7d2d6ba03213d7
+done
+echo "::endgroup::"
+
 echo "::group::Membership smoke run"
 python -c "import json, dualvinberg as dv; from dualvinberg import serialize; print(json.dumps(serialize.dump_matrix6(dv.translation([1, 1, 1, 0, 0]))))" > t.json
 for what in symplectic G gamma gamma-sp; do

@@ -200,8 +200,11 @@ def log_char_function(x) -> float:
 
 def triangular(params) -> np.ndarray:
     """Build [[a1,0,0],[0,a2,0],[a4,a5,a3]] from (a1, a2, a3, a4, a5), or
-    each matrix of a stack of parameters (n, 5)."""
+    each matrix of a stack of parameters (..., 5); ValueError for another
+    last axis."""
     a = np.asarray(params, dtype=float)
+    if a.shape[-1:] != (5,):
+        raise ValueError(f"expected 5 parameters on the last axis, got shape {a.shape}")
     m = np.zeros(a.shape[:-1] + (3, 3))
     m[..., [0, 1, 2], [0, 1, 2]] = a[..., :3]
     m[..., 2, :2] = a[..., 3:]

@@ -18,6 +18,7 @@ with v in the patterned subspace, L triangular and U = diag(u1, u2, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,8 +107,9 @@ def _symplectic(g, scale):
 
 def is_symplectic(g) -> bool:
     """Block test at tolerance SYMPLECTIC_TOL * (1 + maxabs(g)**2), False when
-    that overflows; equivalent to g J g^T = J for the standard form J."""
-    return bool(_symplectic(g, maxabs(g)))
+    that overflows; equivalent to g J g^T = J for the standard form J.  The
+    first check of the memoised tube test on one 6x6 matrix."""
+    return _tube(_matrix6(g).tobytes())[0] != TUBE_GROUP_REASONS[0]
 
 
 # pattern zeros of the tube test as (row, column) slots of g, besides A's
@@ -124,41 +126,40 @@ def _zeros_hold(m, slots, atol) -> bool:
     return all(abs(m[i][j]) <= atol for i, j in slots)
 
 
-def _linear_part_reason(g, m, scale, atol) -> str | None:
-    """The checks both tube-group descriptions share: g symplectic, and A
-    and D^T triangular-patterned with positive corner.  m is g.tolist():
-    once g is symplectic every entry is finite, and the pattern checks
-    read Python floats."""
-    if not _symplectic(g, scale):
-        return TUBE_GROUP_REASONS[0]
-    if not _zeros_hold(m, TRIANGULAR_ZEROS, atol):
-        return TUBE_GROUP_REASONS[1]
-    if not m[2][2] > 0:
-        return TUBE_GROUP_REASONS[2]
-    if not _zeros_hold(m, _DT_ZEROS, atol):
-        return TUBE_GROUP_REASONS[3]
-    if not m[5][5] > 0:
-        return TUBE_GROUP_REASONS[4]
-    return None
-
-
 def tube_group_reason(g) -> str | None:
     """None when g lies in the tube automorphism group; otherwise the first
     failing block constraint."""
-    return _tube(_matrix6(g))[0]
+    return _tube(_matrix6(g).tobytes())[0]
 
 
-def _tube(g) -> tuple:
-    """tube_group_reason of a checked 6x6 array with what it read of g:
-    (reason, maxabs(g), g.tolist()), for callers that go on to read g."""
+@lru_cache(maxsize=1)
+def _tube(key: bytes) -> tuple:
+    """The tube test of the 6x6 float64 array g whose C-order bytes are key
+    (g.tobytes()): (tube_group_reason(g), maxabs(g), g.tolist()), which no
+    reader edits.  It reads the read-only array rebuilt from key, so the
+    answer depends on the bytes alone, and keeps the last one for every
+    route that asks about the same g.  Its first five checks are the
+    linear part both tube-group descriptions share."""
+    g = np.frombuffer(key).reshape(6, 6)
     scale = maxabs(g)
     atol = PATTERN_TOL * (1.0 + scale)
     m = g.tolist()
-    reason = _linear_part_reason(g, m, scale, atol)
-    if reason is None and not _zeros_hold(m, _B_ZEROS, atol):
+    if not _symplectic(g, scale):
+        reason = TUBE_GROUP_REASONS[0]
+    elif not _zeros_hold(m, TRIANGULAR_ZEROS, atol):
+        reason = TUBE_GROUP_REASONS[1]
+    elif not m[2][2] > 0:
+        reason = TUBE_GROUP_REASONS[2]
+    elif not _zeros_hold(m, _DT_ZEROS, atol):
+        reason = TUBE_GROUP_REASONS[3]
+    elif not m[5][5] > 0:
+        reason = TUBE_GROUP_REASONS[4]
+    elif not _zeros_hold(m, _B_ZEROS, atol):
         reason = TUBE_GROUP_REASONS[5]
-    if reason is None and not _zeros_hold(m, _C_ZEROS, atol):
+    elif not _zeros_hold(m, _C_ZEROS, atol):
         reason = TUBE_GROUP_REASONS[6]
+    else:
+        reason = None
     return reason, scale, m
 
 
@@ -186,11 +187,10 @@ def tube_group_alt_reason(g) -> str | None:
     B or C entry can fail there and pass here (B[0,1] = 5e-11 at
     maxabs(g) = 4 is "B off pattern" there and a member here)."""
     g = _matrix6(g)
-    _, B, C, D = blocks(g)
-    scale = maxabs(g)
-    atol = PATTERN_TOL * (1.0 + scale)
-    if (reason := _linear_part_reason(g, g.tolist(), scale, atol)) is not None:
+    reason, scale, _ = _tube(g.tobytes())
+    if reason in TUBE_GROUP_REASONS[:5]:
         return reason
+    _, B, C, D = blocks(g)
     atol2 = PATTERN_TOL * (1.0 + scale * scale)
     S = (D.T @ B).tolist()
     # maxabs(S - S^T); a diagonal gap is NaN where S overflows

@@ -123,7 +123,8 @@ class ContractionRecord:
 
 def contraction_ratios(g, x, v):
     """(Jv|Jv) at g.x over (v|v) at x for a semigroup element g: a float for
-    one (g, x, v), an array row by row for stacks (n, 6, 6), (n, 5), (n, 5).
+    one (g, x, v), an array row by row for stacks (n, 6, 6), (n, 5), (n, 5);
+    ValueError for other shapes.
 
     Every row runs every check of the one-row path: g in the compression
     semigroup (compression_reason, or for a stack the mask
@@ -137,6 +138,8 @@ def contraction_ratios(g, x, v):
     member that only eigvalsh accepts.
     """
     g, x, v = (np.asarray(a, dtype=float) for a in (g, x, v))
+    if g.shape[-2:] != (6, 6) or g.ndim > 3 or not x.shape == v.shape == g.shape[:-2] + (5,):
+        raise ValueError(f"shapes {g.shape}, {x.shape}, {v.shape}, not (n, 6, 6), (n, 5), (n, 5)")
     if g.ndim == 2:
         if (reason := compression_reason(g)) is not None:
             raise DomainError(f"not in the compression semigroup: {reason}")

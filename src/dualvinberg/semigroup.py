@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,27 +95,29 @@ COMPRESSION_REASONS = TUBE_GROUP_REASONS + (
 def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the full positive definite cone: symplectic,
     D invertible, and both D^T B and C D^T positive semidefinite."""
-    g = np.asarray(g, dtype=float)
+    g = _matrix6(g)
     if not is_symplectic(g):
         return "not symplectic"
-    return _psd_reason(g, tol)
+    return _psd_reason(g.tobytes(), tol)
 
 
-def _chart_products(g, rows=None) -> tuple:
-    """What the chart and semidefinite checks read of a 6x6 array g once it
-    is symplectic: whether D is singular (linalg.is_singular3, on D's rows
-    taken from rows = g.tolist() where the tube test has read them), and
-    when it is not, (D^T B + B^T D)/2 and C D^T as nested Python floats."""
+@lru_cache(maxsize=1)
+def _chart_products(key: bytes) -> tuple:
+    """What the chart and semidefinite checks read of a symplectic g, from
+    its bytes and memoised as group._tube is: whether D is singular
+    (linalg.is_singular3), and if not (D^T B + B^T D)/2 and C D^T as nested
+    Python floats, which no reader edits.  The checks that take a tol run anew."""
+    g = np.frombuffer(key).reshape(6, 6)
     D = g[3:, 3:]
-    if is_singular3(D if rows is None else [r[3:] for r in rows[3:]]):
+    if is_singular3(D):
         return True, None, None
     return False, _symmetric_rows((D.T @ g[:3, 3:]).tolist()), (g[3:, :3] @ D.T).tolist()
 
 
-def _psd_reason(g, tol, products=None) -> str | None:
-    """symplectic_semigroup_reason's checks after is_symplectic, on g's
-    _chart_products, formed here unless given."""
-    singular, DtB, CDt = products or _chart_products(g)
+def _psd_reason(key, tol) -> str | None:
+    """symplectic_semigroup_reason's checks after is_symplectic, on the
+    _chart_products of g's bytes."""
+    singular, DtB, CDt = _chart_products(key)
     if singular:
         return "det D = 0"
     for name, S in (("D^T B", DtB), ("C D^T", _symmetric_rows(CDt))):
@@ -138,25 +141,17 @@ def _symmetric_rows(S) -> list:
 
 def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the patterned cone, via the chart
-    certificates; otherwise the first failing one of COMPRESSION_REASONS."""
-    return _compression(_matrix6(g), tol)[0]
+    certificates; otherwise the first failing one of COMPRESSION_REASONS.
+    Both reads of g, group._tube and _chart_products, are memoised."""
+    key = _matrix6(g).tobytes()
+    return _tube(key)[0] or _chart_reason(key, tol)
 
 
-def _compression(g, tol) -> tuple:
-    """compression_reason of a checked 6x6 array with what its tube test
-    read of g: (reason, maxabs(g), g.tolist()), for callers that go on to
-    read g.  The chart checks take D's rows from g.tolist()."""
-    reason, scale, rows = _tube(g)
-    if reason is None:
-        reason = _chart_reason(g, tol, _chart_products(g, rows))
-    return reason, scale, rows
-
-
-def _chart_reason(g, tol, products=None) -> str | None:
-    """compression_reason's checks after the tube test, on g's
-    _chart_products, formed here unless given."""
+def _chart_reason(key, tol) -> str | None:
+    """compression_reason's checks after the tube test, on the
+    _chart_products of g's bytes."""
     # is_symplectic has already turned away non-finite entries
-    singular, S, P = products or _chart_products(g)
+    singular, S, P = _chart_products(key)
     if singular:
         return COMPRESSION_REASONS[7]
     off, vS = pattern_parts(S)
@@ -226,19 +221,18 @@ def cross_check_membership(g, tol: float = MEMBERSHIP_TOL) -> bool:
     tightening tol by CROSS_CHECK_SLACK.
     """
     g = np.asarray(g, dtype=float)
-    # each route runs its own checks once the shared tube test passes,
-    # which implies symplectic and does not depend on tol; both read the
-    # chart products formed once
+    # the shared tube test implies symplectic and takes no tol; once it
+    # passes each route runs its own checks on the memoised chart products
     if tube_group_reason(g) is not None:
         return False
-    products = _chart_products(g)
-    direct = _chart_reason(g, tol, products) is None
-    via = _psd_reason(g, tol, products) is None
+    key = g.tobytes()
+    direct = _chart_reason(key, tol) is None
+    via = _psd_reason(key, tol) is None
     if direct == via:
         return via
     # a disagreement puts g in the tube group: only the chart checks rerun
     slack = CROSS_CHECK_SLACK * tol if via else tol / CROSS_CHECK_SLACK
-    if (_chart_reason(g, slack, products) is None) == via:
+    if (_chart_reason(key, slack) is None) == via:
         return via
     raise InconsistencyError(
         "chart certificates and symplectic-intersection membership disagree "
@@ -455,14 +449,14 @@ def polar_factor(g):
     recomposition residual above POLAR_RESIDUAL_TOL is a ConvergenceError
     that carries the measured value.  Each certificate reads the factors
     as built: the wedge rule runs on (v, u), A on its diagonal and det3.
-    g is read once: the membership test (_compression, the body of
-    compression_reason) keeps maxabs(g), which scales the residual, and
-    g's rows, which the unit solve reads.
+    g is read once: the membership test's memoised tube read (group._tube)
+    keeps maxabs(g), which scales the residual, and g's rows, which the
+    unit solve reads.
     """
     g = _matrix6(g)
-    reason, scale, m = _compression(g, MEMBERSHIP_TOL)
-    if reason is not None:
+    if (reason := compression_reason(g)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
+    _, scale, m = _tube(g.tobytes())
     # [[D^T, B^T], [C^T, A^T]], the symplectic inverse of tau(g), gathered
     # in one C-contiguous copy; the scalar steps run on Python floats
     # (linalg's arithmetic rule)

@@ -27,8 +27,8 @@ independent of the package's index gather, and in_positive_triangular
 the identity component of the triangular group.
 
 cross_check_membership_reference is the cross-check with each route
-forming its own chart products, where the package forms them once for
-both.
+forming its own chart products, the package's memo cleared before each
+call, where the package forms them once for both.
 
 lambda_min is the eigvalsh reference for "m + t*I is positive
 semidefinite", that is lambda_min(m) >= -t, which linalg.semidefinite3
@@ -295,13 +295,18 @@ def cross_check_membership_reference(g, tol: float = MEMBERSHIP_TOL) -> bool:
     """cross_check_membership with every chart and PSD check a standalone
     call, which forms D's singularity test, D^T B and C D^T itself."""
     g = np.asarray(g, dtype=float)
+
+    def fresh(check, tol):
+        semigroup._chart_products.cache_clear()
+        return check(g.tobytes(), tol) is None
+
     tube = semigroup.tube_group_reason(g) is None
-    direct = tube and semigroup._chart_reason(g, tol) is None
-    via = tube and semigroup._psd_reason(g, tol) is None
+    direct = tube and fresh(semigroup._chart_reason, tol)
+    via = tube and fresh(semigroup._psd_reason, tol)
     if direct == via:
         return via
     slack = semigroup.CROSS_CHECK_SLACK * tol if via else tol / semigroup.CROSS_CHECK_SLACK
-    if (semigroup._chart_reason(g, slack) is None) == via:
+    if fresh(semigroup._chart_reason, slack) == via:
         return via
     raise InconsistencyError("the routes disagree beyond tolerance slack")
 

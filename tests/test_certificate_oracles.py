@@ -1,6 +1,7 @@
 """The one-matrix certificates against their block and matrix routes in
 tests/oracles.py: the tube test on Python floats, the wedge rule on a
-generator's coordinates and polar_factor's factors, bit for bit."""
+generator's coordinates and polar_factor's factors, bit for bit; and every
+one-matrix route against itself with its memoised reads of g cleared."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dualvinberg as dv
-from dualvinberg import semigroup
+from dualvinberg import group, semigroup
 from dualvinberg.cone import MEMBERSHIP_TOL, embed
 from dualvinberg.errors import SingularityError
 from dualvinberg.group import (
@@ -232,9 +233,11 @@ def test_shared_chart_products_give_the_separate_verdicts():
             seen.add(got)
             with np.errstate(all="ignore"):
                 if tube_group_reason(g) is None:
-                    products = semigroup._chart_products(g)
+                    # the memoised products, warm, against products formed afresh
                     for reason in (semigroup._chart_reason, semigroup._psd_reason):
-                        assert reason(g, tol, products) == reason(g, tol)
+                        warm = reason(g.tobytes(), tol)
+                        semigroup._chart_products.cache_clear()
+                        assert reason(g.tobytes(), tol) == warm
     assert seen >= {True, False}
     assert crossed(dv.cross_check_membership, slack_subject(), MEMBERSHIP_TOL) is True
 
@@ -249,14 +252,20 @@ def test_invariant_cone_reason_keeps_its_check_order():
     assert invariant_cone_reason_reference(X) == "dual part not in the flat slice"
 
 
-def outcome(factor, g):
-    """Factor bytes (signed zeros included), or the exception raised."""
+def outcome(route, g, *args):
+    """A route's reason or verdict, its factors' bytes (signed zeros and NaN
+    payloads included), or the exception it raised."""
     try:
         with np.errstate(all="ignore"):
-            A, X = factor(g)
+            got = route(g, *args)
     except Exception as exc:  # noqa: BLE001 - the type and message are compared
         return type(exc).__name__, str(exc)
-    return "factors", A.tobytes(), np.asarray(X.v).tobytes(), np.asarray(X.u).tobytes()
+    if isinstance(got, dv.TripleFactors):
+        return "triple", got.v.tobytes(), got.L.tobytes(), got.u.tobytes()
+    if isinstance(got, tuple):  # polar_factor's (A, X)
+        A, X = got
+        return "factors", A.tobytes(), np.asarray(X.v).tobytes(), np.asarray(X.u).tobytes()
+    return got
 
 
 def criterion_6_family():
@@ -427,3 +436,147 @@ def test_chart_and_psd_routes_part_in_the_product_tolerance_band():
     assert semigroup.symplectic_semigroup_reason(g) == "C D^T not positive semidefinite"
     with pytest.raises(dv.InconsistencyError):
         dv.cross_check_membership(g)
+
+
+# The memoised reads of g (group._tube and semigroup._chart_products) keep
+# the answer for the last bytes asked about: every one-matrix route must
+# answer the same from a cold cache, from a warm one and from one warmed by
+# the same bytes in another memory layout.
+
+
+def clear_memos():
+    group._tube.cache_clear()
+    semigroup._chart_products.cache_clear()
+
+
+def one_matrix_routes():
+    yield tube_group_reason, ()
+    yield tube_group_alt_reason, ()
+    yield dv.is_symplectic, ()
+    yield dv.polar_factor, ()
+    for route in (
+        semigroup.compression_reason,
+        semigroup.symplectic_semigroup_reason,
+        dv.cross_check_membership,
+        dv.compression_factors,
+    ):
+        yield route, ()
+        for tol in TOLS:
+            yield route, (tol,)
+
+
+def warm(g):
+    """Fill both memos from g's C-contiguous copy, as far as g's routes read."""
+    g = np.ascontiguousarray(g)
+    for route in (semigroup.compression_reason, semigroup.symplectic_semigroup_reason):
+        outcome(route, g)
+
+
+def cold_answers(g):
+    answers = []
+    for route, args in one_matrix_routes():
+        clear_memos()
+        answers.append(outcome(route, g, *args))
+    return answers
+
+
+def layouts(g):
+    """g as a C array, a Fortran copy, a transposed view and a strided view."""
+    return (
+        np.ascontiguousarray(g),
+        np.asfortranarray(g),
+        np.ascontiguousarray(g.T).T,
+        np.repeat(g, 2, axis=1)[:, ::2],
+    )
+
+
+def assert_memo_sound(g, every_layout=True):
+    want = cold_answers(g)
+    for h in layouts(g) if every_layout else layouts(g)[:1]:
+        assert cold_answers(h) == want
+        for (route, args), cold in zip(one_matrix_routes(), want):
+            warm(g)
+            assert outcome(route, h, *args) == cold
+            assert outcome(route, h, *args) == cold  # its own entry, hit at once
+    return want
+
+
+def memo_corpus():
+    """The membership corpus, one subject per compression reason, samplers,
+    and the subjects where polar's residual check fails and where the
+    cross-check's routes disagree."""
+    rng = np.random.default_rng(2424)
+    residual = dv.translation([1e4, 1.0, 1e4, 10.0, 0.0])
+    residual[0, 5] += 1e-3
+    parting = dv.congruence_embed(np.diag([1.0, 1.0, 1e4]))
+    parting[5, 1] = 5e-9
+    mats = membership_corpus() + reason_subjects() + [slack_subject(), residual, parting]
+    for _ in range(10):
+        mats += [generator_product(rng), sample_chart_element(rng)]
+        mats += [dv.sample_symplectic_semigroup(rng)]
+        mats += [dv.sample_semigroup(rng, interior=True), dv.sample_semigroup(rng, interior=False)]
+    return mats
+
+
+def test_every_one_matrix_route_answers_alike_from_cold_and_warm_memos():
+    seen = set()
+    for i, g in enumerate(memo_corpus()):
+        answers = assert_memo_sound(g, every_layout=i % 4 == 0)
+        seen.add(answers[0])
+        seen.update(a[0] for a in answers if isinstance(a, tuple))
+    want = {None, "not symplectic", "triple", "factors", "DomainError", "ConvergenceError"}
+    assert seen >= want | {"InconsistencyError"}
+
+
+def test_memos_are_sound_on_signed_zeros_nan_payloads_and_extreme_entries():
+    member = dv.sample_semigroup(np.random.default_rng(3), interior=False)
+    payload = np.frombuffer(np.uint64(0x7FF8_0000_0000_0ABC).tobytes())[0]
+    for slot in ((0, 1), (1, 0), (2, 2), (4, 5)):
+        for x in (0.0, -0.0, payload, -payload, np.inf, -np.inf, 1e300, -1e300, 1e-300):
+            h = member.copy()
+            h[slot] = x
+            assert_memo_sound(h)
+    assert_memo_sound(1e300 * np.eye(6))
+    assert_memo_sound(1e-300 * np.eye(6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, (6, 6), elements=hostile_edges))
+def test_memos_are_sound_on_hostile_floats(g):
+    assert_memo_sound(g)
+
+
+def test_an_array_mutated_in_place_gets_the_answer_for_its_new_bytes():
+    g = dv.translation([1.0, 1.0, 1.01, -1.0, 0.0])
+    assert semigroup.compression_reason(g) is None
+    g[0, 4] = g[1, 3] = 0.5  # B symmetric, so still symplectic, but off its pattern
+    assert dv.is_symplectic(g)
+    assert semigroup.compression_reason(g) == tube_group_reason(g) == "B off pattern"
+    assert dv.cross_check_membership(g) is False
+    with pytest.raises(dv.DomainError, match="B off pattern$"):
+        dv.compression_factors(g)
+    g[0, 4] = g[1, 3] = 0.0
+    assert dv.cross_check_membership(g) is True
+    g[5, 5] = 2.0  # the last entry: D^T A is no longer I
+    assert semigroup.compression_reason(g) == "not symplectic"
+    assert semigroup.symplectic_semigroup_reason(g) == "not symplectic"
+    g[5, 5] = 1.0
+    g[:3, 3:] *= -1.0  # a chart failure: D^T B = -B leaves the closed cone
+    assert semigroup.compression_reason(g) == "D^T B outside the closed cone"
+    assert semigroup.symplectic_semigroup_reason(g) == "D^T B not positive semidefinite"
+    g[:3, 3:] *= -1.0
+    g[0, 1] = -0.0  # new bytes, the same answers
+    assert [outcome(route, g, *args) for route, args in one_matrix_routes()] == cold_answers(g)
+
+
+def test_no_route_edits_a_memoised_read():
+    # the reads hold nested lists: an edit by one reader would be the next
+    # caller's answer, so after every route has read them they must still
+    # equal a fresh read
+    memos = (group._tube, semigroup._chart_products)
+    for g in memo_corpus()[::7]:
+        for route, args in one_matrix_routes():
+            outcome(route, g, *args)
+        key = g.tobytes()
+        with np.errstate(all="ignore"):
+            assert [repr(m(key)) for m in memos] == [repr(m.__wrapped__(key)) for m in memos]

@@ -15,6 +15,7 @@ from dualvinberg.cone import (
     is_triangular_pattern,
     open_cone_reason,
     pattern_parts,
+    positive_triangular,
     read_pattern,
     unembed,
 )
@@ -306,6 +307,20 @@ def test_triangular_params_round_trip():
     assert is_triangular_pattern(A)
     assert not in_positive_triangular(A)
     assert in_positive_triangular(dv.triangular([1, 2, 3, -4, 5]))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_triangular_refuses_a_parameter_axis_other_than_five(n):
+    # four parameters broadcast the fourth into both lower slots
+    message = rf"^expected 5 parameters on the last axis, got shape \(3, {n}\)$"
+    with pytest.raises(ValueError, match=message):
+        dv.triangular(np.ones((3, n)))
+    with pytest.raises(ValueError, match="expected 5 parameters"):
+        positive_triangular(np.ones(n))
+    # the search's stacked (n, 3, 5) draws still build (n, 3, 3, 3)
+    stacked = np.arange(30.0).reshape(2, 3, 5)
+    assert np.array_equal(dv.triangular(stacked)[1, 2], dv.triangular(stacked[1, 2]))
+    assert positive_triangular(stacked).shape == (2, 3, 3, 3)
 
 
 def test_sample_cone_deterministic_and_interior():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,20 @@ def test_an_underflowing_tangent_raises_a_domain_error_on_both_routes():
     # a stack raises for its lowest failing row, with no warning from the division
     with pytest.raises(DomainError, match="^tangent form underflows to zero$"):
         dv.contraction_ratios(np.stack([g, g, g]), np.stack([IDENTITY] * 3), np.stack([np.eye(5)[0], v, v]))
+
+
+@pytest.mark.parametrize(
+    "g_shape, x_shape, v_shape",
+    [((3, 6, 6), (2, 5), (2, 5)), ((1, 6, 6), (1, 5), (1, 4)), ((6, 6), (5,), (1, 5))],
+)
+def test_contraction_ratios_names_mismatched_shapes(g_shape, x_shape, v_shape):
+    # these reached numpy's broadcasting error inside mobius, or an IndexError
+    g = np.broadcast_to(dv.translation([1.0, 1.0, 1.01, -1.0, 0.0]), g_shape)
+    x = np.broadcast_to(IDENTITY, x_shape[:-1] + (5,))
+    v = np.ones(v_shape)
+    shapes = f"shapes {g_shape}, {x_shape}, {v_shape}, not (n, 6, 6), (n, 5), (n, 5)"
+    with pytest.raises(ValueError, match=f"^{re.escape(shapes)}$"):
+        dv.contraction_ratios(g, x, v)
 
 
 def test_cone_metric_is_symmetric_and_bilinear():

@@ -181,9 +181,18 @@ def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
     member = dv.translation([1, 1, 1.01, -1, 0])
     cases = (member, dv.translation(-IDENTITY), np.arange(36.0).reshape(6, 6), slack)
     for g in cases:
+        group._tube.cache_clear()  # a matrix read by an earlier test would be a hit
         calls.update(tube_group_reason=0, symplectic_defect=0)
         verdict = dv.cross_check_membership(g)
         assert calls == {"tube_group_reason": 1, "symplectic_defect": 1}
+        # once compression_reason has read g, the other routes read its memo
+        group._tube.cache_clear()
+        semigroup.compression_reason(g)
+        others = (dv.cross_check_membership, group.tube_group_alt_reason, symplectic_semigroup_reason)
+        for route in others:
+            calls.update(symplectic_defect=0)
+            route(g)
+            assert calls["symplectic_defect"] == 0
         direct = dv.in_compression_semigroup(g)
         via = symplectic_semigroup_reason(g) is None and dv.in_tube_group(g)
         assert verdict == via == (g is member or g is slack)
