@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
 # CLI pins shared by the tier1 jobs: each block prints what it ran and
 # stops the script on the first output that differs from its pin.
-# Run from the repository root with the package installed:
+# Run from the repository root with the package installed, or importable
+# (PYTHONPATH=src) when no dualvinberg script is on PATH:
 #
 #     bash .github/pins.sh
 #
 # Leaves t.json, o.json, c.json, r.json, m.json, g.json, p.json, e.json, e.out, e.err and s.csv
 # in the current directory.
 set -eo pipefail
+
+if ! command -v dualvinberg > /dev/null; then
+  dualvinberg() { python -m dualvinberg.cli "$@"; }
+fi
 
 echo "::group::Counterexample smoke run"
 out="$(dualvinberg counterexample)"
@@ -75,16 +80,17 @@ echo "::group::Membership routes pin"
 # every one-matrix route's answer, and the compression_factors and polar
 # payloads, on 600 queries: interior and boundary members, and translations
 # by a negated cone point and symplectic compressions, which are not
-# members.  The routes share memoised reads of g; the run that clears them
-# before each call and the one that keeps them must give the same digest.
+# members.  The routes share one memoised read of g and memoised verdicts;
+# the run that clears every memo before each call and the one that keeps
+# them must give the same digest.
 for memo in cold warm; do
   out="$(python -c "
 import hashlib, json, sys, numpy as np, dualvinberg as dv
 from dualvinberg import group, semigroup, serialize
 def ask(route, g, dump=lambda r: r):
     if sys.argv[1] == 'cold':
-        group._tube.cache_clear()
-        semigroup._chart_products.cache_clear()
+        for memo in (group._tube, semigroup._chart_reason, semigroup._psd_reason):
+            memo.cache_clear()
     try:
         return dump(route(g))
     except (dv.DomainError, dv.ConvergenceError, dv.InconsistencyError) as exc:

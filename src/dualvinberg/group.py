@@ -98,13 +98,6 @@ def symplectic_defect(g):
     return stack_maxabs(P - P.swapaxes(-1, -2) + SYMPLECTIC_FORM)
 
 
-def _symplectic(g, scale):
-    """is_symplectic of g given its maxabs: a bool for one matrix, a mask
-    for a stack (n, 6, 6)."""
-    bound = SYMPLECTIC_TOL * (1.0 + scale * scale)
-    return (bound < np.inf) & (symplectic_defect(g) <= bound)
-
-
 def is_symplectic(g) -> bool:
     """Block test at tolerance SYMPLECTIC_TOL * (1 + maxabs(g)**2), False when
     that overflows; equivalent to g J g^T = J for the standard form J.  The
@@ -134,19 +127,23 @@ def tube_group_reason(g) -> str | None:
 
 @lru_cache(maxsize=1)
 def _tube(key: bytes) -> tuple:
-    """The tube test of the 6x6 float64 array g whose C-order bytes are key
-    (g.tobytes()): (tube_group_reason(g), maxabs(g), g.tolist()), which no
-    reader edits.  It reads the read-only array rebuilt from key, so the
-    answer depends on the bytes alone, and keeps the last one for every
-    route that asks about the same g.  Its first five checks are the
-    linear part both tube-group descriptions share."""
+    """Every read of the 6x6 float64 array g whose C-order bytes are key
+    (g.tobytes()): (tube_group_reason(g), maxabs(g), g.tolist(), then for
+    a symplectic g whether D is singular (linalg.is_singular3), D^T B and
+    C D^T as nested Python floats, each None otherwise), which no reader
+    edits.  It reads the read-only array rebuilt from key, so the answer
+    depends on the bytes alone, and keeps the last one for every route
+    that asks about the same g.  Its first five checks are the linear part
+    both tube-group descriptions share.  The defect is only formed under a
+    finite bound, so a non-finite g raises no floating-point warning."""
     g = np.frombuffer(key).reshape(6, 6)
     scale = maxabs(g)
     atol = PATTERN_TOL * (1.0 + scale)
     m = g.tolist()
-    if not _symplectic(g, scale):
-        reason = TUBE_GROUP_REASONS[0]
-    elif not _zeros_hold(m, TRIANGULAR_ZEROS, atol):
+    bound = SYMPLECTIC_TOL * (1.0 + scale * scale)
+    if not (bound < np.inf and symplectic_defect(g) <= bound):
+        return TUBE_GROUP_REASONS[0], scale, m, None, None, None
+    if not _zeros_hold(m, TRIANGULAR_ZEROS, atol):
         reason = TUBE_GROUP_REASONS[1]
     elif not m[2][2] > 0:
         reason = TUBE_GROUP_REASONS[2]
@@ -160,7 +157,9 @@ def _tube(key: bytes) -> tuple:
         reason = TUBE_GROUP_REASONS[6]
     else:
         reason = None
-    return reason, scale, m
+    D = g[3:, 3:]
+    singular = is_singular3([row[3:] for row in m[3:]])
+    return reason, scale, m, singular, (D.T @ g[:3, 3:]).tolist(), (g[3:, :3] @ D.T).tolist()
 
 
 def _tube_members(g, scale):
@@ -171,7 +170,8 @@ def _tube_members(g, scale):
     t = g.reshape(len(g), 36)[:, _TUBE_SLOTS]
     atol = PATTERN_TOL * (1.0 + scale)
     zeros, corners = np.abs(t[:, :17]) <= atol[:, None], t[:, 17:] > 0
-    return _symplectic(g, scale) & zeros.all(1) & corners.all(1)
+    bound = SYMPLECTIC_TOL * (1.0 + scale * scale)
+    return (bound < np.inf) & (symplectic_defect(g) <= bound) & zeros.all(1) & corners.all(1)
 
 
 def in_tube_group(g) -> bool:
@@ -181,23 +181,22 @@ def in_tube_group(g) -> bool:
 def tube_group_alt_reason(g) -> str | None:
     """Same group through product constraints: A and D^T patterned with
     positive corner, D^T B in the patterned subspace, C D^T in the flat
-    slice.  It agrees with tube_group_reason except in a band: the
-    products are bounded by PATTERN_TOL * (1 + maxabs(g)**2), the slots of
-    B and C there by PATTERN_TOL * (1 + maxabs(g)), so a small off-pattern
-    B or C entry can fail there and pass here (B[0,1] = 5e-11 at
-    maxabs(g) = 4 is "B off pattern" there and a member here)."""
-    g = _matrix6(g)
-    reason, scale, _ = _tube(g.tobytes())
+    slice, read from the memoised _tube(g.tobytes()), which holds both
+    products of a symplectic g, D singular or not.  It agrees with
+    tube_group_reason except in a band: the products are bounded by
+    PATTERN_TOL * (1 + maxabs(g)**2), the slots of B and C there by
+    PATTERN_TOL * (1 + maxabs(g)), so a small off-pattern B or C entry can
+    fail there and pass here (B[0,1] = 5e-11 at maxabs(g) = 4 is "B off
+    pattern" there and a member here)."""
+    reason, scale, _, _, S, P = _tube(_matrix6(g).tobytes())
     if reason in TUBE_GROUP_REASONS[:5]:
         return reason
-    _, B, C, D = blocks(g)
     atol2 = PATTERN_TOL * (1.0 + scale * scale)
-    S = (D.T @ B).tolist()
     # maxabs(S - S^T); a diagonal gap is NaN where S overflows
     gap = float_maxabs([S[i][j] - S[j][i] for i in range(3) for j in range(3)])
     if max(gap, abs(S[0][1]), abs(S[1][0])) > atol2:
         return "D^T B leaves the patterned subspace"
-    if not is_flat_pattern((C @ D.T).tolist(), atol2):
+    if not is_flat_pattern(P, atol2):
         return "C D^T not in the flat slice"
     return None
 

@@ -102,25 +102,15 @@ def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
 
 
 @lru_cache(maxsize=1)
-def _chart_products(key: bytes) -> tuple:
-    """What the chart and semidefinite checks read of a symplectic g, from
-    its bytes and memoised as group._tube is: whether D is singular
-    (linalg.is_singular3), and if not (D^T B + B^T D)/2 and C D^T as nested
-    Python floats, which no reader edits.  The checks that take a tol run anew."""
-    g = np.frombuffer(key).reshape(6, 6)
-    D = g[3:, 3:]
-    if is_singular3(D):
-        return True, None, None
-    return False, _symmetric_rows((D.T @ g[:3, 3:]).tolist()), (g[3:, :3] @ D.T).tolist()
-
-
 def _psd_reason(key, tol) -> str | None:
     """symplectic_semigroup_reason's checks after is_symplectic, on the
-    _chart_products of g's bytes."""
-    singular, DtB, CDt = _chart_products(key)
+    products that group._tube holds for g's bytes; memoised per (key, tol),
+    so cross_check_membership and symplectic_semigroup_reason share it."""
+    _, _, _, singular, DtB, CDt = _tube(key)
     if singular:
         return "det D = 0"
-    for name, S in (("D^T B", DtB), ("C D^T", _symmetric_rows(CDt))):
+    for name, S in (("D^T B", DtB), ("C D^T", CDt)):
+        S = _symmetric_rows(S)
         t = tol * (1.0 + float_maxabs(S[0] + S[1] + S[2]))
         # the closed form proves semidefiniteness and eigvalsh decides a
         # rejection; the bound tests here and below are written so that a
@@ -142,18 +132,22 @@ def _symmetric_rows(S) -> list:
 def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the patterned cone, via the chart
     certificates; otherwise the first failing one of COMPRESSION_REASONS.
-    Both reads of g, group._tube and _chart_products, are memoised."""
+    g's reads are the one memo group._tube, keyed on its bytes, and the
+    chart verdict is memoised per (bytes, tol)."""
     key = _matrix6(g).tobytes()
     return _tube(key)[0] or _chart_reason(key, tol)
 
 
+# two entries, so cross_check_membership's slack rerun keeps the entry at tol
+@lru_cache(maxsize=2)
 def _chart_reason(key, tol) -> str | None:
-    """compression_reason's checks after the tube test, on the
-    _chart_products of g's bytes."""
+    """compression_reason's checks after the tube test, on the products
+    that group._tube holds for g's bytes; memoised per (key, tol)."""
     # is_symplectic has already turned away non-finite entries
-    singular, S, P = _chart_products(key)
+    _, _, _, singular, S, P = _tube(key)
     if singular:
         return COMPRESSION_REASONS[7]
+    S = _symmetric_rows(S)
     off, vS = pattern_parts(S)
     if off > tol * (1.0 + float_maxabs(S[0] + S[1] + S[2])):
         return COMPRESSION_REASONS[8]
@@ -222,7 +216,7 @@ def cross_check_membership(g, tol: float = MEMBERSHIP_TOL) -> bool:
     """
     g = np.asarray(g, dtype=float)
     # the shared tube test implies symplectic and takes no tol; once it
-    # passes each route runs its own checks on the memoised chart products
+    # passes each route's verdict is memoised per (g's bytes, tol)
     if tube_group_reason(g) is not None:
         return False
     key = g.tobytes()
@@ -456,7 +450,7 @@ def polar_factor(g):
     g = _matrix6(g)
     if (reason := compression_reason(g)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
-    _, scale, m = _tube(g.tobytes())
+    _, scale, m, *_ = _tube(g.tobytes())
     # [[D^T, B^T], [C^T, A^T]], the symplectic inverse of tau(g), gathered
     # in one C-contiguous copy; the scalar steps run on Python floats
     # (linalg's arithmetic rule)

@@ -27,8 +27,9 @@ independent of the package's index gather, and in_positive_triangular
 the identity component of the triangular group.
 
 cross_check_membership_reference is the cross-check with each route
-forming its own chart products, the package's memo cleared before each
-call, where the package forms them once for both.
+forming its own chart products and verdict, every memo of the package
+(MEMOS) cleared before each call, where the package forms them once for
+both.
 
 lambda_min is the eigvalsh reference for "m + t*I is positive
 semidefinite", that is lambda_min(m) >= -t, which linalg.semidefinite3
@@ -51,7 +52,7 @@ import numpy as np
 import scipy.linalg
 
 import dualvinberg as dv
-from dualvinberg import semigroup
+from dualvinberg import group, semigroup
 from dualvinberg.cone import (
     MEMBERSHIP_TOL,
     PATTERN_TOL,
@@ -291,13 +292,23 @@ def polar_factor_reference(g):
     return A, X
 
 
+# every memo of the one-matrix membership routes: g's reads, then the chart
+# and semidefinite verdicts per (bytes, tol); a cold call clears them all
+MEMOS = (group._tube, semigroup._chart_reason, semigroup._psd_reason)
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
 def cross_check_membership_reference(g, tol: float = MEMBERSHIP_TOL) -> bool:
     """cross_check_membership with every chart and PSD check a standalone
     call, which forms D's singularity test, D^T B and C D^T itself."""
     g = np.asarray(g, dtype=float)
 
     def fresh(check, tol):
-        semigroup._chart_products.cache_clear()
+        clear_memos()
         return check(g.tobytes(), tol) is None
 
     tube = semigroup.tube_group_reason(g) is None

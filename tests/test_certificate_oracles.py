@@ -3,6 +3,8 @@ tests/oracles.py: the tube test on Python floats, the wedge rule on a
 generator's coordinates and polar_factor's factors, bit for bit; and every
 one-matrix route against itself with its memoised reads of g cleared."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,8 @@ from conftest import (
     slack_subject,
 )
 from oracles import (
+    MEMOS,
+    clear_memos,
     cross_check_membership_reference,
     exp_wedge_reference,
     invariant_cone_reason_reference,
@@ -233,10 +237,10 @@ def test_shared_chart_products_give_the_separate_verdicts():
             seen.add(got)
             with np.errstate(all="ignore"):
                 if tube_group_reason(g) is None:
-                    # the memoised products, warm, against products formed afresh
+                    # the memoised products and verdicts, warm, against ones formed afresh
                     for reason in (semigroup._chart_reason, semigroup._psd_reason):
                         warm = reason(g.tobytes(), tol)
-                        semigroup._chart_products.cache_clear()
+                        clear_memos()
                         assert reason(g.tobytes(), tol) == warm
     assert seen >= {True, False}
     assert crossed(dv.cross_check_membership, slack_subject(), MEMBERSHIP_TOL) is True
@@ -438,15 +442,19 @@ def test_chart_and_psd_routes_part_in_the_product_tolerance_band():
         dv.cross_check_membership(g)
 
 
-# The memoised reads of g (group._tube and semigroup._chart_products) keep
-# the answer for the last bytes asked about: every one-matrix route must
-# answer the same from a cold cache, from a warm one and from one warmed by
-# the same bytes in another memory layout.
+# The memoised read of g (group._tube) and the memoised chart and
+# semidefinite verdicts (per bytes and tol) keep the answers for the last
+# few keys asked about: every one-matrix route must answer the same from
+# cold memos, from warm ones and from ones warmed by the same bytes in
+# another memory layout, or by a tol of the same value and another type or
+# sign, which shares the verdict's entry.
+
+MEMO_TOLS = TOLS + (-0.0, -1e-12, 0, np.float64(1e-9))
 
 
-def clear_memos():
-    group._tube.cache_clear()
-    semigroup._chart_products.cache_clear()
+def test_clear_memos_clears_every_memo_of_the_membership_routes():
+    found = {f for module in (group, semigroup) for f in vars(module).values() if hasattr(f, "cache_clear")}
+    assert found == set(MEMOS)
 
 
 def one_matrix_routes():
@@ -461,15 +469,18 @@ def one_matrix_routes():
         dv.compression_factors,
     ):
         yield route, ()
-        for tol in TOLS:
+        for tol in MEMO_TOLS:
             yield route, (tol,)
 
 
-def warm(g):
-    """Fill both memos from g's C-contiguous copy, as far as g's routes read."""
+def warm(g, args=()):
+    """Fill the memos from g's C-contiguous copy, as far as g's routes read,
+    at the default tol and at every other tol equal in value to args'."""
     g = np.ascontiguousarray(g)
+    tols = [()] + [(t,) for t in MEMO_TOLS if args and t == args[0] and t is not args[0]]
     for route in (semigroup.compression_reason, semigroup.symplectic_semigroup_reason):
-        outcome(route, g)
+        for other in tols:
+            outcome(route, g, *other)
 
 
 def cold_answers(g):
@@ -495,7 +506,7 @@ def assert_memo_sound(g, every_layout=True):
     for h in layouts(g) if every_layout else layouts(g)[:1]:
         assert cold_answers(h) == want
         for (route, args), cold in zip(one_matrix_routes(), want):
-            warm(g)
+            warm(g, args)
             assert outcome(route, h, *args) == cold
             assert outcome(route, h, *args) == cold  # its own entry, hit at once
     return want
@@ -569,14 +580,34 @@ def test_an_array_mutated_in_place_gets_the_answer_for_its_new_bytes():
     assert [outcome(route, g, *args) for route, args in one_matrix_routes()] == cold_answers(g)
 
 
+def test_no_one_matrix_route_warns_on_non_finite_or_overflowing_entries():
+    # no errstate here: a warning is an error.  The one-matrix tube test
+    # forms the symplectic defect only under a finite bound, and every
+    # route stops at "not symplectic" before it forms anything else
+    rng = np.random.default_rng(7)
+    spoilers = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 5e-324, 1e155, -3e157)
+    routes = [route for route, args in one_matrix_routes() if not args]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3000):
+            g = dv.sample_semigroup(rng)
+            for _ in range(rng.integers(1, 3)):
+                g[tuple(rng.integers(6, size=2))] = spoilers[rng.integers(len(spoilers))]
+            for route in routes:
+                clear_memos()
+                try:
+                    route(g)
+                except (dv.DomainError, dv.ConvergenceError, dv.InconsistencyError):
+                    pass
+
+
 def test_no_route_edits_a_memoised_read():
     # the reads hold nested lists: an edit by one reader would be the next
     # caller's answer, so after every route has read them they must still
     # equal a fresh read
-    memos = (group._tube, semigroup._chart_products)
     for g in memo_corpus()[::7]:
         for route, args in one_matrix_routes():
             outcome(route, g, *args)
         key = g.tobytes()
         with np.errstate(all="ignore"):
-            assert [repr(m(key)) for m in memos] == [repr(m.__wrapped__(key)) for m in memos]
+            assert repr(group._tube(key)) == repr(group._tube.__wrapped__(key))

@@ -24,7 +24,9 @@ from dualvinberg.semigroup import (
 
 from conftest import ZeroRandomness, sample_chart_element, slack_subject
 from oracles import (
+    MEMOS,
     SpectrumError,
+    clear_memos,
     exp_lie,
     in_positive_triangular,
     inverse,
@@ -181,12 +183,12 @@ def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
     member = dv.translation([1, 1, 1.01, -1, 0])
     cases = (member, dv.translation(-IDENTITY), np.arange(36.0).reshape(6, 6), slack)
     for g in cases:
-        group._tube.cache_clear()  # a matrix read by an earlier test would be a hit
+        clear_memos()  # a matrix read by an earlier test would be a hit
         calls.update(tube_group_reason=0, symplectic_defect=0)
         verdict = dv.cross_check_membership(g)
         assert calls == {"tube_group_reason": 1, "symplectic_defect": 1}
         # once compression_reason has read g, the other routes read its memo
-        group._tube.cache_clear()
+        clear_memos()
         semigroup.compression_reason(g)
         others = (dv.cross_check_membership, group.tube_group_alt_reason, symplectic_semigroup_reason)
         for route in others:
@@ -201,6 +203,36 @@ def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
             assert dv.in_compression_semigroup(g, semigroup.CROSS_CHECK_SLACK * MEMBERSHIP_TOL)
         else:
             assert direct == via
+
+
+def test_the_membership_sequence_decides_each_verdict_once_per_matrix_and_tol():
+    # the benchmark's op: compression_reason, both tube routes,
+    # symplectic_semigroup_reason, the cross-check, then the factors of a
+    # member; each memo misses once per g, and the slack rerun keeps tol's entry
+    member = dv.translation([1, 1, 1.01, -1, 0])
+    off_pattern = dv.congruence_embed(dv.triangular([1, 1, 1, 0.5, 0]).T)
+    cases = [  # g, tol and the misses of (_tube, _chart_reason, _psd_reason)
+        (g, tol, misses)
+        for tol in (MEMBERSHIP_TOL, 1e-3)
+        for g, misses in (
+            (member, (1, 1, 1)),
+            (dv.translation(-IDENTITY), (1, 1, 1)),  # a chart failure
+            (off_pattern, (1, 0, 1)),
+            (np.arange(36.0).reshape(6, 6), (1, 0, 0)),  # not symplectic
+        )
+    ]
+    cases.append((slack_subject(), MEMBERSHIP_TOL, (1, 2, 1)))  # the slack rerun's entry
+    for i, (g, tol, misses) in enumerate(cases):
+        clear_memos()
+        for _ in range(2):  # the second pass is all hits
+            reason = compression_reason(g, tol)
+            group.tube_group_reason(g)
+            group.tube_group_alt_reason(g)
+            symplectic_semigroup_reason(g, tol)
+            dv.cross_check_membership(g, tol)
+            if reason is None:
+                dv.compression_factors(g, tol)
+        assert tuple(m.cache_info().misses for m in MEMOS) == misses, i
 
 
 def test_lie_element_round_trip_and_pattern_guard():
