@@ -196,6 +196,15 @@ echo "$out"
 test "$out" = '{"mode": "gamma", "v": [1.0, 2.0, 3.0000000000000004, 0.5, -0.5], "A": [1.5000000000000002, 0.7000000000000001, 1.2000000000000004, 0.3000000000000001, -0.40000000000000024], "u": [0.4000000000000001, 0.9], "residual": 1.0396737354349295e-16}'
 echo "::endgroup::"
 
+echo "::group::Triple payload pin"
+# a chart matrix that is not a member (u1 < 0, which the gamma route refuses):
+# the chart factors need no membership
+python -c "import json, numpy as np, dualvinberg as dv; from dualvinberg import serialize; g = dv.triple_compose(dv.TripleFactors(v=np.array([1.0, 2, 3, 0.5, -0.5]), L=dv.triangular([1.5, 0.7, 1.2, 0.3, -0.4]), u=np.array([-0.4, 0.9]))); print(json.dumps(serialize.dump_matrix6(g)))" > m.json
+out="$(dualvinberg decompose --mode triple m.json)"
+echo "$out"
+test "$out" = '{"mode": "triple", "v": [1.0, 2.0, 3.0000000000000004, 0.5, -0.5], "L": [1.5000000000000002, 0.7000000000000001, 1.2000000000000004, 0.3000000000000001, -0.40000000000000024], "u": [-0.4000000000000001, 0.9], "residual": 1.0396737354349295e-16}'
+echo "::endgroup::"
+
 echo "::group::Polar smoke run"
 python -c "import json, dualvinberg as dv; from dualvinberg import serialize; print(json.dumps(serialize.dump_matrix6(dv.translation([1, 1, 1, 0, 0]))))" > g.json
 out="$(dualvinberg polar g.json)"

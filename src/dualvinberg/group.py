@@ -17,6 +17,7 @@ with v in the patterned subspace, L triangular and U = diag(u1, u2, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,17 +27,18 @@ from .cone import (
     FLAT_ZEROS,
     PATTERN_TOL,
     TRIANGULAR_ZEROS,
-    diag_pair,
     embed,
     embed_diag_pair,
     in_open_cone,
     is_flat_pattern,
+    pattern_parts,
+    refuse_off_pattern,
     unembed,
 )
 from .errors import DomainError, SingularityError, check_rows
 from .linalg import (
     SINGULAR_MESSAGE,
-    adjugate3,
+    adjugate3_flat,
     det3,
     float_maxabs,
     inv3,
@@ -134,14 +136,19 @@ def _tube(key: bytes) -> tuple:
     edits.  It reads the read-only array rebuilt from key, so the answer
     depends on the bytes alone, and keeps the last one for every route
     that asks about the same g.  Its first five checks are the linear part
-    both tube-group descriptions share.  The defect is only formed under a
-    finite bound, so a non-finite g raises no floating-point warning."""
+    both tube-group descriptions share.  The defect is formed quietly where
+    it can overflow (6 * maxabs(g)**2 not finite), so no g warns."""
     g = np.frombuffer(key).reshape(6, 6)
     scale = maxabs(g)
     atol = PATTERN_TOL * (1.0 + scale)
     m = g.tolist()
     bound = SYMPLECTIC_TOL * (1.0 + scale * scale)
-    if not (bound < np.inf and symplectic_defect(g) <= bound):
+    if 6.0 * scale * scale < np.inf:  # bounds every entry of P and of P - P^T
+        defect = symplectic_defect(g)
+    else:  # an overflow gives inf or NaN, which the finite bound rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = symplectic_defect(g)
+    if not (bound < np.inf and defect <= bound):
         return TUBE_GROUP_REASONS[0], scale, m, None, None, None
     if not _zeros_hold(m, TRIANGULAR_ZEROS, atol):
         reason = TUBE_GROUP_REASONS[1]
@@ -326,19 +333,24 @@ class TripleFactors:
 def triple_decompose(g) -> TripleFactors:
     """Unique chart factors: v = B D^{-1}, L = D^{-T} (equal to
     A - B D^{-1} C), u = diagonal pair of D^{-1} C.  DomainError on a
-    non-finite entry, SingularityError when det D = 0."""
-    g = np.asarray(g, dtype=float)
-    A, B, C, D = blocks(g)
-    scale = maxabs(g)
-    if not scale < np.inf:  # NaN fails too
+    non-finite entry, SingularityError when det D = 0.  B D^{-1} and
+    D^{-1} C are one stacked @ (linalg's arithmetic rule)."""
+    m = _matrix6(g).tolist()
+    scale = float_maxabs(m[0] + m[1] + m[2] + m[3] + m[4] + m[5])
+    if not scale < math.inf:  # NaN fails too
         raise DomainError("entry not finite")
-    rows = D.tolist()
-    d = det3(rows)
-    if is_singular3(rows, d):
+    D = [row[3:] for row in m[3:]]
+    d = det3(D)
+    if is_singular3(D, d):
         raise SingularityError("det D = 0")
-    Dinv = adjugate3(rows) / d  # inv3(D), with D's one singularity test
-    v = unembed(B @ Dinv, atol=ACTION_PATTERN_TOL * (1.0 + scale * scale))
-    return TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
+    Dinv = [x / d for x in adjugate3_flat(D)]  # inv3(D), with D's one singularity test
+    f = m[0][3:] + m[1][3:] + m[2][3:] + Dinv + Dinv + m[3][:3] + m[4][:3] + m[5][:3]
+    BD, DC = np.matmul(*np.array(f, dtype=float).reshape(2, 2, 3, 3)).tolist()  # B D^-1, D^-1 C
+    off, v = pattern_parts(BD)  # unembed's rule: off beyond atol or a forbidden entry not finite
+    finite = math.isfinite(BD[0][1]) and math.isfinite(BD[1][0])
+    refuse_off_pattern(off > ACTION_PATTERN_TOL * (1.0 + scale * scale) or not finite, off)
+    L = np.array(Dinv[0::3] + Dinv[1::3] + Dinv[2::3], dtype=float).reshape(3, 3)
+    return TripleFactors(np.array(v, dtype=float), L, np.array([DC[0][0], DC[1][1]], dtype=float))
 
 
 def triple_compose(f: TripleFactors) -> np.ndarray:

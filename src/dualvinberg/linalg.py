@@ -66,17 +66,21 @@ def det3(m):
 
 def adjugate3(m) -> np.ndarray:
     """Transposed cofactor matrix of one matrix, so that m @ adjugate3(m) =
-    det3(m) * I; m as det3 takes it."""
+    det3(m) * I; m as det3 takes it.  The array of adjugate3_flat."""
+    return np.array(adjugate3_flat(m)).reshape(3, 3)
+
+
+def adjugate3_flat(m) -> list:
+    """adjugate3's nine entries row by row, scalars of m's type: Python
+    floats for the one-matrix factorizations, with no array round trip."""
     a, b, c = m[0]
     d, e, f = m[1]
     g, h, i = m[2]
-    return np.array(
-        [
-            [e * i - f * h, c * h - b * i, b * f - c * e],
-            [f * g - d * i, a * i - c * g, c * d - a * f],
-            [d * h - e * g, b * g - a * h, a * e - b * d],
-        ]
-    )
+    return [
+        e * i - f * h, c * h - b * i, b * f - c * e,
+        f * g - d * i, a * i - c * g, c * d - a * f,
+        d * h - e * g, b * g - a * h, a * e - b * d,
+    ]
 
 
 def is_singular3(m, d=None):

@@ -162,6 +162,7 @@ def _stretch(g, x, v):
     with np.errstate(all="ignore"):  # a failing row computes garbage until its check raises
         check_rows(~in_open_cone(x), lambda r: DomainError("base point outside the open cone"))
         check_rows(~v.any(-1), lambda r: DomainError("zero tangent vector"))
+        check_rows(~np.isfinite(v).all(-1), lambda r: DomainError("tangent vector not finite"))
         # one kernel call gives both the image point and the pushforward
         W, Mi = mobius(g, embed_stack(x))
         yjv = unembed_action(np.concatenate((W, np.swapaxes(Mi, -1, -2) @ embed_stack(v) @ Mi)))

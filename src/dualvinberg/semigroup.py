@@ -58,7 +58,7 @@ from .group import (
 )
 from .linalg import (
     SINGULAR_MESSAGE,
-    adjugate3,
+    adjugate3_flat,
     det3,
     float_maxabs,
     inv3_stack,
@@ -79,9 +79,9 @@ CROSS_CHECK_SLACK = 50.0
 # scale-relative recomposition residual above which polar_factor refuses
 POLAR_RESIDUAL_TOL = 1e-8
 
-# gathers tau(g)^{-1} = [[D^T, B^T], [C^T, A^T]] from g.T: rows and columns
-# in the block order 3, 4, 5, 0, 1, 2
-_TAU_INVERSE = np.ix_([3, 4, 5, 0, 1, 2], [3, 4, 5, 0, 1, 2])
+# tau(g)^{-1} = [[D^T, B^T], [C^T, A^T]] has entry (i, j) = g[p(j), p(i)] for
+# the block order p = 3, 4, 5, 0, 1, 2: one take of g's flat entries gathers it
+_TAU_INVERSE = np.add.outer([3, 4, 5, 0, 1, 2], [18, 24, 30, 0, 6, 12])
 
 # failure reasons of compression_reason, in check order
 COMPRESSION_REASONS = TUBE_GROUP_REASONS + (
@@ -311,10 +311,10 @@ def _s1(t: float) -> float:
     """(_sh(t) - 1)/t = sum of t^n/(2n+3)!, from the series near 0."""
     if abs(t) > 1.0:
         return (_sh(t) - 1.0) / t
-    acc = 0.0
-    for c in reversed(_S1_SERIES):
-        acc = acc * t + c
-    return acc
+    # Horner's rule unrolled in the loop's order, from acc = 0.0 * t + c7
+    c0, c1, c2, c3, c4, c5, c6, c7 = _S1_SERIES
+    acc = (((0.0 * t + c7) * t + c6) * t + c5) * t + c4
+    return (((acc * t + c3) * t + c2) * t + c1) * t + c0
 
 
 def _wedge_diagonals(v, u) -> tuple[list, list]:
@@ -345,20 +345,21 @@ def exp_wedge(X: InvariantConeElement) -> np.ndarray:
     c1(t) = (cosh sqrt t - 1)/t and s1(t) = (sinh sqrt t / sqrt t - 1)/t.
     Valid for any v and u (k_i < 0 takes the trigonometric branch), and
     exactly unipotent when u = 0 or v = 0.  Non-finite or overflowing
-    entries give inf or NaN entries, never an exception.
+    entries give inf or NaN entries, never an exception.  The array of
+    _exp_rows, which polar_factor's certificate reads as floats.
     """
     v = np.asarray(X.v, dtype=float).tolist()
     u = np.asarray(X.u, dtype=float).tolist()
-    return _exp_wedge(v, u, *_wedge_diagonals(v, u))
+    return np.array(_exp_rows(v, u, *_wedge_diagonals(v, u)), dtype=float).reshape(6, 6)
 
 
-def _exp_wedge(v, u, dc, ds) -> np.ndarray:
-    """exp_wedge from v, u and their _wedge_diagonals, on Python floats
-    (linalg's arithmetic rule).  V diag(dc) and V diag(ds) are formed entry
-    by entry as numpy's broadcast V * d forms them, zero slots included
-    (x4 * ds[2] is a signed zero, or NaN where x4 is not finite), and so
-    are the sums with I.  Vds @ V and U @ (I + Vds) stay products: one
-    numpy @ on the stack of the two, which forms each as its own 3x3 @."""
+def _exp_rows(v, u, dc, ds) -> list:
+    """exp_wedge's 36 entries row by row as Python floats, from v, u and
+    their _wedge_diagonals (linalg's arithmetic rule).  V diag(dc) and
+    V diag(ds) are formed entry by entry as numpy's broadcast V * d forms
+    them, zero slots included (x4 * ds[2] is a signed zero, or NaN where x4
+    is not finite), and so are the sums with I.  Vds @ V and U @ (I + Vds)
+    stay products: one numpy @ on the stack of the two, one typed array."""
     x1, x2, x3, x4, x5 = v
     c1, c2, c3 = dc
     s1, s2, s3 = ds
@@ -372,14 +373,14 @@ def _exp_wedge(v, u, dc, ds) -> np.ndarray:
     I_b = [1.0 + b[0], 0.0 + b[1], 0.0 + b[2], 0.0 + b[3], 1.0 + b[4], 0.0 + b[5],
            0.0 + b[6], 0.0 + b[7], 1.0 + b[8]]  # I + V diag(ds)
     U = [u[0], 0.0, 0.0, 0.0, u[1], 0.0, 0.0, 0.0, 0.0]
-    P, Q = (np.array(b + U).reshape(2, 3, 3) @ np.array(V + I_b).reshape(2, 3, 3)).tolist()
+    P, Q = np.matmul(*np.array(b + U + V + I_b, dtype=float).reshape(2, 2, 3, 3)).tolist()
     (p0, p1, p2), (p3, p4, p5), (p6, p7, p8) = P
-    return np.array(  # [[top, V + P], [Q, top^T]], row by row
+    return (  # [[top, V + P], [Q, top^T]], row by row
         top[0:3] + [x1 + p0, 0.0 + p1, x4 + p2]
         + top[3:6] + [0.0 + p3, x2 + p4, x5 + p5]
         + top[6:9] + [x4 + p6, x5 + p7, x3 + p8]
         + Q[0] + top[0::3] + Q[1] + top[1::3] + Q[2] + top[2::3]
-    ).reshape(6, 6)
+    )
 
 
 def log_wedge(h) -> InvariantConeElement:
@@ -442,19 +443,17 @@ def polar_factor(g):
     singular by linalg's rule), X outside the wedge (NaN included) or a
     recomposition residual above POLAR_RESIDUAL_TOL is a ConvergenceError
     that carries the measured value.  Each certificate reads the factors
-    as built: the wedge rule runs on (v, u), A on its diagonal and det3.
-    g is read once: the membership test's memoised tube read (group._tube)
-    keeps maxabs(g), which scales the residual, and g's rows, which the
-    unit solve reads.
+    as built: the wedge rule runs on (v, u), A on its diagonal and det3,
+    and the residual forms A exp(X)[:3] and A^{-T} exp(X)[3:] in one
+    (2, 3, 3) @ (2, 3, 6) product.  g is read once: the memoised tube read
+    (group._tube) keeps maxabs(g) and g's rows, which the unit solve reads.
     """
     g = _matrix6(g)
     if (reason := compression_reason(g)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
     _, scale, m, *_ = _tube(g.tobytes())
-    # [[D^T, B^T], [C^T, A^T]], the symplectic inverse of tau(g), gathered
-    # in one C-contiguous copy; the scalar steps run on Python floats
-    # (linalg's arithmetic rule)
-    v, u = _log_wedge((g.T[_TAU_INVERSE] @ g).tolist())
+    # tau(g)^{-1} g, then scalar steps on Python floats (linalg's arithmetic rule)
+    v, u = _log_wedge((g.take(_TAU_INVERSE) @ g).tolist())
     v = [x / 2 for x in v]
     u = [x / 2 for x in u]
     # Dc and Ds involve u and k_i = u_i v_i only, not x3
@@ -482,16 +481,14 @@ def polar_factor(g):
             f"recovered generator outside the wedge: {reason} "
             f"(v = {np.array(v)}, u = {np.array(u)})"
         )
-    # congruence_embed(A) @ exp(X), block row by block row
-    A = np.array(rows)
-    E = _exp_wedge(v, u, dc, ds)
-    recomposed = np.empty((6, 6))
-    recomposed[:3] = A @ E[:3]
-    recomposed[3:] = (adjugate3(rows) / d).T @ E[3:]
-    residual = maxabs(recomposed - g) / (1.0 + scale)
+    adj = adjugate3_flat(rows)  # A^{-T} is adj^T / d
+    f = np.array(rows[0] + rows[1] + rows[2] + [x / d for x in adj[0::3] + adj[1::3] + adj[2::3]]
+                 + _exp_rows(v, u, dc, ds), dtype=float)
+    recomposed = f[:18].reshape(2, 3, 3) @ f[18:].reshape(2, 3, 6)
+    residual = maxabs(recomposed.reshape(6, 6) - g) / (1.0 + scale)
     if not residual <= POLAR_RESIDUAL_TOL:  # a NaN residual fails too
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
-    return A, InvariantConeElement(v=np.array(v), u=np.array(u))
+    return f[:9].reshape(3, 3), InvariantConeElement(v=np.array(v), u=np.array(u))
 
 
 # interior_element's upper, linear and lower factors before their blocks are written

@@ -45,11 +45,11 @@ def load_vector5(obj) -> np.ndarray:
 
 
 def dump_vector5(x) -> list[float]:
-    return [float(e) for e in np.asarray(x, dtype=float)]
+    return np.asarray(x, dtype=float).tolist()
 
 
 def dump_pair(u) -> list[float]:
-    return [float(u[0]), float(u[1])]
+    return np.asarray(u, dtype=float)[:2].tolist()
 
 
 def load_matrix6(obj) -> np.ndarray:
@@ -61,7 +61,7 @@ def dump_matrix6(g) -> list[float]:
 
 
 def dump_triangular(A) -> list[float]:
-    return [float(e) for e in triangular_params(A)]
+    return triangular_params(A).tolist()
 
 
 def dump_triple_factors(f: TripleFactors) -> dict:

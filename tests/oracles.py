@@ -26,6 +26,13 @@ symplectic inverse written out on the blocks, a route to tau(g)^{-1}
 independent of the package's index gather, and in_positive_triangular
 the identity component of the triangular group.
 
+triple_decompose_reference is the chart factorization on numpy blocks:
+D^{-1} as the array adjugate3 over det3, v read by cone.unembed of
+B @ D^{-1} and u by cone.diag_pair of D^{-1} @ C; the dump references
+convert each entry with float().  s1_series_reference is the series of
+semigroup._s1 as a loop over its coefficients.  The package's factors,
+dumps and series must equal them bit for bit.
+
 cross_check_membership_reference is the cross-check with each route
 forming its own chart products and verdict, every memo of the package
 (MEMOS) cleared before each call, where the package forms them once for
@@ -62,10 +69,18 @@ from dualvinberg.cone import (
     embed_diag_pair,
     is_flat_pattern,
     is_triangular_pattern,
+    triangular_params,
+    unembed,
 )
-from dualvinberg.errors import ConvergenceError, DomainError, InconsistencyError, PatternError
+from dualvinberg.errors import (
+    ConvergenceError,
+    DomainError,
+    InconsistencyError,
+    PatternError,
+    SingularityError,
+)
 from dualvinberg.group import SYMPLECTIC_TOL, TUBE_GROUP_REASONS, symplectic_defect
-from dualvinberg.linalg import is_singular3, maxabs
+from dualvinberg.linalg import adjugate3, det3, is_singular3, maxabs
 
 # scale-relative off-algebra residue above which log_group refuses
 LOG_PATTERN_TOL = 1e-6
@@ -247,7 +262,7 @@ def in_positive_triangular(A) -> bool:
 
 
 def exp_wedge_reference(v, u, dc, ds) -> np.ndarray:
-    """semigroup._exp_wedge on numpy arrays: V = embed(v), V diag(d) as
+    """semigroup._exp_rows on numpy arrays: V = embed(v), V diag(d) as
     the broadcast V * d, the identity from np.eye."""
     V = embed(v)
     top = np.eye(3) + V * dc
@@ -290,6 +305,41 @@ def polar_factor_reference(g):
     if not residual <= semigroup.POLAR_RESIDUAL_TOL:
         raise ConvergenceError(f"polar recomposition residual {residual:.3e}")
     return A, X
+
+
+def triple_decompose_reference(g) -> group.TripleFactors:
+    """triple_decompose on numpy blocks, with inv3's singularity test."""
+    g = np.asarray(g, dtype=float)
+    A, B, C, D = dv.blocks(g)
+    scale = maxabs(g)
+    if not scale < np.inf:
+        raise DomainError("entry not finite")
+    rows = D.tolist()
+    d = det3(rows)
+    if is_singular3(rows, d):
+        raise SingularityError("det D = 0")
+    Dinv = adjugate3(rows) / d
+    v = unembed(B @ Dinv, atol=group.ACTION_PATTERN_TOL * (1.0 + scale * scale))
+    return group.TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
+
+
+def dump_vector5_reference(x) -> list[float]:
+    return [float(e) for e in np.asarray(x, dtype=float)]
+
+
+def dump_pair_reference(u) -> list[float]:
+    return [float(u[0]), float(u[1])]
+
+
+def dump_triangular_reference(A) -> list[float]:
+    return [float(e) for e in triangular_params(A)]
+
+
+def s1_series_reference(t: float) -> float:
+    acc = 0.0
+    for c in reversed(semigroup._S1_SERIES):
+        acc = acc * t + c
+    return acc
 
 
 # every memo of the one-matrix membership routes: g's reads, then the chart

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dualvinberg as dv
-from dualvinberg import group, semigroup
+from dualvinberg import group, semigroup, serialize
 from dualvinberg.cone import MEMBERSHIP_TOL, embed
 from dualvinberg.errors import SingularityError
 from dualvinberg.group import (
@@ -27,6 +27,7 @@ from dualvinberg.semigroup import InvariantConeElement, invariant_cone_reason
 from conftest import (
     generator_product,
     overflowing_defect_matrix,
+    same_bits,
     sample_chart_element,
     slack_subject,
 )
@@ -34,9 +35,14 @@ from oracles import (
     MEMOS,
     clear_memos,
     cross_check_membership_reference,
+    dump_pair_reference,
+    dump_triangular_reference,
+    dump_vector5_reference,
     exp_wedge_reference,
     invariant_cone_reason_reference,
     polar_factor_reference,
+    s1_series_reference,
+    triple_decompose_reference,
     tube_group_reason_reference,
 )
 
@@ -199,9 +205,9 @@ def test_exp_wedge_entries_equal_the_array_formula(v, u):
     v, u = v.tolist(), u.tolist()
     with np.errstate(all="ignore"):
         dc, ds = semigroup._wedge_diagonals(v, u)
-        got = semigroup._exp_wedge(v, u, dc, ds)
+        got = semigroup._exp_rows(v, u, dc, ds)
         want = exp_wedge_reference(v, u, dc, ds)
-    assert got.shape == (6, 6) and got.flags.c_contiguous
+    assert len(got) == 36 and all(type(x) is float for x in got)
     assert nan_as_one(got) == nan_as_one(want)
 
 
@@ -215,7 +221,7 @@ def test_exp_wedge_entries_equal_the_array_formula_on_zero_slots():
             v[rng.integers(5)] = special
             with np.errstate(all="ignore"):
                 dc, ds = semigroup._wedge_diagonals(v, u)
-                got = semigroup._exp_wedge(v, u, dc, ds)
+                got = semigroup._exp_rows(v, u, dc, ds)
                 want = exp_wedge_reference(v, u, dc, ds)
             assert nan_as_one(got) == nan_as_one(want)
 
@@ -396,6 +402,67 @@ def test_polar_factor_equals_the_matrix_route_on_overflow_subjects():
         assert got == outcome(polar_factor_reference, g)
         kinds[got[0]] = kinds.get(got[0], 0) + 1
     assert set(kinds) == {"factors", "ConvergenceError", "DomainError"}
+
+
+def chart_outcome(route, dumps, g):
+    """route(g)'s factors (dtype, shape, layout and bytes of v, L and u) and
+    their wire lists by the dumps (entry types and bytes), or the type and
+    text of its exception."""
+    try:
+        with np.errstate(all="ignore"):
+            f = route(g)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc).__name__, str(exc)
+    factors = [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()) for a in (f.v, f.L, f.u)]
+    wire = [dump(a) for dump, a in zip(dumps, (f.v, f.L, f.u))]
+    return "triple", factors, [(tuple(map(type, w)), np.array(w).tobytes()) for w in wire]
+
+
+def chart_corpus():
+    """The membership corpus, 500 Gaussian matrices, members with one or two
+    entries set to hostile floats, and members whose D is near singular,
+    from a rank-one D plus noise at scales 1 down to 1e-14."""
+    rng = np.random.default_rng(2626)
+    mats = membership_corpus() + [rng.standard_normal((6, 6)) for _ in range(500)]
+    spoilers = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 5e-324, 1e155, -3e157)
+    for _ in range(400):
+        g = dv.sample_semigroup(rng, sigma=float(rng.choice([0.5, 1.0, 2.5])))
+        for _ in range(rng.integers(1, 3)):
+            g[tuple(rng.integers(6, size=2))] = spoilers[rng.integers(len(spoilers))]
+        mats.append(g)
+    for _ in range(200):
+        g = dv.sample_semigroup(rng)
+        noise = 10.0 ** -rng.uniform(0.0, 14.0) * rng.standard_normal((3, 3))
+        g[3:, 3:] = np.outer(rng.standard_normal(3), rng.standard_normal(3)) + noise
+        mats.append(g)
+    return mats
+
+
+def test_chart_factors_and_dumps_equal_the_array_route_bit_for_bit(monkeypatch):
+    dumps = (serialize.dump_vector5, serialize.dump_triangular, serialize.dump_pair)
+    reference_dumps = (dump_vector5_reference, dump_triangular_reference, dump_pair_reference)
+    kinds = {}
+    for g in chart_corpus():
+        got = chart_outcome(dv.triple_decompose, dumps, g)
+        assert got == chart_outcome(triple_decompose_reference, reference_dumps, g)
+        kinds[got[0]] = kinds.get(got[0], 0) + 1
+        certified = chart_outcome(dv.compression_factors, dumps, g)
+        with monkeypatch.context() as m:
+            m.setattr(semigroup, "triple_decompose", triple_decompose_reference)
+            assert certified == chart_outcome(dv.compression_factors, reference_dumps, g)
+    assert set(kinds) == {"triple", "DomainError", "SingularityError", "PatternError"}
+
+
+def test_s1_series_is_the_loop_bit_for_bit():
+    # the unrolled Horner expression on |t| <= 1: signed zeros, NaN,
+    # subnormals, both ends and a grid and random draws in between
+    rng = np.random.default_rng(26)
+    ts = [0.0, -0.0, np.nan, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
+    ts += np.linspace(-1.0, 1.0, 20001).tolist() + rng.uniform(-1.0, 1.0, 20000).tolist()
+    ts += (rng.standard_normal(1000) * 1e-160).tolist()
+    got = [semigroup._s1(t) for t in ts]
+    assert all(type(x) is float for x in got)
+    assert same_bits(got, [s1_series_reference(t) for t in ts])
 
 
 def test_a_zero_wedge_diagonal_gives_the_float64_unit_diagonal(monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,25 @@ def test_a_nan_block_relation_is_not_symplectic():
         assert tube_group_reason(g) == "not symplectic"
         assert tube_group_alt_reason(g) == "not symplectic"
         assert symplectic_semigroup_reason(g) == "not symplectic"
+
+
+def test_an_overflowing_symplectic_defect_raises_no_warning():
+    # no errstate here: a warning is an error.  Where 6 maxabs(g)^2 is not
+    # finite the products of the defect, or P - P^T, can overflow; the tube
+    # test then forms it quietly and an inf or NaN defect rejects
+    s = 6.3e153  # 3 s^2 is finite, 6 s^2 is not: only P - P^T overflows
+    only_subtract = np.zeros((6, 6))
+    only_subtract[:3, :2] = s
+    only_subtract[3:, 0], only_subtract[3:, 1] = -s, s  # P[0,1] = 3 s^2 = -P[1,0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (1.2e154 * np.ones((6, 6)), only_subtract):
+            assert dv.is_symplectic(g) is False
+            assert tube_group_reason(g) == "not symplectic"
+        # past the same scale, the defect is still formed: this g is symplectic
+        g = np.diag([1e154, 1.0, 1.0, 1e-154, 1.0, 1.0])
+        assert dv.is_symplectic(g) is True
+        assert tube_group_reason(g) is None
 
 
 def test_generators_lie_in_tube_group():

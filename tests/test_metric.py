@@ -88,6 +88,23 @@ def test_an_underflowing_tangent_raises_a_domain_error_on_both_routes():
         dv.contraction_ratios(np.stack([g, g, g]), np.stack([IDENTITY] * 3), np.stack([np.eye(5)[0], v, v]))
 
 
+def test_a_non_finite_tangent_raises_a_domain_error_on_both_routes():
+    # +-inf and NaN in each slot of v, 15 probes, at x = e and the first
+    # interior member of rng 7; the check follows the zero-tangent check
+    g = dv.sample_semigroup(np.random.default_rng(7))
+    base = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
+    assert dv.contraction_ratio(g, IDENTITY, base).ratio > 0.0
+    for slot in range(5):
+        for bad in (np.inf, -np.inf, np.nan):
+            v = base.copy()
+            v[slot] = bad
+            with pytest.raises(DomainError, match="^tangent vector not finite$"):
+                dv.contraction_ratio(g, IDENTITY, v)
+            # the stacked pass, then the loop of one-row calls, for the lowest failing row
+            with pytest.raises(DomainError, match="^tangent vector not finite$"):
+                dv.contraction_ratios(np.stack([g, g]), np.stack([IDENTITY] * 2), np.stack([base, v]))
+
+
 @pytest.mark.parametrize(
     "g_shape, x_shape, v_shape",
     [((3, 6, 6), (2, 5), (2, 5)), ((1, 6, 6), (1, 5), (1, 4)), ((6, 6), (5,), (1, 5))],
