@@ -80,17 +80,16 @@ echo "::group::Membership routes pin"
 # every one-matrix route's answer, and the compression_factors and polar
 # payloads, on 600 queries: interior and boundary members, and translations
 # by a negated cone point and symplectic compressions, which are not
-# members.  The routes share one memoised read of g and memoised verdicts;
-# the run that clears every memo before each call and the one that keeps
-# them must give the same digest.
+# members.  The routes share one memoised read of g, which keeps their
+# verdicts; the run that clears it before each call and the one that keeps
+# it must give the same digest.
 for memo in cold warm; do
   out="$(python -c "
 import hashlib, json, sys, numpy as np, dualvinberg as dv
 from dualvinberg import group, semigroup, serialize
 def ask(route, g, dump=lambda r: r):
     if sys.argv[1] == 'cold':
-        for memo in (group._tube, semigroup._chart_reason, semigroup._psd_reason):
-            memo.cache_clear()
+        group._tube.cache_clear()
     try:
         return dump(route(g))
     except (dv.DomainError, dv.ConvergenceError, dv.InconsistencyError) as exc:

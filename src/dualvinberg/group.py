@@ -129,15 +129,13 @@ def tube_group_reason(g) -> str | None:
 
 @lru_cache(maxsize=1)
 def _tube(key: bytes) -> tuple:
-    """Every read of the 6x6 float64 array g whose C-order bytes are key
-    (g.tobytes()): (tube_group_reason(g), maxabs(g), g.tolist(), then for
-    a symplectic g whether D is singular (linalg.is_singular3), D^T B and
-    C D^T as nested Python floats, each None otherwise), which no reader
-    edits.  It reads the read-only array rebuilt from key, so the answer
-    depends on the bytes alone, and keeps the last one for every route
-    that asks about the same g.  Its first five checks are the linear part
-    both tube-group descriptions share.  The defect is formed quietly where
-    it can overflow (6 * maxabs(g)**2 not finite), so no g warns."""
+    """The one memo of the one-matrix routes: for the 6x6 float64 g whose
+    C-order bytes are key, (tube_group_reason(g), maxabs(g), g.tolist(),
+    g as the read-only array rebuilt from key, answers), answers keeping
+    what _ask derives from this read.  It depends on the bytes alone and
+    keeps the last read only, which no reader edits.  The first five
+    checks are the linear part both tube-group descriptions share.  The
+    defect is formed quietly where 6 * maxabs(g)**2 overflows: no g warns."""
     g = np.frombuffer(key).reshape(6, 6)
     scale = maxabs(g)
     atol = PATTERN_TOL * (1.0 + scale)
@@ -148,25 +146,31 @@ def _tube(key: bytes) -> tuple:
     else:  # an overflow gives inf or NaN, which the finite bound rejects
         with np.errstate(over="ignore", invalid="ignore"):
             defect = symplectic_defect(g)
-    if not (bound < np.inf and defect <= bound):
-        return TUBE_GROUP_REASONS[0], scale, m, None, None, None
-    if not _zeros_hold(m, TRIANGULAR_ZEROS, atol):
-        reason = TUBE_GROUP_REASONS[1]
-    elif not m[2][2] > 0:
-        reason = TUBE_GROUP_REASONS[2]
-    elif not _zeros_hold(m, _DT_ZEROS, atol):
-        reason = TUBE_GROUP_REASONS[3]
-    elif not m[5][5] > 0:
-        reason = TUBE_GROUP_REASONS[4]
-    elif not _zeros_hold(m, _B_ZEROS, atol):
-        reason = TUBE_GROUP_REASONS[5]
-    elif not _zeros_hold(m, _C_ZEROS, atol):
-        reason = TUBE_GROUP_REASONS[6]
-    else:
-        reason = None
-    D = g[3:, 3:]
-    singular = is_singular3([row[3:] for row in m[3:]])
-    return reason, scale, m, singular, (D.T @ g[:3, 3:]).tolist(), (g[3:, :3] @ D.T).tolist()
+    # the symplectic bound, then the pattern checks, in the order of TUBE_GROUP_REASONS
+    holds = (
+        bound < np.inf and defect <= bound,
+        _zeros_hold(m, TRIANGULAR_ZEROS, atol), m[2][2] > 0,
+        _zeros_hold(m, _DT_ZEROS, atol), m[5][5] > 0,
+        _zeros_hold(m, _B_ZEROS, atol), _zeros_hold(m, _C_ZEROS, atol),
+    )
+    reason = TUBE_GROUP_REASONS[holds.index(False)] if False in holds else None
+    return reason, scale, m, g, {}
+
+
+def _ask(reads, rule, tol=None):
+    """rule(reads, tol) of a _tube read, run once per (rule, tol) and kept
+    on the read, so it lives while g is the last matrix asked about."""
+    answer = reads[4].get((rule, tol), reads)  # no rule answers with the read itself
+    if answer is reads:
+        answer = reads[4][rule, tol] = rule(reads, tol)
+    return answer
+
+
+def _products(reads, _) -> tuple:
+    """D's singularity test (linalg.is_singular3), D^T B and C D^T as nested
+    Python floats, from the _tube read of a symplectic g, D singular or not."""
+    B, C, D = reads[3][:3, 3:], reads[3][3:, :3], reads[3][3:, 3:]
+    return is_singular3(D), (D.T @ B).tolist(), (C @ D.T).tolist()
 
 
 def _tube_members(g, scale):
@@ -188,17 +192,18 @@ def in_tube_group(g) -> bool:
 def tube_group_alt_reason(g) -> str | None:
     """Same group through product constraints: A and D^T patterned with
     positive corner, D^T B in the patterned subspace, C D^T in the flat
-    slice, read from the memoised _tube(g.tobytes()), which holds both
-    products of a symplectic g, D singular or not.  It agrees with
-    tube_group_reason except in a band: the products are bounded by
+    slice, the products asked of the memoised _tube(g.tobytes()) read
+    (_products), D singular or not.  It agrees with tube_group_reason
+    except in a band: the products are bounded by
     PATTERN_TOL * (1 + maxabs(g)**2), the slots of B and C there by
     PATTERN_TOL * (1 + maxabs(g)), so a small off-pattern B or C entry can
     fail there and pass here (B[0,1] = 5e-11 at maxabs(g) = 4 is "B off
     pattern" there and a member here)."""
-    reason, scale, _, _, S, P = _tube(_matrix6(g).tobytes())
-    if reason in TUBE_GROUP_REASONS[:5]:
-        return reason
-    atol2 = PATTERN_TOL * (1.0 + scale * scale)
+    reads = _tube(_matrix6(g).tobytes())
+    if reads[0] in TUBE_GROUP_REASONS[:5]:
+        return reads[0]
+    _, S, P = _ask(reads, _products)
+    atol2 = PATTERN_TOL * (1.0 + reads[1] * reads[1])
     # maxabs(S - S^T); a diagonal gap is NaN where S overflows
     gap = float_maxabs([S[i][j] - S[j][i] for i in range(3) for j in range(3)])
     if max(gap, abs(S[0][1]), abs(S[1][0])) > atol2:
@@ -333,8 +338,9 @@ class TripleFactors:
 def triple_decompose(g) -> TripleFactors:
     """Unique chart factors: v = B D^{-1}, L = D^{-T} (equal to
     A - B D^{-1} C), u = diagonal pair of D^{-1} C.  DomainError on a
-    non-finite entry, SingularityError when det D = 0.  B D^{-1} and
-    D^{-1} C are one stacked @ (linalg's arithmetic rule)."""
+    non-finite entry or factor, SingularityError when det D = 0.  B D^{-1}
+    and D^{-1} C are one stacked @ (linalg's arithmetic rule), formed
+    quietly where 8 * maxabs(g)**3 / |det D| is not finite."""
     m = _matrix6(g).tolist()
     scale = float_maxabs(m[0] + m[1] + m[2] + m[3] + m[4] + m[5])
     if not scale < math.inf:  # NaN fails too
@@ -345,10 +351,20 @@ def triple_decompose(g) -> TripleFactors:
         raise SingularityError("det D = 0")
     Dinv = [x / d for x in adjugate3_flat(D)]  # inv3(D), with D's one singularity test
     f = m[0][3:] + m[1][3:] + m[2][3:] + Dinv + Dinv + m[3][:3] + m[4][:3] + m[5][:3]
-    BD, DC = np.matmul(*np.array(f, dtype=float).reshape(2, 2, 3, 3)).tolist()  # B D^-1, D^-1 C
+    f = np.array(f, dtype=float).reshape(2, 2, 3, 3)
+    # an adjugate entry is at most 2 maxabs(g)**2, so 6 maxabs(g)**3 / |det D| bounds
+    # every entry of both products; 8 leaves room for round-off
+    quiet = not 8.0 * scale * scale * scale / abs(d) < math.inf
+    if quiet:  # an overflow gives inf or NaN, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            BD, DC = np.matmul(*f).tolist()  # B D^-1, D^-1 C
+    else:
+        BD, DC = np.matmul(*f).tolist()
     off, v = pattern_parts(BD)  # unembed's rule: off beyond atol or a forbidden entry not finite
     finite = math.isfinite(BD[0][1]) and math.isfinite(BD[1][0])
     refuse_off_pattern(off > ACTION_PATTERN_TOL * (1.0 + scale * scale) or not finite, off)
+    if quiet and not float_maxabs(v + Dinv + [DC[0][0], DC[1][1]]) < math.inf:
+        raise DomainError("chart factor not finite")
     L = np.array(Dinv[0::3] + Dinv[1::3] + Dinv[2::3], dtype=float).reshape(3, 3)
     return TripleFactors(np.array(v, dtype=float), L, np.array([DC[0][0], DC[1][1]], dtype=float))
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +46,9 @@ from .errors import ConvergenceError, DomainError, InconsistencyError, Singulari
 from .group import (
     TUBE_GROUP_REASONS,
     TripleFactors,
+    _ask,
     _matrix6,
+    _products,
     _tube,
     _tube_members,
     congruence_embed,
@@ -98,15 +99,13 @@ def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     g = _matrix6(g)
     if not is_symplectic(g):
         return "not symplectic"
-    return _psd_reason(g.tobytes(), tol)
+    return _ask(_tube(g.tobytes()), _psd_reason, tol)
 
 
-@lru_cache(maxsize=1)
-def _psd_reason(key, tol) -> str | None:
-    """symplectic_semigroup_reason's checks after is_symplectic, on the
-    products that group._tube holds for g's bytes; memoised per (key, tol),
-    so cross_check_membership and symplectic_semigroup_reason share it."""
-    _, _, _, singular, DtB, CDt = _tube(key)
+def _psd_reason(reads, tol) -> str | None:
+    """symplectic_semigroup_reason's checks after is_symplectic, a rule
+    that group._ask runs on g's _tube read, shared by the cross-check."""
+    singular, DtB, CDt = _ask(reads, _products)
     if singular:
         return "det D = 0"
     for name, S in (("D^T B", DtB), ("C D^T", CDt)):
@@ -131,20 +130,16 @@ def _symmetric_rows(S) -> list:
 
 def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the patterned cone, via the chart
-    certificates; otherwise the first failing one of COMPRESSION_REASONS.
-    g's reads are the one memo group._tube, keyed on its bytes, and the
-    chart verdict is memoised per (bytes, tol)."""
-    key = _matrix6(g).tobytes()
-    return _tube(key)[0] or _chart_reason(key, tol)
+    certificates; otherwise the first failing one of COMPRESSION_REASONS,
+    the chart verdict kept per tol on g's memoised read (group._ask)."""
+    reads = _tube(_matrix6(g).tobytes())
+    return reads[0] or _ask(reads, _chart_reason, tol)
 
 
-# two entries, so cross_check_membership's slack rerun keeps the entry at tol
-@lru_cache(maxsize=2)
-def _chart_reason(key, tol) -> str | None:
-    """compression_reason's checks after the tube test, on the products
-    that group._tube holds for g's bytes; memoised per (key, tol)."""
-    # is_symplectic has already turned away non-finite entries
-    _, _, _, singular, S, P = _tube(key)
+def _chart_reason(reads, tol) -> str | None:
+    """compression_reason's checks after the tube test (so every entry is
+    finite), a rule that group._ask runs on g's _tube read."""
+    singular, S, P = _ask(reads, _products)
     if singular:
         return COMPRESSION_REASONS[7]
     S = _symmetric_rows(S)
@@ -216,17 +211,17 @@ def cross_check_membership(g, tol: float = MEMBERSHIP_TOL) -> bool:
     """
     g = np.asarray(g, dtype=float)
     # the shared tube test implies symplectic and takes no tol; once it
-    # passes each route's verdict is memoised per (g's bytes, tol)
+    # passes each route's verdict is kept on g's _tube read per tol
     if tube_group_reason(g) is not None:
         return False
-    key = g.tobytes()
-    direct = _chart_reason(key, tol) is None
-    via = _psd_reason(key, tol) is None
+    reads = _tube(g.tobytes())
+    direct = _ask(reads, _chart_reason, tol) is None
+    via = _ask(reads, _psd_reason, tol) is None
     if direct == via:
         return via
     # a disagreement puts g in the tube group: only the chart checks rerun
     slack = CROSS_CHECK_SLACK * tol if via else tol / CROSS_CHECK_SLACK
-    if (_chart_reason(key, slack) is None) == via:
+    if (_ask(reads, _chart_reason, slack) is None) == via:
         return via
     raise InconsistencyError(
         "chart certificates and symplectic-intersection membership disagree "
@@ -451,7 +446,7 @@ def polar_factor(g):
     g = _matrix6(g)
     if (reason := compression_reason(g)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
-    _, scale, m, *_ = _tube(g.tobytes())
+    _, scale, m, _, _ = _tube(g.tobytes())
     # tau(g)^{-1} g, then scalar steps on Python floats (linalg's arithmetic rule)
     v, u = _log_wedge((g.take(_TAU_INVERSE) @ g).tolist())
     v = [x / 2 for x in v]

@@ -34,9 +34,9 @@ semigroup._s1 as a loop over its coefficients.  The package's factors,
 dumps and series must equal them bit for bit.
 
 cross_check_membership_reference is the cross-check with each route
-forming its own chart products and verdict, every memo of the package
-(MEMOS) cleared before each call, where the package forms them once for
-both.
+forming its own chart products and verdict, each rule run on a fresh
+read of g (group._tube's unmemoised function), where the package forms
+them once for both on its one memo (MEMOS).
 
 lambda_min is the eigvalsh reference for "m + t*I is positive
 semidefinite", that is lambda_min(m) >= -t, which linalg.semidefinite3
@@ -342,9 +342,9 @@ def s1_series_reference(t: float) -> float:
     return acc
 
 
-# every memo of the one-matrix membership routes: g's reads, then the chart
-# and semidefinite verdicts per (bytes, tol); a cold call clears them all
-MEMOS = (group._tube, semigroup._chart_reason, semigroup._psd_reason)
+# every memo of the one-matrix membership routes: g's reads, which hold the
+# products and the chart and semidefinite verdicts per tol; a cold call clears it
+MEMOS = (group._tube,)
 
 
 def clear_memos():
@@ -354,12 +354,12 @@ def clear_memos():
 
 def cross_check_membership_reference(g, tol: float = MEMBERSHIP_TOL) -> bool:
     """cross_check_membership with every chart and PSD check a standalone
-    call, which forms D's singularity test, D^T B and C D^T itself."""
+    call on a fresh read of g, which forms D's singularity test, D^T B and
+    C D^T itself."""
     g = np.asarray(g, dtype=float)
 
-    def fresh(check, tol):
-        clear_memos()
-        return check(g.tobytes(), tol) is None
+    def fresh(rule, tol):
+        return rule(group._tube.__wrapped__(g.tobytes()), tol) is None
 
     tube = semigroup.tube_group_reason(g) is None
     direct = tube and fresh(semigroup._chart_reason, tol)

@@ -245,9 +245,8 @@ def test_shared_chart_products_give_the_separate_verdicts():
                 if tube_group_reason(g) is None:
                     # the memoised products and verdicts, warm, against ones formed afresh
                     for reason in (semigroup._chart_reason, semigroup._psd_reason):
-                        warm = reason(g.tobytes(), tol)
-                        clear_memos()
-                        assert reason(g.tobytes(), tol) == warm
+                        warm = group._ask(group._tube(g.tobytes()), reason, tol)
+                        assert reason(group._tube.__wrapped__(g.tobytes()), tol) == warm
     assert seen >= {True, False}
     assert crossed(dv.cross_check_membership, slack_subject(), MEMBERSHIP_TOL) is True
 
@@ -509,9 +508,9 @@ def test_chart_and_psd_routes_part_in_the_product_tolerance_band():
         dv.cross_check_membership(g)
 
 
-# The memoised read of g (group._tube) and the memoised chart and
-# semidefinite verdicts (per bytes and tol) keep the answers for the last
-# few keys asked about: every one-matrix route must answer the same from
+# The memoised read of g (group._tube), with the products and the chart
+# and semidefinite verdicts (per tol) kept on it, keeps the answers for
+# the last matrix asked about: every one-matrix route must answer the same from
 # cold memos, from warm ones and from ones warmed by the same bytes in
 # another memory layout, or by a tol of the same value and another type or
 # sign, which shares the verdict's entry.
@@ -670,11 +669,17 @@ def test_no_one_matrix_route_warns_on_non_finite_or_overflowing_entries():
 
 def test_no_route_edits_a_memoised_read():
     # the reads hold nested lists: an edit by one reader would be the next
-    # caller's answer, so after every route has read them they must still
-    # equal a fresh read
+    # caller's answer, so after every route has read them the rows, the
+    # products and every kept verdict must still equal a fresh read's
     for g in memo_corpus()[::7]:
         for route, args in one_matrix_routes():
             outcome(route, g, *args)
         key = g.tobytes()
+        read, fresh = group._tube(key), group._tube.__wrapped__(key)
+        assert repr(read[:3]) == repr(fresh[:3])
+        assert read[3].tobytes() == fresh[3].tobytes() == key and not read[3].flags.writeable
+        # every route asks a symplectic g's products, and only such a g's
+        assert ((group._products, None) in read[4]) == (read[0] != "not symplectic")
         with np.errstate(all="ignore"):
-            assert repr(group._tube(key)) == repr(group._tube.__wrapped__(key))
+            for (rule, tol), answer in read[4].items():
+                assert repr(answer) == repr(rule(fresh, tol)), rule

@@ -349,6 +349,17 @@ def test_overflow_sized_matrix_is_a_domain_error(tmp_path, capsys):
         assert json.loads(err)["status"] == "domain_error"
 
 
+def test_overflowing_chart_factors_are_a_domain_error(tmp_path, capsys):
+    # every entry finite and D = I/2 regular, but B D^-1 = 2B overflows
+    g = np.eye(6)
+    g[3:, 3:] /= 2
+    g[:3, 3:] = dv.embed(1e308 * np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
+    path = write_json(tmp_path, "g.json", serialize.dump_matrix6(g))
+    code, out, err = run_cli(capsys, "decompose", "--mode", "triple", path)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"status": "domain_error", "error": "chart factor not finite"}
+
+
 def test_argparse_failures_exit_two(capsys):
     assert run_cli(capsys, "check", "--what", "nonsense")[0] == 2
     assert run_cli(capsys, "frobnicate")[0] == 2

@@ -293,6 +293,30 @@ def test_chart_membership_and_rotation_chart_boundary():
         dv.triple_decompose(dv.inversion())
 
 
+def overflowing_chart_element(b=0.0, c=0.0):
+    """[[I, embed(b (1, 1, 1, 1, 0))], [diag(c, c, 0), I/2]]: every entry
+    finite and D regular, so on the chart, with B D^-1 = 2B and D^-1 C = 2C."""
+    g = np.eye(6)
+    g[3:, 3:] /= 2
+    g[:3, 3:] = dv.embed(b * np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
+    g[3:5, :2] = c * np.eye(2)
+    return g
+
+
+def test_overflowing_chart_factors_are_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (overflowing_chart_element(b=1e308), overflowing_chart_element(c=1e308)):
+            assert triple_decomposition_reason(g) is None
+            with pytest.raises(DomainError, match="^chart factor not finite$"):
+                dv.triple_decompose(g)
+        # past the overflow bound 8 maxabs(g)**3 / |det D| but finite: the same factors
+        f = dv.triple_decompose(overflowing_chart_element(b=2.5e307, c=-2.5e307))
+    assert np.array_equal(f.v, [5e307, 5e307, 5e307, 5e307, 0.0])
+    assert np.array_equal(f.L, 2 * np.eye(3))
+    assert np.array_equal(f.u, [-5e307, -5e307])
+
+
 def test_triple_factors_of_generators_are_exact():
     v = np.array([1.0, -2.0, 0.5, 3.0, 0.25])
     f = dv.triple_decompose(dv.translation(v))

@@ -24,7 +24,6 @@ from dualvinberg.semigroup import (
 
 from conftest import ZeroRandomness, sample_chart_element, slack_subject
 from oracles import (
-    MEMOS,
     SpectrumError,
     clear_memos,
     exp_lie,
@@ -205,13 +204,25 @@ def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
             assert direct == via
 
 
-def test_the_membership_sequence_decides_each_verdict_once_per_matrix_and_tol():
+def test_the_membership_sequence_decides_each_verdict_once_per_matrix_and_tol(monkeypatch):
     # the benchmark's op: compression_reason, both tube routes,
     # symplectic_semigroup_reason, the cross-check, then the factors of a
-    # member; each memo misses once per g, and the slack rerun keeps tol's entry
+    # member; g's read misses once per g, each rule runs once per (g, tol),
+    # and the slack rerun keeps tol's verdict
+    runs = {"_chart_reason": 0, "_psd_reason": 0}
+
+    def counted(rule):
+        def wrapper(reads, tol):
+            runs[rule.__name__] += 1
+            return rule(reads, tol)
+
+        return wrapper
+
+    for name in runs:
+        monkeypatch.setattr(semigroup, name, counted(getattr(semigroup, name)))
     member = dv.translation([1, 1, 1.01, -1, 0])
     off_pattern = dv.congruence_embed(dv.triangular([1, 1, 1, 0.5, 0]).T)
-    cases = [  # g, tol and the misses of (_tube, _chart_reason, _psd_reason)
+    cases = [  # g, tol and the misses of _tube, then the runs of _chart_reason and _psd_reason
         (g, tol, misses)
         for tol in (MEMBERSHIP_TOL, 1e-3)
         for g, misses in (
@@ -224,6 +235,7 @@ def test_the_membership_sequence_decides_each_verdict_once_per_matrix_and_tol():
     cases.append((slack_subject(), MEMBERSHIP_TOL, (1, 2, 1)))  # the slack rerun's entry
     for i, (g, tol, misses) in enumerate(cases):
         clear_memos()
+        runs.update(_chart_reason=0, _psd_reason=0)
         for _ in range(2):  # the second pass is all hits
             reason = compression_reason(g, tol)
             group.tube_group_reason(g)
@@ -232,7 +244,31 @@ def test_the_membership_sequence_decides_each_verdict_once_per_matrix_and_tol():
             dv.cross_check_membership(g, tol)
             if reason is None:
                 dv.compression_factors(g, tol)
-        assert tuple(m.cache_info().misses for m in MEMOS) == misses, i
+        got = (group._tube.cache_info().misses, runs["_chart_reason"], runs["_psd_reason"])
+        assert got == misses, i
+
+
+def test_one_route_callers_do_not_form_the_chart_products(monkeypatch):
+    # the tube test and is_symplectic read g alone; the chart route asks
+    # its read for D's singularity test and the two products, once
+    runs = []
+
+    def counted(reads, tol):
+        runs.append(tol)
+        return products(reads, tol)
+
+    products = group._products
+    for module in (group, semigroup):
+        monkeypatch.setattr(module, "_products", counted)
+    g = dv.sample_semigroup(np.random.default_rng(3), interior=True, sigma=0.7)
+    routes = ((group.tube_group_reason, 0), (dv.is_symplectic, 0), (compression_reason, 1))
+    for route, want in routes:
+        clear_memos()
+        runs.clear()
+        for _ in range(2):  # the second call reads the memo
+            route(g)
+        assert len(runs) == want, route.__name__
+    assert compression_reason(g) is None
 
 
 def test_lie_element_round_trip_and_pattern_guard():
