@@ -131,46 +131,54 @@ def tube_group_reason(g) -> str | None:
 def _tube(key: bytes) -> tuple:
     """The one memo of the one-matrix routes: for the 6x6 float64 g whose
     C-order bytes are key, (tube_group_reason(g), maxabs(g), g.tolist(),
-    g as the read-only array rebuilt from key, answers), answers keeping
-    what _ask derives from this read.  It depends on the bytes alone and
-    keeps the last read only, which no reader edits.  The first five
-    checks are the linear part both tube-group descriptions share.  The
-    defect is formed quietly where 6 * maxabs(g)**2 overflows: no g warns."""
+    then for a symplectic g whether D is singular (linalg.is_singular3),
+    D^T B and C D^T as nested Python floats, each None otherwise, and a
+    dict of the verdicts _ask keeps).  It reads the read-only array rebuilt
+    from key, so it depends on the bytes alone, and keeps the last read
+    only, which no reader edits.  Its first five checks are the linear
+    part both tube-group descriptions share; the defect is formed quietly
+    where 6 * maxabs(g)**2, a bound of every entry of P and P - P^T, overflows."""
     g = np.frombuffer(key).reshape(6, 6)
     scale = maxabs(g)
     atol = PATTERN_TOL * (1.0 + scale)
     m = g.tolist()
     bound = SYMPLECTIC_TOL * (1.0 + scale * scale)
-    if 6.0 * scale * scale < np.inf:  # bounds every entry of P and of P - P^T
-        defect = symplectic_defect(g)
-    else:  # an overflow gives inf or NaN, which the finite bound rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            defect = symplectic_defect(g)
-    # the symplectic bound, then the pattern checks, in the order of TUBE_GROUP_REASONS
-    holds = (
-        bound < np.inf and defect <= bound,
-        _zeros_hold(m, TRIANGULAR_ZEROS, atol), m[2][2] > 0,
-        _zeros_hold(m, _DT_ZEROS, atol), m[5][5] > 0,
-        _zeros_hold(m, _B_ZEROS, atol), _zeros_hold(m, _C_ZEROS, atol),
-    )
-    reason = TUBE_GROUP_REASONS[holds.index(False)] if False in holds else None
-    return reason, scale, m, g, {}
+    defect = _quietly(not 6.0 * scale * scale < np.inf, symplectic_defect, g)
+    if not (bound < np.inf and defect <= bound):
+        return TUBE_GROUP_REASONS[0], scale, m, None, None, None, {}
+    if not _zeros_hold(m, TRIANGULAR_ZEROS, atol):
+        reason = TUBE_GROUP_REASONS[1]
+    elif not m[2][2] > 0:
+        reason = TUBE_GROUP_REASONS[2]
+    elif not _zeros_hold(m, _DT_ZEROS, atol):
+        reason = TUBE_GROUP_REASONS[3]
+    elif not m[5][5] > 0:
+        reason = TUBE_GROUP_REASONS[4]
+    elif not _zeros_hold(m, _B_ZEROS, atol):
+        reason = TUBE_GROUP_REASONS[5]
+    elif not _zeros_hold(m, _C_ZEROS, atol):
+        reason = TUBE_GROUP_REASONS[6]
+    else:
+        reason = None
+    D = g[3:, 3:]
+    singular = is_singular3([row[3:] for row in m[3:]])
+    return reason, scale, m, singular, (D.T @ g[:3, 3:]).tolist(), (g[3:, :3] @ D.T).tolist(), {}
 
 
-def _ask(reads, rule, tol=None):
-    """rule(reads, tol) of a _tube read, run once per (rule, tol) and kept
-    on the read, so it lives while g is the last matrix asked about."""
-    answer = reads[4].get((rule, tol), reads)  # no rule answers with the read itself
+def _quietly(overflows: bool, fn, *args):
+    """fn(*args), silencing overflow and invalid where a scale bound overflows."""
+    if not overflows:
+        return fn(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(*args)
+
+
+def _ask(reads, rule, tol):
+    """rule(reads, tol), run once per (rule, tol) and kept on g's _tube read."""
+    answer = reads[6].get((rule, tol), reads)  # no rule answers with the read itself
     if answer is reads:
-        answer = reads[4][rule, tol] = rule(reads, tol)
+        answer = reads[6][rule, tol] = rule(reads, tol)
     return answer
-
-
-def _products(reads, _) -> tuple:
-    """D's singularity test (linalg.is_singular3), D^T B and C D^T as nested
-    Python floats, from the _tube read of a symplectic g, D singular or not."""
-    B, C, D = reads[3][:3, 3:], reads[3][3:, :3], reads[3][3:, 3:]
-    return is_singular3(D), (D.T @ B).tolist(), (C @ D.T).tolist()
 
 
 def _tube_members(g, scale):
@@ -192,18 +200,17 @@ def in_tube_group(g) -> bool:
 def tube_group_alt_reason(g) -> str | None:
     """Same group through product constraints: A and D^T patterned with
     positive corner, D^T B in the patterned subspace, C D^T in the flat
-    slice, the products asked of the memoised _tube(g.tobytes()) read
-    (_products), D singular or not.  It agrees with tube_group_reason
-    except in a band: the products are bounded by
+    slice, read from the memoised _tube(g.tobytes()), which holds both
+    products of a symplectic g, D singular or not.  It agrees with
+    tube_group_reason except in a band: the products are bounded by
     PATTERN_TOL * (1 + maxabs(g)**2), the slots of B and C there by
     PATTERN_TOL * (1 + maxabs(g)), so a small off-pattern B or C entry can
     fail there and pass here (B[0,1] = 5e-11 at maxabs(g) = 4 is "B off
     pattern" there and a member here)."""
-    reads = _tube(_matrix6(g).tobytes())
-    if reads[0] in TUBE_GROUP_REASONS[:5]:
-        return reads[0]
-    _, S, P = _ask(reads, _products)
-    atol2 = PATTERN_TOL * (1.0 + reads[1] * reads[1])
+    reason, scale, _, _, S, P, _ = _tube(_matrix6(g).tobytes())
+    if reason in TUBE_GROUP_REASONS[:5]:
+        return reason
+    atol2 = PATTERN_TOL * (1.0 + scale * scale)
     # maxabs(S - S^T); a diagonal gap is NaN where S overflows
     gap = float_maxabs([S[i][j] - S[j][i] for i in range(3) for j in range(3)])
     if max(gap, abs(S[0][1]), abs(S[1][0])) > atol2:
@@ -317,7 +324,8 @@ def act_real(g, x) -> np.ndarray:
 
 def triple_decomposition_reason(g) -> str | None:
     """None on the dense chart: every entry finite and D not singular by
-    linalg.is_singular3."""
+    linalg.is_singular3.  None does not promise finite factors: where they
+    overflow, triple_decompose raises DomainError."""
     g = np.asarray(g, dtype=float)
     if not maxabs(g) < np.inf:  # NaN fails too
         return "entry not finite"
@@ -339,8 +347,7 @@ def triple_decompose(g) -> TripleFactors:
     """Unique chart factors: v = B D^{-1}, L = D^{-T} (equal to
     A - B D^{-1} C), u = diagonal pair of D^{-1} C.  DomainError on a
     non-finite entry or factor, SingularityError when det D = 0.  B D^{-1}
-    and D^{-1} C are one stacked @ (linalg's arithmetic rule), formed
-    quietly where 8 * maxabs(g)**3 / |det D| is not finite."""
+    and D^{-1} C are one stacked @ (linalg's arithmetic rule)."""
     m = _matrix6(g).tolist()
     scale = float_maxabs(m[0] + m[1] + m[2] + m[3] + m[4] + m[5])
     if not scale < math.inf:  # NaN fails too
@@ -351,18 +358,13 @@ def triple_decompose(g) -> TripleFactors:
         raise SingularityError("det D = 0")
     Dinv = [x / d for x in adjugate3_flat(D)]  # inv3(D), with D's one singularity test
     f = m[0][3:] + m[1][3:] + m[2][3:] + Dinv + Dinv + m[3][:3] + m[4][:3] + m[5][:3]
-    f = np.array(f, dtype=float).reshape(2, 2, 3, 3)
-    # an adjugate entry is at most 2 maxabs(g)**2, so 6 maxabs(g)**3 / |det D| bounds
-    # every entry of both products; 8 leaves room for round-off
+    # 6 maxabs(g)**3 / |det D| bounds both products; 8 leaves room for round-off
     quiet = not 8.0 * scale * scale * scale / abs(d) < math.inf
-    if quiet:  # an overflow gives inf or NaN, refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            BD, DC = np.matmul(*f).tolist()  # B D^-1, D^-1 C
-    else:
-        BD, DC = np.matmul(*f).tolist()
+    BD, DC = _quietly(quiet, np.matmul, *np.array(f, dtype=float).reshape(2, 2, 3, 3)).tolist()
     off, v = pattern_parts(BD)  # unembed's rule: off beyond atol or a forbidden entry not finite
     finite = math.isfinite(BD[0][1]) and math.isfinite(BD[1][0])
     refuse_off_pattern(off > ACTION_PATTERN_TOL * (1.0 + scale * scale) or not finite, off)
+    # only where the bound overflows can a factor (D^-1 included) be inf or NaN
     if quiet and not float_maxabs(v + Dinv + [DC[0][0], DC[1][1]]) < math.inf:
         raise DomainError("chart factor not finite")
     L = np.array(Dinv[0::3] + Dinv[1::3] + Dinv[2::3], dtype=float).reshape(3, 3)

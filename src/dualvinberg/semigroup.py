@@ -48,11 +48,9 @@ from .group import (
     TripleFactors,
     _ask,
     _matrix6,
-    _products,
     _tube,
     _tube_members,
     congruence_embed,
-    is_symplectic,
     triple_compose,
     triple_decompose,
     tube_group_reason,
@@ -96,16 +94,16 @@ COMPRESSION_REASONS = TUBE_GROUP_REASONS + (
 def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the full positive definite cone: symplectic,
     D invertible, and both D^T B and C D^T positive semidefinite."""
-    g = _matrix6(g)
-    if not is_symplectic(g):
+    reads = _tube(_matrix6(g).tobytes())
+    if reads[0] == TUBE_GROUP_REASONS[0]:  # is_symplectic's test
         return "not symplectic"
-    return _ask(_tube(g.tobytes()), _psd_reason, tol)
+    return _ask(reads, _psd_reason, tol)
 
 
 def _psd_reason(reads, tol) -> str | None:
-    """symplectic_semigroup_reason's checks after is_symplectic, a rule
-    that group._ask runs on g's _tube read, shared by the cross-check."""
-    singular, DtB, CDt = _ask(reads, _products)
+    """symplectic_semigroup_reason's checks after is_symplectic: a rule that
+    group._ask runs on g's _tube read, shared with the cross-check."""
+    _, _, _, singular, DtB, CDt, _ = reads
     if singular:
         return "det D = 0"
     for name, S in (("D^T B", DtB), ("C D^T", CDt)):
@@ -138,8 +136,8 @@ def compression_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
 
 def _chart_reason(reads, tol) -> str | None:
     """compression_reason's checks after the tube test (so every entry is
-    finite), a rule that group._ask runs on g's _tube read."""
-    singular, S, P = _ask(reads, _products)
+    finite): a rule that group._ask runs on g's _tube read."""
+    _, _, _, singular, S, P, _ = reads
     if singular:
         return COMPRESSION_REASONS[7]
     S = _symmetric_rows(S)
@@ -446,7 +444,7 @@ def polar_factor(g):
     g = _matrix6(g)
     if (reason := compression_reason(g)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
-    _, scale, m, _, _ = _tube(g.tobytes())
+    _, scale, m, *_ = _tube(g.tobytes())
     # tau(g)^{-1} g, then scalar steps on Python floats (linalg's arithmetic rule)
     v, u = _log_wedge((g.take(_TAU_INVERSE) @ g).tolist())
     v = [x / 2 for x in v]

@@ -248,29 +248,6 @@ def test_the_membership_sequence_decides_each_verdict_once_per_matrix_and_tol(mo
         assert got == misses, i
 
 
-def test_one_route_callers_do_not_form_the_chart_products(monkeypatch):
-    # the tube test and is_symplectic read g alone; the chart route asks
-    # its read for D's singularity test and the two products, once
-    runs = []
-
-    def counted(reads, tol):
-        runs.append(tol)
-        return products(reads, tol)
-
-    products = group._products
-    for module in (group, semigroup):
-        monkeypatch.setattr(module, "_products", counted)
-    g = dv.sample_semigroup(np.random.default_rng(3), interior=True, sigma=0.7)
-    routes = ((group.tube_group_reason, 0), (dv.is_symplectic, 0), (compression_reason, 1))
-    for route, want in routes:
-        clear_memos()
-        runs.clear()
-        for _ in range(2):  # the second call reads the memo
-            route(g)
-        assert len(runs) == want, route.__name__
-    assert compression_reason(g) is None
-
-
 def test_lie_element_round_trip_and_pattern_guard():
     A = dv.triangular([0.3, -0.7, 0.2, 1.5, -2.0])
     v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
