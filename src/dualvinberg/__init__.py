@@ -34,7 +34,6 @@ from .group import (
     TripleFactors,
     act,
     act_real,
-    blocks,
     congruence_embed,
     dual_translation,
     in_tube_group,

@@ -133,12 +133,10 @@ def diag_pair(m) -> np.ndarray:
 
 def minors(x):
     """The three nested principal minors of embed(x): floats for one point,
-    arrays for a stack (n, 5)."""
+    arrays for a stack (n, 5), one point's in Python floats, which warn of nothing."""
     x = np.asarray(x, dtype=float)
-    x1, x2, x3, x4, x5 = x.T
+    x1, x2, x3, x4, x5 = x.T if x.ndim > 1 else x.tolist()
     d3 = x1 * x2 * x3 - x1 * (x5 * x5) - x2 * (x4 * x4)
-    if x.ndim == 1:
-        return float(x1), float(x1 * x2), float(d3)
     return x1, x1 * x2, d3
 
 
@@ -188,13 +186,16 @@ def closed_cone_reason(x, tol: float = MEMBERSHIP_TOL) -> str | None:
 
 def log_char_function(x) -> float:
     """log of the characteristic function x1**(1/2) * x2**(1/2) * d3**(-2),
-    normalized to 0 at (1,1,1,0,0); DomainError off the open cone.  Under
-    an automorphism g of the cone it drops by log|det g|, which makes its
-    Hessian an invariant metric."""
+    normalized to 0 at (1,1,1,0,0); DomainError, with no warning, off the
+    open cone and where a minor is not finite.  Under an automorphism g of
+    the cone it drops by log|det g|, which makes its Hessian an invariant
+    metric."""
     x = np.asarray(x, dtype=float)
     if (reason := open_cone_reason(x)) is not None:
         raise DomainError(f"point outside the open cone: {reason}")
-    d3 = minors(x)[2]
+    _, d2, d3 = minors(x)  # positive; inf where a coordinate is inf or a minor overflows
+    if not max(d2, d3) < math.inf:
+        raise DomainError("minor of the point not finite")
     return float(0.5 * (np.log(x[0]) + np.log(x[1])) - 2.0 * np.log(d3))
 
 

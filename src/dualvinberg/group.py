@@ -35,7 +35,7 @@ from .cone import (
     refuse_off_pattern,
     unembed,
 )
-from .errors import DomainError, SingularityError, check_rows
+from .errors import DomainError, PatternError, SingularityError, check_rows
 from .linalg import (
     SINGULAR_MESSAGE,
     adjugate3_flat,
@@ -77,23 +77,17 @@ def _matrix6(g) -> np.ndarray:
     return g
 
 
-def blocks(g) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    g = _matrix6(g)
-    return g[:3, :3], g[:3, 3:], g[3:, :3], g[3:, 3:]
-
-
 def symplectic_defect(g):
     """Largest violation of the block relations A^T C, D^T B symmetric and
     D^T A - B^T C = I, read off the one block product
     P = [A B]^T [C D] = [[A^T C, A^T D], [B^T C, B^T D]]: g^T J g = J for
     J = SYMPLECTIC_FORM is P - P^T = -J.  NaN when any relation is NaN.
     A float for one g (6, 6), an (n,) array for a stack (n, 6, 6), equal
-    row by row to the bit.  The transposed side, g J g^T = J, is
-    symplectic_defect(g.T)."""
+    row by row to the bit; one g's is _block_defect's, as the tube read's.
+    The transposed side, g J g^T = J, is symplectic_defect(g.T)."""
     g = np.asarray(g, dtype=float)
-    if g.shape == (6, 6):  # the stack's operations, with no axis bookkeeping
-        P = g[:3].T @ g[3:]
-        return float(np.abs(P - P.T + SYMPLECTIC_FORM).max())
+    if g.shape == (6, 6):
+        return _block_defect(g)[1]
     if g.shape[-2:] != (6, 6) or g.ndim != 3:
         raise ValueError(f"expected a 6x6 matrix or a stack of them, got shape {g.shape}")
     P = g[..., :3, :].swapaxes(-1, -2) @ g[..., 3:, :]
@@ -117,8 +111,10 @@ _TUBE_ZEROS = TRIANGULAR_ZEROS + _DT_ZEROS + _B_ZEROS + _C_ZEROS
 _TUBE_SLOTS = np.array([6 * i + j for i, j in _TUBE_ZEROS] + [14, 35])
 
 
-def _zeros_hold(m, slots, atol) -> bool:
-    return all(abs(m[i][j]) <= atol for i, j in slots)
+def _block_defect(g) -> tuple:
+    """P = [A B]^T [C D] of one 6x6 g and its defect, as a stack's row."""
+    P = g[:3].T @ g[3:]
+    return P, float(np.abs(P - P.T + SYMPLECTIC_FORM).max())
 
 
 def tube_group_reason(g) -> str | None:
@@ -135,41 +131,46 @@ def _tube(key: bytes) -> tuple:
     D^T B and C D^T as nested Python floats, each None otherwise, and a
     dict of the verdicts _ask keeps).  It reads the read-only array rebuilt
     from key, so it depends on the bytes alone, and keeps the last read
-    only, which no reader edits.  Its first five checks are the linear
-    part both tube-group descriptions share; the defect is formed quietly
-    where 6 * maxabs(g)**2, a bound of every entry of P and P - P^T, overflows."""
+    only, which no reader edits.  D^T B is the defect's block B^T D
+    transposed, formed quietly where 6 * maxabs(g)**2, a bound of every
+    entry of P and P - P^T, overflows; C D^T is its own product (README).
+    The slots of _TUBE_ZEROS are read unrolled, in check order; the first
+    five checks are the linear part both descriptions share."""
     g = np.frombuffer(key).reshape(6, 6)
     scale = maxabs(g)
-    atol = PATTERN_TOL * (1.0 + scale)
     m = g.tolist()
     bound = SYMPLECTIC_TOL * (1.0 + scale * scale)
-    defect = _quietly(not 6.0 * scale * scale < np.inf, symplectic_defect, g)
+    P, defect = _quietly(not 6.0 * scale * scale < np.inf, _block_defect, g)
     if not (bound < np.inf and defect <= bound):
         return TUBE_GROUP_REASONS[0], scale, m, None, None, None, {}
-    if not _zeros_hold(m, TRIANGULAR_ZEROS, atol):
+    atol = PATTERN_TOL * (1.0 + scale)
+    ((_, g01, g02, _, g04, _), (g10, _, g12, g13, _, _), (_, _, g22, _, _, _),
+     (_, g31, g32, _, g34, _), (g40, _, g42, g43, _, _), (g50, g51, g52, g53, g54, g55)) = m
+    if not (abs(g01) <= atol and abs(g02) <= atol and abs(g10) <= atol and abs(g12) <= atol):
         reason = TUBE_GROUP_REASONS[1]
-    elif not m[2][2] > 0:
+    elif not g22 > 0:
         reason = TUBE_GROUP_REASONS[2]
-    elif not _zeros_hold(m, _DT_ZEROS, atol):
+    elif not (abs(g43) <= atol and abs(g53) <= atol and abs(g34) <= atol and abs(g54) <= atol):
         reason = TUBE_GROUP_REASONS[3]
-    elif not m[5][5] > 0:
+    elif not g55 > 0:
         reason = TUBE_GROUP_REASONS[4]
-    elif not _zeros_hold(m, _B_ZEROS, atol):
+    elif not (abs(g04) <= atol and abs(g13) <= atol):
         reason = TUBE_GROUP_REASONS[5]
-    elif not _zeros_hold(m, _C_ZEROS, atol):
+    elif not (abs(g31) <= atol and abs(g32) <= atol and abs(g40) <= atol and abs(g42) <= atol
+              and abs(g50) <= atol and abs(g51) <= atol and abs(g52) <= atol):
         reason = TUBE_GROUP_REASONS[6]
     else:
         reason = None
-    D = g[3:, 3:]
     singular = is_singular3([row[3:] for row in m[3:]])
-    return reason, scale, m, singular, (D.T @ g[:3, 3:]).tolist(), (g[3:, :3] @ D.T).tolist(), {}
+    return reason, scale, m, singular, P[3:, 3:].T.tolist(), (g[3:, :3] @ g[3:, 3:].T).tolist(), {}
 
 
-def _quietly(overflows: bool, fn, *args):
-    """fn(*args), silencing overflow and invalid where a scale bound overflows."""
-    if not overflows:
+def _quietly(quiet: bool, fn, *args):
+    """fn(*args), numpy's float warnings silenced where quiet: where a scale
+    bound overflows, or where the caller raises on what overflowed."""
+    if not quiet:
         return fn(*args)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         return fn(*args)
 
 
@@ -323,14 +324,17 @@ def act_real(g, x) -> np.ndarray:
 
 
 def triple_decomposition_reason(g) -> str | None:
-    """None on the dense chart: every entry finite and D not singular by
-    linalg.is_singular3.  None does not promise finite factors: where they
-    overflow, triple_decompose raises DomainError."""
-    g = np.asarray(g, dtype=float)
-    if not maxabs(g) < np.inf:  # NaN fails too
-        return "entry not finite"
-    if is_singular3(blocks(g)[3]):
-        return "det D = 0"
+    """None on the dense chart, where triple_decompose(g) finds factors;
+    otherwise the message of its DomainError: an entry not finite, D
+    singular by linalg.is_singular3, or, only where its bound
+    8 maxabs(g)**3 / |det D| overflows, a chart factor not finite.  B D^{-1}
+    off the pattern (its PatternError) is no reason."""
+    try:
+        triple_decompose(g)
+    except DomainError as exc:
+        return str(exc)
+    except PatternError:
+        pass
     return None
 
 

@@ -33,7 +33,7 @@ from .cone import (
     refuse_off_pattern,
 )
 from .errors import DomainError, PatternError, check_rows
-from .group import act_real, mobius, translation, unembed_action
+from .group import _quietly, act_real, mobius, translation, unembed_action
 from .linalg import inv3_stack
 from .semigroup import (
     compression_members,
@@ -52,6 +52,10 @@ def cone_metric(x, v, w):
     point outside the open cone, then for one whose determinant (the third
     minor) or form is not finite: inv(X) would divide by inf."""
     x, v, w = (np.asarray(a, dtype=float) for a in (x, v, w))
+    return _quietly(x.ndim == 1, _form, x, v, w)  # one point warns of nothing: its checks raise
+
+
+def _form(x, v, w):
     check_rows(
         np.logical_not(in_open_cone(x)),
         lambda r: DomainError("base point outside the open cone"),

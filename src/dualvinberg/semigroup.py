@@ -442,9 +442,10 @@ def polar_factor(g):
     (group._tube) keeps maxabs(g) and g's rows, which the unit solve reads.
     """
     g = _matrix6(g)
-    if (reason := compression_reason(g)) is not None:
+    reads = _tube(g.tobytes())  # compression_reason(g)'s read and chart verdict, asked once
+    if (reason := reads[0] or _ask(reads, _chart_reason, MEMBERSHIP_TOL)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
-    _, scale, m, *_ = _tube(g.tobytes())
+    _, scale, m, *_ = reads
     # tau(g)^{-1} g, then scalar steps on Python floats (linalg's arithmetic rule)
     v, u = _log_wedge((g.take(_TAU_INVERSE) @ g).tolist())
     v = [x / 2 for x in v]

@@ -15,6 +15,12 @@ arithmetic on embed(v): I + V * dc and V * ds by broadcasting, the two
 3x3 products and four block writes; the package forms the same entries
 on Python floats.
 
+tube_read_reference is the memoised read of g (group._tube) with each
+piece of work on its own: the defect from its own block product, the
+pattern zeros through their slot tables, D^T B and C D^T as two products
+on transposed views.  The package takes D^T B from the defect's product
+and reads the slots unrolled; every field must equal it to the bit.
+
 tube_group_reason_reference, invariant_cone_reason_reference and
 polar_factor_reference are the certificates on numpy blocks and rebuilt
 matrices: the tube test reading numpy scalars off the blocks, the wedge
@@ -63,6 +69,7 @@ from dualvinberg import group, semigroup
 from dualvinberg.cone import (
     MEMBERSHIP_TOL,
     PATTERN_TOL,
+    TRIANGULAR_ZEROS,
     closed_cone_reason,
     diag_pair,
     embed,
@@ -175,11 +182,19 @@ def search_violations_reference(rng, n_samples: int, include_counterexample: boo
     )
 
 
+def blocks(g) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks A, B, C, D of one 6x6 g = [[A, B], [C, D]], as views."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != (6, 6):
+        raise ValueError(f"expected a 6x6 matrix, got shape {g.shape}")
+    return g[:3, :3], g[:3, 3:], g[3:, :3], g[3:, 3:]
+
+
 def symplectic_defect_blocks(g) -> float:
     """The symplectic defect from three 3x3 relations: A^T C and D^T B
     symmetric, D^T A - B^T C = I.  The builtin max keeps a NaN only in
     first place, so a NaN relation after the first is dropped."""
-    A, B, C, D = dv.blocks(g)
+    A, B, C, D = blocks(g)
     r1 = A.T @ C
     r2 = D.T @ B
     r3 = D.T @ A - B.T @ C - np.eye(3)
@@ -189,7 +204,7 @@ def symplectic_defect_blocks(g) -> float:
 def symplectic_defect_dual_blocks(g) -> float:
     """The dual defect from three 3x3 relations: B A^T and C D^T
     symmetric, A D^T - B C^T = I, with the same NaN rule."""
-    A, B, C, D = dv.blocks(g)
+    A, B, C, D = blocks(g)
     r1 = B @ A.T
     r2 = C @ D.T
     r3 = A @ D.T - B @ C.T - np.eye(3)
@@ -200,7 +215,7 @@ def tube_group_reason_reference(g) -> str | None:
     """The tube test on numpy blocks: is_symplectic from its own maxabs,
     then the pattern zeros and corners read as numpy scalars."""
     g = np.asarray(g, dtype=float)
-    A, B, C, D = dv.blocks(g)
+    A, B, C, D = blocks(g)
     atol = PATTERN_TOL * (1.0 + maxabs(g))
     bound = float(SYMPLECTIC_TOL * (1.0 + np.float64(maxabs(g)) ** 2))
     if not (bound < np.inf and symplectic_defect(g) <= bound):
@@ -218,6 +233,41 @@ def tube_group_reason_reference(g) -> str | None:
     if not is_flat_pattern(C, atol):
         return TUBE_GROUP_REASONS[6]
     return None
+
+
+def tube_read_reference(key: bytes) -> tuple:
+    """group._tube's miss with each piece of work on its own: the defect
+    by its own block product, the pattern slots read through their tables
+    one group at a time, and D^T B and C D^T as two products on transposed
+    views of D."""
+    g = np.frombuffer(key).reshape(6, 6)
+    scale = maxabs(g)
+    atol = PATTERN_TOL * (1.0 + scale)
+    m = g.tolist()
+    bound = SYMPLECTIC_TOL * (1.0 + scale * scale)
+    with np.errstate(all="ignore"):  # the package forms the defect quietly where it can overflow
+        P = g[:3].T @ g[3:]
+        defect = float(np.abs(P - P.T + group.SYMPLECTIC_FORM).max())
+    if not (bound < np.inf and defect <= bound):
+        return TUBE_GROUP_REASONS[0], scale, m, None, None, None, {}
+    checks = (
+        (TRIANGULAR_ZEROS, None),
+        ((), (2, 2)),
+        (group._DT_ZEROS, None),
+        ((), (5, 5)),
+        (group._B_ZEROS, None),
+        (group._C_ZEROS, None),
+    )
+    reason = None
+    for k, (slots, corner) in enumerate(checks):
+        holds = all(abs(m[i][j]) <= atol for i, j in slots)
+        if not (holds and (corner is None or m[corner[0]][corner[1]] > 0)):
+            reason = TUBE_GROUP_REASONS[k + 1]
+            break
+    D = g[3:, 3:]
+    with np.errstate(all="ignore"):
+        DtB, CDt = (D.T @ g[:3, 3:]).tolist(), (g[3:, :3] @ D.T).tolist()
+    return reason, scale, m, is_singular3(D.tolist()), DtB, CDt, {}
 
 
 def invariant_cone_reason_reference(X, tol: float = MEMBERSHIP_TOL) -> str | None:
@@ -245,7 +295,7 @@ def invariant_cone_reason_reference(X, tol: float = MEMBERSHIP_TOL) -> str | Non
 
 def inverse(g) -> np.ndarray:
     """Symplectic inverse [[D^T, -B^T], [-C^T, A^T]], exact on the blocks."""
-    A, B, C, D = dv.blocks(g)
+    A, B, C, D = blocks(g)
     out = np.zeros((6, 6))
     out[:3, :3] = D.T
     out[:3, 3:] = -B.T
@@ -310,7 +360,7 @@ def polar_factor_reference(g):
 def triple_decompose_reference(g) -> group.TripleFactors:
     """triple_decompose on numpy blocks, with inv3's singularity test."""
     g = np.asarray(g, dtype=float)
-    A, B, C, D = dv.blocks(g)
+    A, B, C, D = blocks(g)
     scale = maxabs(g)
     if not scale < np.inf:
         raise DomainError("entry not finite")
@@ -396,7 +446,7 @@ def symplectic_semigroup_reason_reference(g, tol: float = MEMBERSHIP_TOL) -> str
     g = np.asarray(g, dtype=float)
     if not dv.is_symplectic(g):
         return "not symplectic"
-    _, B, C, D = dv.blocks(g)
+    _, B, C, D = blocks(g)
     if is_singular3(D):
         return "det D = 0"
     for name, S in (("D^T B", D.T @ B), ("C D^T", C @ D.T)):

@@ -44,6 +44,7 @@ from oracles import (
     s1_series_reference,
     triple_decompose_reference,
     tube_group_reason_reference,
+    tube_read_reference,
 )
 
 TOLS = (1e-9, 0.0, 1e-3, np.nan)
@@ -450,6 +451,55 @@ def test_chart_factors_and_dumps_equal_the_array_route_bit_for_bit(monkeypatch):
             m.setattr(semigroup, "triple_decompose", triple_decompose_reference)
             assert certified == chart_outcome(dv.compression_factors, reference_dumps, g)
     assert set(kinds) == {"triple", "DomainError", "SingularityError", "PatternError"}
+
+
+def field_bits(x):
+    """A field of a tube read as its type and, for floats and nested lists
+    of them, the uint64 view of its bits: signed zeros and NaN payloads
+    count."""
+    if isinstance(x, (float, list)):
+        a = np.array(x, dtype=float)
+        return type(x), a.shape, a.view(np.uint64).tobytes()
+    return type(x), x
+
+
+def assert_read_is_the_reference(g):
+    key = np.ascontiguousarray(g, dtype=float).tobytes()
+    got, want = group._tube.__wrapped__(key), tube_read_reference(key)
+    assert list(map(field_bits, got)) == list(map(field_bits, want))
+    return got[0]
+
+
+def test_tube_read_is_the_reference_read_bit_for_bit():
+    # D^T B comes from the defect's block product, the pattern zeros are
+    # read unrolled: every field of a miss is the separate products' and
+    # the slot tables'
+    reasons = set()
+    for g in memo_corpus() + chart_corpus():
+        reasons.add(assert_read_is_the_reference(g))
+    # README's overflow subjects: the defect formed quietly, not symplectic and symplectic
+    assert assert_read_is_the_reference(1.2e154 * np.ones((6, 6))) == "not symplectic"
+    assert assert_read_is_the_reference(np.diag([1e154, 1, 1, 1e-154, 1, 1])) is None
+    assert reasons == {None, *TUBE_GROUP_REASONS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, (6, 6), elements=hostile_edges))
+def test_tube_read_is_the_reference_read_on_hostile_floats(g):
+    assert_read_is_the_reference(g)
+
+
+def test_each_pattern_slot_of_the_tube_read_is_checked():
+    # one slot of I off its pattern by 5e-11: inside the symplectic bound
+    # 2e-10, beyond the pattern tolerance 2e-12, so the read names the
+    # slot's block, as the block route does
+    blocks = ("A",) * 4 + ("D",) * 4 + ("B",) * 2 + ("C",) * 7
+    assert len(group._TUBE_ZEROS) == len(blocks)
+    for slot, block in zip(group._TUBE_ZEROS, blocks):
+        g = np.eye(6)
+        g[slot] = 5e-11
+        assert assert_read_is_the_reference(g) == f"{block} off pattern"
+        assert tube_group_reason_reference(g) == f"{block} off pattern"
 
 
 def test_s1_series_is_the_loop_bit_for_bit():

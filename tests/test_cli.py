@@ -360,6 +360,16 @@ def test_overflowing_chart_factors_are_a_domain_error(tmp_path, capsys):
     assert json.loads(err) == {"status": "domain_error", "error": "chart factor not finite"}
 
 
+def test_the_chart_check_refuses_what_the_triple_decomposition_refuses(tmp_path, capsys):
+    g = np.eye(6)
+    g[3:, 3:] /= 2
+    g[:3, 3:] = dv.embed(1e308 * np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
+    path = write_json(tmp_path, "g.json", serialize.dump_matrix6(g))
+    code, out, _ = run_cli(capsys, "check", "--what", "upsilon", path)
+    assert code == 0
+    assert json.loads(out) == {"what": "upsilon", "result": False, "reason": "chart factor not finite"}
+
+
 def test_argparse_failures_exit_two(capsys):
     assert run_cli(capsys, "check", "--what", "nonsense")[0] == 2
     assert run_cli(capsys, "frobnicate")[0] == 2

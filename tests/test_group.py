@@ -22,7 +22,7 @@ from conftest import (
     sample_chart_element,
     sample_tube_point,
 )
-from oracles import inverse, symplectic_defect_blocks, symplectic_defect_dual_blocks
+from oracles import blocks, inverse, symplectic_defect_blocks, symplectic_defect_dual_blocks
 
 
 def rel_err(a, b) -> float:
@@ -35,9 +35,10 @@ def E(i, j):
     return m
 
 
-def test_blocks_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        dv.blocks(np.eye(5))
+def test_the_chart_routes_reject_a_wrong_shape():
+    for route in (dv.triple_decompose, triple_decomposition_reason):
+        with pytest.raises(ValueError):
+            route(np.eye(5))
 
 
 def test_symplectic_defect_matches_form_residual():
@@ -74,7 +75,7 @@ def test_block_product_reproduces_the_three_block_relations_bit_for_bit():
     rng = np.random.default_rng(30)
     for _ in range(10_000):
         g = rng.standard_normal((6, 6)) * np.exp(rng.uniform(-12.0, 12.0, (6, 6)))
-        A, B, C, D = dv.blocks(g)
+        A, B, C, D = blocks(g)
         P = g[:3].T @ g[3:]
         assert np.array_equal(P[:3, :3], A.T @ C)
         assert np.array_equal(P[3:, :3], B.T @ C)
@@ -307,7 +308,7 @@ def test_overflowing_chart_factors_are_refused_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for g in (overflowing_chart_element(b=1e308), overflowing_chart_element(c=1e308)):
-            assert triple_decomposition_reason(g) is None
+            assert triple_decomposition_reason(g) == "chart factor not finite"
             with pytest.raises(DomainError, match="^chart factor not finite$"):
                 dv.triple_decompose(g)
         # past the overflow bound 8 maxabs(g)**3 / |det D| but finite: the same factors
@@ -315,6 +316,27 @@ def test_overflowing_chart_factors_are_refused_without_a_warning():
     assert np.array_equal(f.v, [5e307, 5e307, 5e307, 5e307, 0.0])
     assert np.array_equal(f.L, 2 * np.eye(3))
     assert np.array_equal(f.u, [-5e307, -5e307])
+
+
+def test_the_chart_reason_is_the_decomposition_error():
+    # the reason says what triple_decompose raises: a factor that overflows
+    # only where 8 maxabs(g)**3 / |det D| does, and None past that bound
+    # where the factors stay finite
+    subjects = [overflowing_chart_element(b=1e308), overflowing_chart_element(c=-1e308),
+                overflowing_chart_element(b=2.5e307, c=-2.5e307), overflowing_chart_element(b=1e300)]
+    subjects += [np.eye(6), dv.inversion(), np.full((6, 6), np.inf), 1e200 * np.eye(6)]
+    subjects += [generator_product(np.random.default_rng(i)) for i in range(20)]
+    for g in subjects:
+        try:
+            dv.triple_decompose(g)
+            want = None
+        except DomainError as exc:
+            want = str(exc)
+        except PatternError:
+            want = None
+        assert triple_decomposition_reason(g) == want
+    got = [triple_decomposition_reason(g) for g in subjects[:4]]
+    assert got == ["chart factor not finite", "chart factor not finite", None, None]
 
 
 def test_triple_factors_of_generators_are_exact():

@@ -63,6 +63,42 @@ def test_cone_metric_refuses_an_interior_point_whose_determinant_overflows():
     assert dv.cone_metric(np.array([IDENTITY, IDENTITY]), np.array([e1, e1]), np.array([e1, e1])).tolist() == [1.5, 1.5]
 
 
+def test_the_metric_functions_refuse_non_finite_and_overflowing_input_without_a_warning():
+    # the suite turns a RuntimeWarning into an error, and no errstate is entered here
+    e1 = np.eye(5)[0]
+    with pytest.raises(DomainError, match="minor 3 not positive"):
+        dv.log_char_function([np.inf, 1.0, 1.0, 0.0, 0.0])
+    for x in ([1e200, 1e200, 1e200, 0.0, 0.0], [1.0, 1.0, np.inf, 0.0, 0.0], [1e200, 1.0, 1e250, 0.0, 0.0]):
+        with pytest.raises(DomainError, match="^minor of the point not finite$"):
+            dv.log_char_function(x)
+    for v in ([np.inf, 0, 0, 0, 0], 1e200 * np.array([1.0, 1.0, 1.0, 1.0, 0.0]), [0, 0, np.nan, 0, 0]):
+        with pytest.raises(DomainError, match="not finite"):
+            dv.cone_metric(IDENTITY, v, v)
+    with pytest.raises(DomainError, match="open cone"):
+        dv.cone_metric([np.inf, 1.0, 1.0, 0.0, 0.0], e1, e1)
+    with pytest.raises(DomainError, match="not finite"):
+        dv.cone_metric([1e200, 1.0, 1e250, 0.0, 0.0], e1, e1)
+
+
+def test_the_metric_functions_raise_only_domain_errors_on_hostile_floats():
+    # x near e and a random v, one slot of x or v set to a hostile float:
+    # a finite answer or a DomainError, and never a warning
+    rng = np.random.default_rng(7)
+    spoilers = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 5e-324, 1e155, -3e157)
+    answered = refused = 0
+    for _ in range(1000):
+        x = IDENTITY + 0.1 * rng.standard_normal(5)
+        v = rng.standard_normal(5)
+        (x if rng.integers(2) else v)[rng.integers(5)] = spoilers[rng.integers(len(spoilers))]
+        for f in (lambda: dv.cone_metric(x, v, v), lambda: dv.log_char_function(x)):
+            try:
+                assert math.isfinite(f())
+                answered += 1
+            except DomainError:
+                refused += 1
+    assert answered and refused
+
+
 def test_the_ratio_pass_checks_the_forms_last():
     # the base point's form and minor are checked after every other check
     # of the pass, so the same point with a zero tangent reports the tangent

@@ -17,6 +17,7 @@ from dualvinberg.semigroup import compression_reason, symplectic_semigroup_reaso
 
 from conftest import count_calls
 from oracles import (
+    blocks,
     closed_cone_reason_reference,
     lambda_min,
     symplectic_semigroup_reason_reference,
@@ -179,7 +180,7 @@ def test_symplectic_semigroup_reason_against_eigvalsh(S, T, swap, tol):
                 "D^T B not positive semidefinite",
             )
         if got is None:
-            _, B, C, D = dv.blocks(g)
+            _, B, C, D = blocks(g)
             for P in (D.T @ B, C @ D.T):
                 P = (P + P.T) / 2
                 scale = maxabs(P)

@@ -163,7 +163,7 @@ def test_cross_check_tolerates_boundary_roundoff():
 
 
 def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
-    calls = {"tube_group_reason": 0, "symplectic_defect": 0}
+    calls = {"tube_group_reason": 0, "_block_defect": 0}
 
     def counted(fn):
         def wrapper(*args):
@@ -172,10 +172,11 @@ def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
 
         return wrapper
 
-    # the tube test finds the symplectic defect in group, the other routes
-    # find the tube test in semigroup; the defect is the work of is_symplectic
+    # the tube test forms the symplectic defect in group, through its one
+    # home _block_defect, the other routes find the tube test in semigroup;
+    # the defect is the work of is_symplectic
     monkeypatch.setattr(semigroup, "tube_group_reason", counted(semigroup.tube_group_reason))
-    monkeypatch.setattr(group, "symplectic_defect", counted(group.symplectic_defect))
+    monkeypatch.setattr(group, "_block_defect", counted(group._block_defect))
     # the chart test rejects it at tol and accepts it at
     # CROSS_CHECK_SLACK * tol, the PSD test accepts it
     slack = slack_subject()
@@ -183,17 +184,17 @@ def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
     cases = (member, dv.translation(-IDENTITY), np.arange(36.0).reshape(6, 6), slack)
     for g in cases:
         clear_memos()  # a matrix read by an earlier test would be a hit
-        calls.update(tube_group_reason=0, symplectic_defect=0)
+        calls.update(tube_group_reason=0, _block_defect=0)
         verdict = dv.cross_check_membership(g)
-        assert calls == {"tube_group_reason": 1, "symplectic_defect": 1}
+        assert calls == {"tube_group_reason": 1, "_block_defect": 1}
         # once compression_reason has read g, the other routes read its memo
         clear_memos()
         semigroup.compression_reason(g)
         others = (dv.cross_check_membership, group.tube_group_alt_reason, symplectic_semigroup_reason)
         for route in others:
-            calls.update(symplectic_defect=0)
+            calls.update(_block_defect=0)
             route(g)
-            assert calls["symplectic_defect"] == 0
+            assert calls["_block_defect"] == 0
         direct = dv.in_compression_semigroup(g)
         via = symplectic_semigroup_reason(g) is None and dv.in_tube_group(g)
         assert verdict == via == (g is member or g is slack)
