@@ -1,4 +1,5 @@
-"""One-route cost of the six membership routes, in µs per call.
+"""One-route cost of the membership routes and the chart factorization,
+in µs per call.
 
 Each route is asked once about each of 2000 distinct interior members,
 sample_semigroup(rng, interior=True, sigma=0.7) with rng 3, so every call
@@ -25,6 +26,8 @@ ROUTES = {
     "cross_check_membership": dv.cross_check_membership,
     "compression_reason": semigroup.compression_reason,
     "polar_factor": dv.polar_factor,
+    "compression_factors": semigroup.compression_factors,
+    "triple_decompose": group.triple_decompose,
 }
 
 

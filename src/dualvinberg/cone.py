@@ -187,10 +187,12 @@ def closed_cone_reason(x, tol: float = MEMBERSHIP_TOL) -> str | None:
 def log_char_function(x) -> float:
     """log of the characteristic function x1**(1/2) * x2**(1/2) * d3**(-2),
     normalized to 0 at (1,1,1,0,0); DomainError, with no warning, off the
-    open cone and where a minor is not finite.  Under an automorphism g of
-    the cone it drops by log|det g|, which makes its Hessian an invariant
-    metric."""
+    open cone and where a minor is not finite, ValueError for a shape but
+    (5,).  Under an automorphism g of the cone it drops by log|det g|,
+    which makes its Hessian an invariant metric."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (5,):
+        raise ValueError(f"expected a point of shape (5,), got shape {x.shape}")
     if (reason := open_cone_reason(x)) is not None:
         raise DomainError(f"point outside the open cone: {reason}")
     _, d2, d3 = minors(x)  # positive; inf where a coordinate is inf or a minor overflows

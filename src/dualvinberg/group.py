@@ -350,12 +350,18 @@ class TripleFactors:
 def triple_decompose(g) -> TripleFactors:
     """Unique chart factors: v = B D^{-1}, L = D^{-T} (equal to
     A - B D^{-1} C), u = diagonal pair of D^{-1} C.  DomainError on a
-    non-finite entry or factor, SingularityError when det D = 0.  B D^{-1}
-    and D^{-1} C are one stacked @ (linalg's arithmetic rule)."""
+    non-finite entry or factor, SingularityError when det D = 0.  It reads
+    g on its own, with no tube read, and _chart_factors factors it."""
     m = _matrix6(g).tolist()
     scale = float_maxabs(m[0] + m[1] + m[2] + m[3] + m[4] + m[5])
     if not scale < math.inf:  # NaN fails too
         raise DomainError("entry not finite")
+    return _chart_factors(m, scale)
+
+
+def _chart_factors(m, scale) -> TripleFactors:
+    """triple_decompose on g's rows m as Python floats, left as they are, and
+    their finite maxabs; B D^{-1} and D^{-1} C are one stacked @ (linalg)."""
     D = [row[3:] for row in m[3:]]
     d = det3(D)
     if is_singular3(D, d):

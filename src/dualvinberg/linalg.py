@@ -8,7 +8,7 @@ suite rely on.  inv3_stack gathers adjugate3's cofactors from flat rows
 exactly into a cofactor, so it agrees with adjugate3/det3 to the bit but
 for a zero determinant's sign, which is_singular3 rejects.  A stacked
 is_singular3 gathers those three cofactors alone.  semidefinite3
-decides semidefiniteness by LDL^T elimination on one matrix or a stack.
+proves semidefiniteness by LDL^T elimination on one matrix or a stack.
 
 One-matrix certificates follow one arithmetic rule: every matrix product
 is a numpy @, so the one-matrix and stacked routes agree to the bit, and
@@ -34,6 +34,8 @@ from .errors import SingularityError
 
 SINGULAR_TOL = 1e-12
 SINGULAR_MESSAGE = "matrix is singular to working precision"
+# far above eigvalsh's backward error p(3) eps ||m||_2 <= 3 p(3) eps maxabs(m) (Higham)
+INDEFINITE_MARGIN = 1e-12
 
 
 def maxabs(m) -> float:
@@ -124,9 +126,9 @@ def semidefinite3(m, t):
     when its pivots d1 > 0, d2 > 0, d3 >= 0 are all finite.  That proves
     semidefiniteness up to the elimination's round-off, about eps times
     the scale (unpivoted Cholesky is backward stable on semidefinite
-    input), so False proves nothing: a zero leading pivot, an overflowed
-    intermediate or a NaN rejects.  Callers confirm a rejection with
-    eigvalsh."""
+    input), so False alone proves nothing: a zero leading pivot, an
+    overflowed intermediate or a NaN rejects.  is_semidefinite3 decides
+    one matrix, mostly in closed form."""
     d1 = m[0][0] + t
     try:
         l10, l20 = m[1][0] / d1, m[2][0] / d1
@@ -136,6 +138,19 @@ def semidefinite3(m, t):
     except ZeroDivisionError:  # a zero pivot of one matrix; a stack gets inf or NaN
         return False
     return (d1 > 0) & (d1 < math.inf) & (d2 > 0) & (d2 < math.inf) & (d3 >= 0) & (d3 < math.inf)
+
+
+def is_semidefinite3(m, tol) -> bool:
+    """Whether m + t*I is positive semidefinite, for t = tol * (1 + s), s =
+    maxabs(m) finite, and m one matrix as semidefinite3 takes it; a NaN t
+    rejects.  A diagonal entry below -INDEFINITE_MARGIN * (1 + s) proves it
+    is not (lambda_min <= m_ii), as eigvalsh would, and eigvalsh decides
+    only what no closed form does."""
+    s = float_maxabs(m[0] + m[1] + m[2])
+    t = tol * (1.0 + s)
+    if not s < math.inf or min(m[0][0], m[1][1], m[2][2]) + t < -INDEFINITE_MARGIN * (1.0 + s):
+        return False
+    return semidefinite3(m, t) or float(np.linalg.eigvalsh(np.array(m)).min()) >= -t
 
 
 def stack_maxabs(m):

@@ -33,7 +33,7 @@ from .cone import (
     refuse_off_pattern,
 )
 from .errors import DomainError, PatternError, check_rows
-from .group import _quietly, act_real, mobius, translation, unembed_action
+from .group import act_real, mobius, translation, unembed_action
 from .linalg import inv3_stack
 from .semigroup import (
     compression_members,
@@ -48,11 +48,15 @@ VIOLATION_THRESHOLD = 1e-12
 
 def cone_metric(x, v, w):
     """The invariant bilinear form at an interior point x: a float for one
-    point, an array row by row for stacks (n, 5).  DomainError for a base
+    point, an array row by row for stacks (n, 5).  ValueError unless x, v
+    and w share one such shape; DomainError, with no warning, for a base
     point outside the open cone, then for one whose determinant (the third
     minor) or form is not finite: inv(X) would divide by inf."""
     x, v, w = (np.asarray(a, dtype=float) for a in (x, v, w))
-    return _quietly(x.ndim == 1, _form, x, v, w)  # one point warns of nothing: its checks raise
+    if not (x.shape == v.shape == w.shape and x.shape[-1:] == (5,) and x.ndim <= 2):
+        raise ValueError(f"shapes {x.shape}, {v.shape}, {w.shape}, not (5,) or (n, 5) each")
+    with np.errstate(all="ignore"):  # a row that warns fails a check, which raises
+        return _form(x, v, w)
 
 
 def _form(x, v, w):

@@ -47,12 +47,12 @@ from .group import (
     TUBE_GROUP_REASONS,
     TripleFactors,
     _ask,
+    _chart_factors,
     _matrix6,
     _tube,
     _tube_members,
     congruence_embed,
     triple_compose,
-    triple_decompose,
     tube_group_reason,
 )
 from .linalg import (
@@ -61,6 +61,7 @@ from .linalg import (
     det3,
     float_maxabs,
     inv3_stack,
+    is_semidefinite3,
     is_singular3,
     maxabs,
     semidefinite3,
@@ -107,12 +108,8 @@ def _psd_reason(reads, tol) -> str | None:
     if singular:
         return "det D = 0"
     for name, S in (("D^T B", DtB), ("C D^T", CDt)):
-        S = _symmetric_rows(S)
-        t = tol * (1.0 + float_maxabs(S[0] + S[1] + S[2]))
-        # the closed form proves semidefiniteness and eigvalsh decides a
-        # rejection; the bound tests here and below are written so that a
-        # NaN tol rejects
-        if not (semidefinite3(S, t) or float(np.linalg.eigvalsh(np.array(S)).min()) >= -t):
+        # the bound tests here and below are written so that a NaN tol rejects
+        if not is_semidefinite3(_symmetric_rows(S), tol):
             return f"{name} not positive semidefinite"
     return None
 
@@ -144,7 +141,7 @@ def _chart_reason(reads, tol) -> str | None:
     off, vS = pattern_parts(S)
     if off > tol * (1.0 + float_maxabs(S[0] + S[1] + S[2])):
         return COMPRESSION_REASONS[8]
-    if closed_cone_reason(vS, tol) is not None:
+    if not is_semidefinite3(_embed_rows(vS), tol):  # closed_cone_reason's test
         return COMPRESSION_REASONS[9]
     if not min(P[0][0], P[1][1]) >= -tol * (1.0 + float_maxabs(P[0] + P[1] + P[2])):
         return COMPRESSION_REASONS[10]
@@ -182,12 +179,13 @@ def in_compression_semigroup(g, tol: float = MEMBERSHIP_TOL) -> bool:
 
 
 def compression_factors(g, tol: float = MEMBERSHIP_TOL) -> TripleFactors:
-    """Triple factors with the semigroup certificates re-checked on each
-    factor (v in the closed cone, L triangular, u nonnegative); any
-    certificate failing beyond tol raises DomainError."""
-    if (reason := compression_reason(g, tol)) is not None:
+    """Triple factors of g, from compression_reason's read of it, with the
+    semigroup certificates re-checked on each factor (v in the closed cone,
+    L triangular, u nonnegative); one failing beyond tol raises DomainError."""
+    reads = _tube(_matrix6(g).tobytes())
+    if (reason := reads[0] or _ask(reads, _chart_reason, tol)) is not None:
         raise DomainError(f"not in the compression semigroup: {reason}")
-    f = triple_decompose(g)
+    f = _chart_factors(reads[2], reads[1])
     if (reason := closed_cone_reason(f.v, tol)) is not None:
         raise DomainError(f"factor v outside the closed cone: {reason}")
     if not is_triangular_pattern(f.L):
@@ -260,7 +258,7 @@ def invariant_cone_reason(X, tol: float = MEMBERSHIP_TOL) -> str | None:
     atol = tol * (1.0 + scale)
     if not max(maxabs(X[:3, :3]), maxabs(X[3:, 3:])) <= atol:
         return "grade-zero part not zero"
-    off, v = pattern_parts(X[:3, 3:])
+    off, v = pattern_parts(X[:3, 3:].tolist())  # v as Python floats, as _wedge_reason takes it
     if off > atol:
         return "translation part off pattern"
     U = X[3:, :3]
@@ -268,11 +266,11 @@ def invariant_cone_reason(X, tol: float = MEMBERSHIP_TOL) -> str | None:
 
 
 def _wedge_reason(v, u, tol, scale, flat: bool = True) -> str | None:
-    """The wedge rule on a generator's coordinates, at the scale of its
-    matrix; flat says whether that matrix's dual part is in the flat slice."""
+    """The wedge rule on a generator's coordinates (v as Python floats), at
+    the scale of its matrix; flat: its dual part is in the flat slice."""
     if not scale < np.inf:  # NaN fails too
         return "entry not finite"
-    if closed_cone_reason(v, tol) is not None:
+    if not is_semidefinite3(_embed_rows(v), tol):  # closed_cone_reason's test
         return "translation part outside the closed cone"
     if not flat:
         return "dual part not in the flat slice"

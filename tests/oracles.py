@@ -37,7 +37,10 @@ D^{-1} as the array adjugate3 over det3, v read by cone.unembed of
 B @ D^{-1} and u by cone.diag_pair of D^{-1} @ C; the dump references
 convert each entry with float().  s1_series_reference is the series of
 semigroup._s1 as a loop over its coefficients.  The package's factors,
-dumps and series must equal them bit for bit.
+dumps and series must equal them bit for bit.  compression_factors_reference
+is the certified factorization as a chain of public calls: the chart
+verdict, a decomposition that reads g afresh, then the three factor
+certificates; the package factors the rows of g's memoised read.
 
 cross_check_membership_reference is the cross-check with each route
 forming its own chart products and verdict, each rule run on a fresh
@@ -87,7 +90,7 @@ from dualvinberg.errors import (
     SingularityError,
 )
 from dualvinberg.group import SYMPLECTIC_TOL, TUBE_GROUP_REASONS, symplectic_defect
-from dualvinberg.linalg import adjugate3, det3, is_singular3, maxabs
+from dualvinberg.linalg import adjugate3, det3, float_maxabs, is_singular3, maxabs
 
 # scale-relative off-algebra residue above which log_group refuses
 LOG_PATTERN_TOL = 1e-6
@@ -371,6 +374,22 @@ def triple_decompose_reference(g) -> group.TripleFactors:
     Dinv = adjugate3(rows) / d
     v = unembed(B @ Dinv, atol=group.ACTION_PATTERN_TOL * (1.0 + scale * scale))
     return group.TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
+
+
+def compression_factors_reference(g, tol: float = MEMBERSHIP_TOL, decompose=group.triple_decompose):
+    """compression_factors as compression_reason(g, tol), then decompose(g)
+    and the certificates on its factors."""
+    if (reason := semigroup.compression_reason(g, tol)) is not None:
+        raise DomainError(f"not in the compression semigroup: {reason}")
+    f = decompose(g)
+    if (reason := closed_cone_reason(f.v, tol)) is not None:
+        raise DomainError(f"factor v outside the closed cone: {reason}")
+    if not is_triangular_pattern(f.L):
+        raise DomainError("factor L off the triangular pattern")
+    u = f.u.tolist()
+    if not min(u) >= -tol * (1.0 + float_maxabs(u)):
+        raise DomainError("factor u has a negative entry")
+    return f
 
 
 def dump_vector5_reference(x) -> list[float]:

@@ -4,6 +4,7 @@ generator's coordinates and polar_factor's factors, bit for bit; and every
 one-matrix route against itself with its memoised reads of g cleared."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from conftest import (
 from oracles import (
     MEMOS,
     clear_memos,
+    compression_factors_reference,
     cross_check_membership_reference,
     dump_pair_reference,
     dump_triangular_reference,
@@ -438,19 +440,65 @@ def chart_corpus():
     return mats
 
 
-def test_chart_factors_and_dumps_equal_the_array_route_bit_for_bit(monkeypatch):
+def test_chart_factors_and_dumps_equal_the_array_route_bit_for_bit():
     dumps = (serialize.dump_vector5, serialize.dump_triangular, serialize.dump_pair)
     reference_dumps = (dump_vector5_reference, dump_triangular_reference, dump_pair_reference)
+    certified_reference = partial(compression_factors_reference, decompose=triple_decompose_reference)
     kinds = {}
     for g in chart_corpus():
         got = chart_outcome(dv.triple_decompose, dumps, g)
         assert got == chart_outcome(triple_decompose_reference, reference_dumps, g)
         kinds[got[0]] = kinds.get(got[0], 0) + 1
         certified = chart_outcome(dv.compression_factors, dumps, g)
-        with monkeypatch.context() as m:
-            m.setattr(semigroup, "triple_decompose", triple_decompose_reference)
-            assert certified == chart_outcome(dv.compression_factors, reference_dumps, g)
+        assert certified == chart_outcome(certified_reference, reference_dumps, g)
     assert set(kinds) == {"triple", "DomainError", "SingularityError", "PatternError"}
+
+
+def factor_bits(route, g, tol):
+    """route(g, tol)'s factors as dtype, shape and uint64 bits, or the type
+    and text of its exception."""
+    try:
+        f = route(g, tol)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc).__name__, str(exc)
+    return [(a.dtype.str, a.shape, a.view(np.uint64).tobytes()) for a in (f.v, f.L, f.u)]
+
+
+def assert_factors_are_the_chain(g):
+    """compression_factors from a cold memo, then warm, is the chain of
+    compression_reason, a fresh triple_decompose and the factor
+    certificates, at the default tol and at 0."""
+    for tol in (MEMBERSHIP_TOL, 0.0):
+        clear_memos()
+        cold = factor_bits(dv.compression_factors, g, tol)
+        assert cold == factor_bits(compression_factors_reference, g, tol)
+        assert factor_bits(dv.compression_factors, g, tol) == cold
+    return cold[0] if isinstance(cold, tuple) else "factors"
+
+
+def test_compression_factors_are_the_chain_bit_for_bit():
+    kinds = {}
+    for g in memo_corpus() + chart_corpus():
+        kind = assert_factors_are_the_chain(g)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"factors", "DomainError"} and kinds["factors"] > 400
+
+
+@st.composite
+def spoilt_members(draw):
+    """A sampled member with up to two entries set to hostile floats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = dv.sample_semigroup(rng, draw(st.booleans()), draw(st.sampled_from([0.3, 0.7])))
+    for _ in range(draw(st.integers(0, 2))):
+        g[draw(st.integers(0, 5)), draw(st.integers(0, 5))] = draw(hostile_edges)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(hnp.arrays(np.float64, (6, 6), elements=hostile_edges), spoilt_members()))
+def test_compression_factors_are_the_chain_on_hostile_floats(g):
+    with np.errstate(all="ignore"):
+        assert_factors_are_the_chain(g)
 
 
 def field_bits(x):

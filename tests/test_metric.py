@@ -78,6 +78,21 @@ def test_the_metric_functions_refuse_non_finite_and_overflowing_input_without_a_
         dv.cone_metric([np.inf, 1.0, 1.0, 0.0, 0.0], e1, e1)
     with pytest.raises(DomainError, match="not finite"):
         dv.cone_metric([1e200, 1.0, 1e250, 0.0, 0.0], e1, e1)
+    # a stack raises for its first such row, quietly too
+    V = np.array([e1, [np.inf, 0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(DomainError, match="^metric form or base point minor not finite$"):
+        dv.cone_metric(np.array([IDENTITY, IDENTITY]), V, V)
+
+
+def test_the_metric_functions_name_the_shapes_they_take():
+    e1 = np.eye(5)[0]
+    for x, v in ((IDENTITY, np.ones(4)), (np.ones(4), np.ones(4)), (np.array([IDENTITY] * 2), e1),
+                 (IDENTITY[None, None], e1[None, None]), (IDENTITY, np.array([e1, e1]))):
+        with pytest.raises(ValueError, match=r"not \(5,\) or \(n, 5\) each$"):
+            dv.cone_metric(x, v, v)
+    for x in (np.ones((2, 5)), np.ones(4), 1.0):
+        with pytest.raises(ValueError, match=r"^expected a point of shape \(5,\), got shape "):
+            dv.log_char_function(x)
 
 
 def test_the_metric_functions_raise_only_domain_errors_on_hostile_floats():

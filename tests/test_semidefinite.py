@@ -1,7 +1,11 @@
-"""The closed-form semidefinite rule linalg.semidefinite3 and the
-certificates that call it: the rule accepts, eigvalsh decides and
-measures a rejection, so every answer is the eigvalsh reference's except
-accepts within round-off of the boundary lambda_min = -t."""
+"""The closed-form semidefinite rules of linalg and the certificates that
+call them: semidefinite3 accepts, is_semidefinite3 rejects on a diagonal
+entry far below -t, and eigvalsh decides the rest (and measures
+closed_cone_reason's rejections), so every answer is the eigvalsh
+reference's except accepts within round-off of the boundary
+lambda_min = -t."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 import dualvinberg as dv
 from dualvinberg import semigroup
 from dualvinberg.cone import MEMBERSHIP_TOL, closed_cone_reason, embed
-from dualvinberg.linalg import maxabs, semidefinite3
+from dualvinberg.linalg import INDEFINITE_MARGIN, is_semidefinite3, maxabs, semidefinite3
 from dualvinberg.semigroup import compression_reason, symplectic_semigroup_reason
 
 from conftest import count_calls
@@ -98,6 +102,29 @@ def test_the_rule_on_one_matrix_and_on_a_stack():
 )
 def test_the_rule_on_frozen_cases(m, t, want):
     assert semidefinite3(m.tolist(), t) is want
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(hnp.arrays(np.float64, (3, 3), elements=hostile), semidefinite_boundary(False, 300)),
+    st.sampled_from([0.0, 1e-4, 0.999, 1.001, 2.0, 1e3, 1e4]),
+    st.sampled_from(TOLS),
+)
+def test_a_diagonal_rejection_is_an_eigvalsh_rejection(m, shift, tol):
+    # m moved down past -t by shift margins, relative to 1 + maxabs(m), so
+    # that the diagonal rule fires on a zero diagonal entry of a boundary
+    # matrix now and then just past its margin
+    with np.errstate(all="ignore"):
+        m = (m + m.T) / 2
+        s = maxabs(m)
+        m = m - (tol * (1.0 + s) + shift * INDEFINITE_MARGIN * (1.0 + s)) * np.eye(3)
+        s = maxabs(m)
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=np.linalg.eigvalsh) as eigvalsh:
+            verdict = is_semidefinite3(m.tolist(), tol)
+        if not verdict and not eigvalsh.called and s < np.inf:
+            # the rule proved m + t*I indefinite
+            assert lambda_min(m) + tol * (1.0 + s) < 0
+            assert not semidefinite3(m.tolist(), tol * (1.0 + s))
 
 
 def test_a_rejection_keeps_the_eigvalsh_reason():
@@ -218,6 +245,9 @@ def test_members_never_reach_eigvalsh(eigvalsh_calls):
     # the stacked certificate runs no eigvalsh, not even an empty one, on members
     assert semigroup.compression_members(np.array(members)).all()
     assert eigvalsh_calls == []
-    # a rejection is measured by eigvalsh
+    # a negative diagonal proves a rejection with no eigvalsh call
     assert compression_reason(dv.translation(-dv.IDENTITY_POINT)) == "D^T B outside the closed cone"
+    assert eigvalsh_calls == []
+    # a rejection that no diagonal proves (eigenvalue -1) is decided by eigvalsh, once
+    assert compression_reason(dv.translation([1.0, 1.0, 1.0, 2.0, 0.0])) == "D^T B outside the closed cone"
     assert eigvalsh_calls == [(3, 3)]
