@@ -34,7 +34,7 @@ from .errors import SingularityError
 
 SINGULAR_TOL = 1e-12
 SINGULAR_MESSAGE = "matrix is singular to working precision"
-# far above eigvalsh's backward error p(3) eps ||m||_2 <= 3 p(3) eps maxabs(m) (Higham)
+# is_semidefinite3's diagonal margin, far above eigvalsh's error p(3) eps ||m||_2 (Higham)
 INDEFINITE_MARGIN = 1e-12
 
 
@@ -142,15 +142,16 @@ def semidefinite3(m, t):
 
 def is_semidefinite3(m, tol) -> bool:
     """Whether m + t*I is positive semidefinite, for t = tol * (1 + s), s =
-    maxabs(m) finite, and m one matrix as semidefinite3 takes it; a NaN t
-    rejects.  A diagonal entry below -INDEFINITE_MARGIN * (1 + s) proves it
-    is not (lambda_min <= m_ii), as eigvalsh would, and eigvalsh decides
-    only what no closed form does."""
+    maxabs(m), and m one matrix as semidefinite3 takes it; a NaN t or s
+    rejects.  Past semidefinite3, a diagonal entry below -INDEFINITE_MARGIN
+    * (1 + s) proves a rejection (lambda_min <= m_ii) before eigvalsh."""
     s = float_maxabs(m[0] + m[1] + m[2])
     t = tol * (1.0 + s)
+    if semidefinite3(m, t):  # never where s is not finite
+        return True
     if not s < math.inf or min(m[0][0], m[1][1], m[2][2]) + t < -INDEFINITE_MARGIN * (1.0 + s):
         return False
-    return semidefinite3(m, t) or float(np.linalg.eigvalsh(np.array(m)).min()) >= -t
+    return float(np.linalg.eigvalsh(np.array(m)).min()) >= -t
 
 
 def stack_maxabs(m):

@@ -48,10 +48,9 @@ VIOLATION_THRESHOLD = 1e-12
 
 def cone_metric(x, v, w):
     """The invariant bilinear form at an interior point x: a float for one
-    point, an array row by row for stacks (n, 5).  ValueError unless x, v
-    and w share one such shape; DomainError, with no warning, for a base
-    point outside the open cone, then for one whose determinant (the third
-    minor) or form is not finite: inv(X) would divide by inf."""
+    point, an array row by row for stacks (n, 5); v and w take x's shape, or
+    ValueError.  DomainError, quietly, for x outside the open cone, then where
+    det X (the third minor) or the form is not finite: inv(X) divides by inf."""
     x, v, w = (np.asarray(a, dtype=float) for a in (x, v, w))
     if not (x.shape == v.shape == w.shape and x.shape[-1:] == (5,) and x.ndim <= 2):
         raise ValueError(f"shapes {x.shape}, {v.shape}, {w.shape}, not (5,) or (n, 5) each")
