@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PatternError, check_rows
-from .linalg import float_maxabs, midpoint, semidefinite3, stack_maxabs
+from .linalg import float_maxabs, is_semidefinite3, midpoint, stack_maxabs
 
 IDENTITY_POINT = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -160,8 +160,7 @@ def in_open_cone(x):
 
 
 def _embed_rows(x):
-    """embed(x) as nested rows of the five coordinates, Python floats or
-    one stack per coordinate, for linalg.semidefinite3."""
+    """embed(x) as nested rows of Python floats, for linalg.is_semidefinite3."""
     x1, x2, x3, x4, x5 = x
     return [[x1, 0.0, x4], [0.0, x2, x5], [x4, x5, x3]]
 
@@ -173,15 +172,9 @@ def closed_cone_reason(x, tol: float = MEMBERSHIP_TOL) -> str | None:
     x = list(map(float, x)) if isinstance(x, list) else np.asarray(x, dtype=float).tolist()
     if not all(map(math.isfinite, x)):
         return "coordinate not finite"
-    t = tol * (1.0 + max(map(abs, x)))  # maxabs(embed(x))
-    if semidefinite3(_embed_rows(x), t):
+    if is_semidefinite3(_embed_rows(x), tol):
         return None
-    # the closed form proves membership only: eigvalsh decides and measures
-    lo = float(np.linalg.eigvalsh(embed(x)).min())
-    # written so that a NaN bound rejects
-    if not lo >= -t:
-        return f"eigenvalue {lo:.3e} below -tol"
-    return None
+    return f"eigenvalue {float(np.linalg.eigvalsh(embed(x)).min()):.3e} below -tol"
 
 
 def log_char_function(x) -> float:

@@ -95,9 +95,8 @@ def symplectic_defect(g):
 
 
 def is_symplectic(g) -> bool:
-    """Block test at tolerance SYMPLECTIC_TOL * (1 + maxabs(g)**2), False when
-    that overflows; equivalent to g J g^T = J for the standard form J.  The
-    first check of the memoised tube test on one 6x6 matrix."""
+    """The symplectic rule on one 6x6 matrix, equivalent to g J g^T = J for the
+    standard form J: the first check of the memoised tube test."""
     return _tube(_matrix6(g).tobytes())[0] != TUBE_GROUP_REASONS[0]
 
 
@@ -139,28 +138,25 @@ def _tube(key: bytes) -> tuple:
     g = np.frombuffer(key).reshape(6, 6)
     scale = maxabs(g)
     m = g.tolist()
-    bound = SYMPLECTIC_TOL * (1.0 + scale * scale)
     P, defect = _quietly(not 6.0 * scale * scale < np.inf, _block_defect, g)
-    if not (bound < np.inf and defect <= bound):
+    if not _symplectic_within(defect, scale):
         return TUBE_GROUP_REASONS[0], scale, m, None, None, None, {}
-    atol = PATTERN_TOL * (1.0 + scale)
     ((_, g01, g02, _, g04, _), (g10, _, g12, g13, _, _), (_, _, g22, _, _, _),
      (_, g31, g32, _, g34, _), (g40, _, g42, g43, _, _), (g50, g51, g52, g53, g54, g55)) = m
-    if not (abs(g01) <= atol and abs(g02) <= atol and abs(g10) <= atol and abs(g12) <= atol):
+    A0, D0, B0 = [g01, g02, g10, g12], [g43, g53, g34, g54], [g04, g13]
+    top = float_maxabs(A0 + D0 + B0 + [g31, g32, g40, g42, g50, g51, g52])  # all 17 zeros
+    if g22 > 0 and g55 > 0 and _zeros_within(top, scale):  # a member, in one rule call
+        reason = None
+    elif not _zeros_within(float_maxabs(A0), scale):  # else the first failing check
         reason = TUBE_GROUP_REASONS[1]
     elif not g22 > 0:
         reason = TUBE_GROUP_REASONS[2]
-    elif not (abs(g43) <= atol and abs(g53) <= atol and abs(g34) <= atol and abs(g54) <= atol):
+    elif not _zeros_within(float_maxabs(D0), scale):
         reason = TUBE_GROUP_REASONS[3]
     elif not g55 > 0:
         reason = TUBE_GROUP_REASONS[4]
-    elif not (abs(g04) <= atol and abs(g13) <= atol):
-        reason = TUBE_GROUP_REASONS[5]
-    elif not (abs(g31) <= atol and abs(g32) <= atol and abs(g40) <= atol and abs(g42) <= atol
-              and abs(g50) <= atol and abs(g51) <= atol and abs(g52) <= atol):
-        reason = TUBE_GROUP_REASONS[6]
-    else:
-        reason = None
+    else:  # the zeros of B or of C fail
+        reason = TUBE_GROUP_REASONS[6 if _zeros_within(float_maxabs(B0), scale) else 5]
     singular = is_singular3([row[3:] for row in m[3:]])
     return reason, scale, m, singular, P[3:, 3:].T.tolist(), (g[3:, :3] @ g[3:, 3:].T).tolist(), {}
 
@@ -183,15 +179,24 @@ def _ask(reads, rule, tol):
 
 
 def _tube_members(g, scale):
-    """The tube test on a stack (n, 6, 6) given its maxabs: a mask, True
-    where tube_group_reason(g[i]) is None.  Every check runs on every row:
-    the symplectic bound, the 17 pattern zeros in one gather and the two
-    corners, gathered by flat index."""
+    """The tube test on a stack (n, 6, 6) given its maxabs: a mask, True where
+    tube_group_reason(g[i]) is None; _tube's rules on slots gathered by flat index."""
     t = g.reshape(len(g), 36)[:, _TUBE_SLOTS]
-    atol = PATTERN_TOL * (1.0 + scale)
-    zeros, corners = np.abs(t[:, :17]) <= atol[:, None], t[:, 17:] > 0
+    zeros, corners = _zeros_within(np.abs(t[:, :17]).max(1), scale), (t[:, 17:] > 0).all(1)
+    return _symplectic_within(symplectic_defect(g), scale) & zeros & corners
+
+
+def _symplectic_within(defect, scale):
+    """The symplectic rule on g's defect and maxabs, its bound finite and NaN
+    failing: a bool on one matrix's Python floats, a mask on a stack's arrays."""
     bound = SYMPLECTIC_TOL * (1.0 + scale * scale)
-    return (bound < np.inf) & (symplectic_defect(g) <= bound) & zeros.all(1) & corners.all(1)
+    return (bound < math.inf) & (defect <= bound)
+
+
+def _zeros_within(top, scale):
+    """The tube pattern rule on the largest |entry| of g's zero slots and maxabs(g),
+    NaN failing: a bool on one matrix's Python floats, a mask on a stack's arrays."""
+    return top <= PATTERN_TOL * (1.0 + scale)
 
 
 def in_tube_group(g) -> bool:

@@ -6,9 +6,7 @@ small-integer arithmetic exact, which the reference values in the test
 suite rely on.  inv3_stack gathers adjugate3's cofactors from flat rows
 (..., 9); its a*adj00 + b*adj10 + c*adj20 is det3 with a sign moved
 exactly into a cofactor, so it agrees with adjugate3/det3 to the bit but
-for a zero determinant's sign, which is_singular3 rejects.  A stacked
-is_singular3 gathers those three cofactors alone.  semidefinite3
-proves semidefiniteness by LDL^T elimination on one matrix or a stack.
+for a zero determinant's sign, which is_singular3 rejects.
 
 One-matrix certificates follow one arithmetic rule: every matrix product
 is a numpy @, so the one-matrix and stacked routes agree to the bit, and
@@ -92,19 +90,17 @@ def is_singular3(m, d=None):
     its rows as Python floats, gives a bool; a stack (..., 3, 3) gives a
     mask, and computes only the three cofactors of its determinant, which
     is inv3_stack's to the bit."""
-    if isinstance(m, np.ndarray) and m.ndim > 2:
+    if stack := isinstance(m, np.ndarray) and m.ndim > 2:
         if d is None:  # it warns where it overflows, as the bound does
             d = _cofactors(m.reshape(m.shape[:-2] + (9,)), _COFACTOR_TERMS[:, ::3])[1]
         s = stack_maxabs(m)
-        return ~(np.abs(d) > SINGULAR_TOL * (1.0 + s * s * s))
-    if isinstance(m, np.ndarray):
-        m = m.tolist()
-    if d is None:
-        d = det3(m)
-    # a NaN entry gives a NaN determinant and an inf entry an inf bound:
-    # both count as singular, whatever the builtin max makes of a NaN
-    s = max(map(abs, m[0] + m[1] + m[2]))
-    return not abs(d) > SINGULAR_TOL * (1.0 + s * s * s)
+    else:
+        m = m.tolist() if isinstance(m, np.ndarray) else m
+        d = det3(m) if d is None else d
+        # a NaN entry (NaN det) and an inf one (inf bound) are singular, whatever max does
+        s = max(map(abs, m[0] + m[1] + m[2]))
+    regular = abs(d) > SINGULAR_TOL * (1.0 + s * s * s)
+    return ~regular if stack else not regular
 
 
 def inv3(m: np.ndarray) -> np.ndarray:
@@ -140,15 +136,19 @@ def semidefinite3(m, t):
     return (d1 > 0) & (d1 < math.inf) & (d2 > 0) & (d2 < math.inf) & (d3 >= 0) & (d3 < math.inf)
 
 
-def is_semidefinite3(m, tol) -> bool:
-    """Whether m + t*I is positive semidefinite, for t = tol * (1 + s), s =
-    maxabs(m), and m one matrix as semidefinite3 takes it; a NaN t or s
-    rejects.  Past semidefinite3, a diagonal entry below -INDEFINITE_MARGIN
-    * (1 + s) proves a rejection (lambda_min <= m_ii) before eigvalsh."""
-    s = float_maxabs(m[0] + m[1] + m[2])
+def is_semidefinite3(m, tol):
+    """The package's one semidefinite rule: m + t*I positive semidefinite for
+    t = tol * (1 + s), s = maxabs(m), a NaN t or s rejecting.  One matrix as
+    nested Python floats gives a bool: past semidefinite3, a diagonal entry
+    below -INDEFINITE_MARGIN * (1 + s) proves a rejection (lambda_min <= m_ii)
+    before eigvalsh.  An entries-first stack (3, 3, n) gets semidefinite3's
+    mask alone, False wherever the closed form proves nothing."""
+    stack = isinstance(m, np.ndarray)
+    s = np.abs(m).max((0, 1)) if stack else float_maxabs(m[0] + m[1] + m[2])
     t = tol * (1.0 + s)
-    if semidefinite3(m, t):  # never where s is not finite
-        return True
+    accept = semidefinite3(m, t)  # never where s is not finite
+    if stack or accept:
+        return accept
     if not s < math.inf or min(m[0][0], m[1][1], m[2][2]) + t < -INDEFINITE_MARGIN * (1.0 + s):
         return False
     return float(np.linalg.eigvalsh(np.array(m)).min()) >= -t

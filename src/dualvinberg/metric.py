@@ -174,7 +174,7 @@ def _stretch(g, x, v):
         W, Mi = mobius(g, embed_stack(x))
         yjv = unembed_action(np.concatenate((W, np.swapaxes(Mi, -1, -2) @ embed_stack(v) @ Mi)))
         tangents = np.concatenate((v, yjv[n:]))
-        form = cone_metric(np.concatenate((x, yjv[:n])), tangents, tangents)
+        form = _form(np.concatenate((x, yjv[:n])), tangents, tangents)
         check_rows(form[:n] == 0, lambda r: DomainError("tangent form underflows to zero"))
         ratios = form[n:] / form[:n]
     return float(ratios[0]) if one else ratios

@@ -53,7 +53,6 @@ from .group import (
     _tube_members,
     congruence_embed,
     triple_compose,
-    tube_group_reason,
 )
 from .linalg import (
     SINGULAR_MESSAGE,
@@ -64,7 +63,6 @@ from .linalg import (
     is_semidefinite3,
     is_singular3,
     maxabs,
-    semidefinite3,
     stack_maxabs,
 )
 
@@ -95,10 +93,8 @@ COMPRESSION_REASONS = TUBE_GROUP_REASONS + (
 def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the full positive definite cone: symplectic,
     D invertible, and both D^T B and C D^T positive semidefinite."""
-    reads = _tube(_matrix6(g).tobytes())
-    if reads[0] == TUBE_GROUP_REASONS[0]:  # is_symplectic's test
-        return "not symplectic"
-    return _ask(reads, _psd_reason, tol)
+    reads = _tube(_matrix6(g).tobytes())  # its first reason is is_symplectic's test
+    return reads[0] if reads[0] == TUBE_GROUP_REASONS[0] else _ask(reads, _psd_reason, tol)
 
 
 def _psd_reason(reads, tol) -> str | None:
@@ -108,7 +104,6 @@ def _psd_reason(reads, tol) -> str | None:
     if singular:
         return "det D = 0"
     for name, S in (("D^T B", DtB), ("C D^T", CDt)):
-        # the bound tests here and below are written so that a NaN tol rejects
         if not is_semidefinite3(_symmetric_rows(S), tol):
             return f"{name} not positive semidefinite"
     return None
@@ -139,38 +134,46 @@ def _chart_reason(reads, tol) -> str | None:
         return COMPRESSION_REASONS[7]
     S = _symmetric_rows(S)
     off, vS = pattern_parts(S)
-    if off > tol * (1.0 + float_maxabs(S[0] + S[1] + S[2])):
+    if _leaves_pattern(off, float_maxabs(S[0] + S[1] + S[2]), tol):
         return COMPRESSION_REASONS[8]
     if not is_semidefinite3(_embed_rows(vS), tol):  # closed_cone_reason's test
         return COMPRESSION_REASONS[9]
-    if not min(P[0][0], P[1][1]) >= -tol * (1.0 + float_maxabs(P[0] + P[1] + P[2])):
+    if not _nonnegative(min(P[0][0], P[1][1]), float_maxabs(P[0] + P[1] + P[2]), tol):
         return COMPRESSION_REASONS[10]
     return None
 
 
+def _leaves_pattern(off, scale, tol):
+    """The D^T B pattern rule on sym(D^T B)'s off-pattern mass and maxabs: a bool
+    on Python floats, a mask on arrays.  A NaN passes; the closed-cone rule rejects it."""
+    return off > tol * (1.0 + scale)
+
+
+def _nonnegative(low, scale, tol):
+    """The rule of C D^T's diagonal, the factor u and the wedge's u on their least
+    entry, scale a maxabs over them so that NaN fails: a bool or a mask."""
+    return low >= -tol * (1.0 + scale)
+
+
 def compression_members(g) -> np.ndarray:
-    """A mask over a stack (n, 6, 6), True only where
-    compression_reason(g[i]) is None: its checks at MEMBERSHIP_TOL, ANDed
-    on every row with no check order.  The closed-cone test is its closed
-    form alone, so a member that the closed form cannot prove reads
+    """A mask over a stack (n, 6, 6), True only where compression_reason(g[i])
+    is None: its rule functions at MEMBERSHIP_TOL, ANDed on every row.  A
+    member that the closed-cone rule's closed form alone cannot prove reads
     False; a caller that must decide such a row asks compression_reason."""
     g = np.asarray(g, dtype=float)
-    tol = MEMBERSHIP_TOL
     B, C, D = g[:, :3, 3:], g[:, 3:, :3], g[:, 3:, 3:]
     with np.errstate(all="ignore"):  # failed rows run on with inf and NaN
         S = D.swapaxes(1, 2) @ B
         S = ((S + S.swapaxes(1, 2)) / 2).reshape(len(g), 9)
-        # pattern_parts of S, symmetric to the bit: its upper slots, and mirror gaps 0, or NaN
-        # where a coordinate is not finite, which the closed form rejects: its bound is not finite
-        vS = S[:, _MIRRORS[0]]
         P = C @ D.swapaxes(1, 2)
         return (
             _tube_members(g, stack_maxabs(g))
             & ~is_singular3(D)
-            & (np.abs(S[:, 1]) <= tol * (1.0 + np.abs(S).max(1)))
-            # closed_cone_reason's bound, at maxabs(embed(vS))
-            & semidefinite3(_embed_rows(vS.T), tol * (1.0 + np.abs(vS).max(axis=1)))
-            & (np.minimum(P[:, 0, 0], P[:, 1, 1]) >= -tol * (1.0 + stack_maxabs(P)))
+            # pattern_parts of S, symmetric to the bit: |S01|, and mirror gaps 0, or NaN
+            # where a coordinate is not finite, which the closed-cone rule rejects
+            & ~_leaves_pattern(np.abs(S[:, 1]), np.abs(S).max(1), MEMBERSHIP_TOL)
+            & is_semidefinite3(embed_stack(S[:, _MIRRORS[0]]).transpose(1, 2, 0), MEMBERSHIP_TOL)
+            & _nonnegative(np.minimum(P[:, 0, 0], P[:, 1, 1]), stack_maxabs(P), MEMBERSHIP_TOL)
         )
 
 
@@ -190,8 +193,7 @@ def compression_factors(g, tol: float = MEMBERSHIP_TOL) -> TripleFactors:
         raise DomainError(f"factor v outside the closed cone: {reason}")
     if not is_triangular_pattern(f.L):
         raise DomainError("factor L off the triangular pattern")
-    u = f.u.tolist()
-    if not min(u) >= -tol * (1.0 + float_maxabs(u)):  # a NaN entry fails through the bound
+    if not _nonnegative(min(u := f.u.tolist()), float_maxabs(u), tol):
         raise DomainError("factor u has a negative entry")
     return f
 
@@ -205,12 +207,11 @@ def cross_check_membership(g, tol: float = MEMBERSHIP_TOL) -> bool:
     fatal when the direct route still disagrees after relaxing or
     tightening tol by CROSS_CHECK_SLACK.
     """
-    g = np.asarray(g, dtype=float)
     # the shared tube test implies symplectic and takes no tol; once it
     # passes each route's verdict is kept on g's _tube read per tol
-    if tube_group_reason(g) is not None:
+    reads = _tube(_matrix6(g).tobytes())
+    if reads[0] is not None:
         return False
-    reads = _tube(g.tobytes())
     direct = _ask(reads, _chart_reason, tol) is None
     via = _ask(reads, _psd_reason, tol) is None
     if direct == via:
@@ -274,7 +275,7 @@ def _wedge_reason(v, u, tol, scale, flat: bool = True) -> str | None:
         return "translation part outside the closed cone"
     if not flat:
         return "dual part not in the flat slice"
-    if not min(u) >= -tol * (1.0 + scale):
+    if not _nonnegative(min(u), scale, tol):
         return "dual part has a negative entry"
     return None
 

@@ -430,7 +430,7 @@ def cross_check_membership_reference(g, tol: float = MEMBERSHIP_TOL) -> bool:
     def fresh(rule, tol):
         return rule(group._tube.__wrapped__(g.tobytes()), tol) is None
 
-    tube = semigroup.tube_group_reason(g) is None
+    tube = group.tube_group_reason(g) is None
     direct = tube and fresh(semigroup._chart_reason, tol)
     via = tube and fresh(semigroup._psd_reason, tol)
     if direct == via:

@@ -163,7 +163,7 @@ def test_cross_check_tolerates_boundary_roundoff():
 
 
 def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
-    calls = {"tube_group_reason": 0, "_block_defect": 0}
+    calls = {"_block_defect": 0}
 
     def counted(fn):
         def wrapper(*args):
@@ -172,10 +172,9 @@ def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
 
         return wrapper
 
-    # the tube test forms the symplectic defect in group, through its one
-    # home _block_defect, the other routes find the tube test in semigroup;
-    # the defect is the work of is_symplectic
-    monkeypatch.setattr(semigroup, "tube_group_reason", counted(semigroup.tube_group_reason))
+    # the tube test is a miss of group._tube, which forms the symplectic
+    # defect through its one home _block_defect; the defect is the work of
+    # is_symplectic
     monkeypatch.setattr(group, "_block_defect", counted(group._block_defect))
     # the chart test rejects it at tol and accepts it at
     # CROSS_CHECK_SLACK * tol, the PSD test accepts it
@@ -184,9 +183,9 @@ def test_cross_check_runs_the_tube_test_and_is_symplectic_once(monkeypatch):
     cases = (member, dv.translation(-IDENTITY), np.arange(36.0).reshape(6, 6), slack)
     for g in cases:
         clear_memos()  # a matrix read by an earlier test would be a hit
-        calls.update(tube_group_reason=0, _block_defect=0)
+        calls.update(_block_defect=0)
         verdict = dv.cross_check_membership(g)
-        assert calls == {"tube_group_reason": 1, "_block_defect": 1}
+        assert (group._tube.cache_info().misses, calls["_block_defect"]) == (1, 1)
         # once compression_reason has read g, the other routes read its memo
         clear_memos()
         semigroup.compression_reason(g)

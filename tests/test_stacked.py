@@ -2,6 +2,8 @@
 kernel and the expansion search must agree with a loop of single calls to
 the bit, failures included."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from conftest import (
     same_bits,
     sample_chart_element,
 )
-from oracles import search_violations_reference
+from oracles import clear_memos, search_violations_reference
 
 I3 = np.eye(3)
 
@@ -116,6 +118,77 @@ def test_the_member_mask_never_admits_a_non_member(monkeypatch):
     assert reasons[: len(COMPRESSION_REASONS)] == list(COMPRESSION_REASONS)
     assert set(reasons) == {None, *COMPRESSION_REASONS}
     assert reasons[-1] == "not symplectic"
+
+
+def _broken(rng):
+    # a member with A scaled by 1 + d: its defect is at least d
+    g = dv.sample_semigroup(rng, interior=True)
+    g[:3, :3] *= 1.0 + min(1e-6 * (1.0 + stack_maxabs(g) ** 2), 1.0)
+    return g
+
+
+# the kinds of the benchmark's membership workload: two of members, five of non-members
+MEMBERSHIP_KINDS = (
+    lambda rng: dv.sample_semigroup(rng, interior=True),
+    lambda rng: dv.sample_semigroup(rng, interior=False),
+    lambda rng: dv.translation(-dv.sample_cone(rng)),
+    lambda rng: dv.triple_compose(dv.TripleFactors(  # C D^T has a negative corner
+        v=dv.sample_cone(rng), L=dv.sample_positive_triangular(rng), u=np.array([-1.0, 1.0]))),
+    dv.sample_symplectic_semigroup,
+    lambda rng: dv.translation(dv.sample_cone(rng)) @ dv.congruence_embed(
+        dv.sample_positive_triangular(rng)) @ dv.inversion(),  # D singular
+    _broken,
+)
+
+
+# relative nudges across the pattern bound 1e-12 * (1 + maxabs), and hostile floats
+NUDGES = (-1e-9, -1e-11, -1e-13, 1e-13, 1e-11)
+HOSTILE = (np.nan, np.inf, -np.inf, 1e308, -1e308)
+
+
+def _unit(rng, sigma):
+    try:
+        return dv.congruence_embed(dv.sample_positive_triangular(rng, sigma))
+    except SingularityError:  # a unit the singularity rule refuses (ROADMAP item 1)
+        return np.eye(6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.sampled_from([0.5, 2.0]),
+    n=st.integers(1, 10),
+    shifts=st.lists(st.tuples(st.integers(0, 9), st.sampled_from([-1e-6, -1e-9, -1e-12, 1e-9])), max_size=3),
+    nudges=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 35), st.sampled_from(NUDGES)), max_size=3),
+    splices=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 35), st.sampled_from(HOSTILE)), max_size=3),
+)
+def test_the_stacked_masks_give_the_one_row_verdicts(seed, sigma, n, shifts, nudges, splices):
+    # units h1 g h2 keep each kind's membership.  Then rows move across the
+    # rules' bounds: a small translation moves D^T B across the closed
+    # cone's boundary, a nudge (relative to 1 + maxabs) moves one slot
+    # across the pattern rule's bound, and hostile entries land in random slots
+    rng = np.random.default_rng(seed)
+    kinds = (MEMBERSHIP_KINDS[k % len(MEMBERSHIP_KINDS)] for k in range(n))
+    G = np.array([_unit(rng, sigma) @ kind(rng) @ _unit(rng, sigma) for kind in kinds])
+    for i, delta in shifts:
+        G[i % n] = dv.translation(delta * dv.sample_cone(rng)) @ G[i % n]
+    for i, j, delta in nudges:
+        G[i % n].flat[j] += delta * (1.0 + stack_maxabs(G[i % n]))
+    for i, j, value in splices:
+        G[i % n].flat[j] = value
+    with np.errstate(all="ignore"):
+        tube = _tube_members(G, stack_maxabs(G))
+        mask = compression_members(G)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        for g, in_tube, admitted in zip(G, tube, mask):
+            clear_memos()  # a verdict kept from an earlier example would hide its eigvalsh call
+            eigvalsh.reset_mock()
+            reason = compression_reason(g)
+            assert in_tube == (tube_group_reason(g) is None)
+            # the mask never admits a non-member, and admits every member
+            # whose verdict needed no eigvalsh
+            assert not admitted or reason is None
+            assert admitted or reason is not None or eigvalsh.called
 
 
 def test_symplectic_defect_of_a_stack_equals_the_loop():
@@ -390,13 +463,14 @@ def test_a_stack_with_bad_rows_raises_what_the_loop_raises(spoil):
 
 def test_a_sweep_block_runs_each_kernel_of_the_ratio_pass_once(monkeypatch):
     # one mobius on the block, one unembed_action on [image; pushforward]
-    # and one cone_metric on [x; image]; a one-row call runs the same pass
-    calls = {name: count_calls(monkeypatch, metric, name) for name in ("mobius", "unembed_action", "cone_metric")}
+    # and one metric form (_form, cone_metric's body) on [x; image]; a
+    # one-row call runs the same pass
+    calls = {name: count_calls(monkeypatch, metric, name) for name in ("mobius", "unembed_action", "_form")}
     dv.search_violations(np.random.default_rng(2711), 32)
     assert calls == {
         "mobius": [(32, 6, 6)],
         "unembed_action": [(64, 3, 3)],
-        "cone_metric": [(64, 5)],
+        "_form": [(64, 5)],
     }
     for c in calls.values():
         c.clear()
@@ -404,7 +478,7 @@ def test_a_sweep_block_runs_each_kernel_of_the_ratio_pass_once(monkeypatch):
     assert calls == {
         "mobius": [(1, 6, 6)],
         "unembed_action": [(2, 3, 3)],
-        "cone_metric": [(2, 5)],
+        "_form": [(2, 5)],
     }
 
 
