@@ -95,8 +95,9 @@ def symplectic_defect(g):
 
 
 def is_symplectic(g) -> bool:
-    """The symplectic rule on one 6x6 matrix, equivalent to g J g^T = J for the
-    standard form J: the first check of the memoised tube test."""
+    """Block test at tolerance SYMPLECTIC_TOL * (1 + maxabs(g)**2), False when
+    that overflows; equivalent to g J g^T = J for the standard form J.  The
+    first check of the memoised tube test on one 6x6 matrix."""
     return _tube(_matrix6(g).tobytes())[0] != TUBE_GROUP_REASONS[0]
 
 
@@ -143,20 +144,20 @@ def _tube(key: bytes) -> tuple:
         return TUBE_GROUP_REASONS[0], scale, m, None, None, None, {}
     ((_, g01, g02, _, g04, _), (g10, _, g12, g13, _, _), (_, _, g22, _, _, _),
      (_, g31, g32, _, g34, _), (g40, _, g42, g43, _, _), (g50, g51, g52, g53, g54, g55)) = m
-    A0, D0, B0 = [g01, g02, g10, g12], [g43, g53, g34, g54], [g04, g13]
-    top = float_maxabs(A0 + D0 + B0 + [g31, g32, g40, g42, g50, g51, g52])  # all 17 zeros
-    if g22 > 0 and g55 > 0 and _zeros_within(top, scale):  # a member, in one rule call
-        reason = None
-    elif not _zeros_within(float_maxabs(A0), scale):  # else the first failing check
+    if not _zeros_within(float_maxabs([g01, g02, g10, g12]), scale):
         reason = TUBE_GROUP_REASONS[1]
     elif not g22 > 0:
         reason = TUBE_GROUP_REASONS[2]
-    elif not _zeros_within(float_maxabs(D0), scale):
+    elif not _zeros_within(float_maxabs([g43, g53, g34, g54]), scale):
         reason = TUBE_GROUP_REASONS[3]
     elif not g55 > 0:
         reason = TUBE_GROUP_REASONS[4]
-    else:  # the zeros of B or of C fail
-        reason = TUBE_GROUP_REASONS[6 if _zeros_within(float_maxabs(B0), scale) else 5]
+    elif not _zeros_within(float_maxabs([g04, g13]), scale):
+        reason = TUBE_GROUP_REASONS[5]
+    elif not _zeros_within(float_maxabs([g31, g32, g40, g42, g50, g51, g52]), scale):
+        reason = TUBE_GROUP_REASONS[6]
+    else:
+        reason = None
     singular = is_singular3([row[3:] for row in m[3:]])
     return reason, scale, m, singular, P[3:, 3:].T.tolist(), (g[3:, :3] @ g[3:, 3:].T).tolist(), {}
 

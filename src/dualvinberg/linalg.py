@@ -6,7 +6,9 @@ small-integer arithmetic exact, which the reference values in the test
 suite rely on.  inv3_stack gathers adjugate3's cofactors from flat rows
 (..., 9); its a*adj00 + b*adj10 + c*adj20 is det3 with a sign moved
 exactly into a cofactor, so it agrees with adjugate3/det3 to the bit but
-for a zero determinant's sign, which is_singular3 rejects.
+for a zero determinant's sign, which is_singular3 rejects.  A stacked
+is_singular3 gathers those three cofactors alone.  semidefinite3
+proves semidefiniteness by LDL^T elimination on one matrix or a stack.
 
 One-matrix certificates follow one arithmetic rule: every matrix product
 is a numpy @, so the one-matrix and stacked routes agree to the bit, and
@@ -90,17 +92,23 @@ def is_singular3(m, d=None):
     its rows as Python floats, gives a bool; a stack (..., 3, 3) gives a
     mask, and computes only the three cofactors of its determinant, which
     is inv3_stack's to the bit."""
-    if stack := isinstance(m, np.ndarray) and m.ndim > 2:
+    stack = isinstance(m, np.ndarray) and m.ndim > 2
+    if stack:
         if d is None:  # it warns where it overflows, as the bound does
             d = _cofactors(m.reshape(m.shape[:-2] + (9,)), _COFACTOR_TERMS[:, ::3])[1]
         s = stack_maxabs(m)
     else:
-        m = m.tolist() if isinstance(m, np.ndarray) else m
-        d = det3(m) if d is None else d
-        # a NaN entry (NaN det) and an inf one (inf bound) are singular, whatever max does
+        if isinstance(m, np.ndarray):
+            m = m.tolist()
+        if d is None:
+            d = det3(m)
+        # a NaN entry gives a NaN determinant and an inf entry an inf bound:
+        # both count as singular, whatever the builtin max makes of a NaN
         s = max(map(abs, m[0] + m[1] + m[2]))
     regular = abs(d) > SINGULAR_TOL * (1.0 + s * s * s)
-    return ~regular if stack else not regular
+    if stack:
+        return ~regular
+    return not regular
 
 
 def inv3(m: np.ndarray) -> np.ndarray:
@@ -144,7 +152,10 @@ def is_semidefinite3(m, tol):
     before eigvalsh.  An entries-first stack (3, 3, n) gets semidefinite3's
     mask alone, False wherever the closed form proves nothing."""
     stack = isinstance(m, np.ndarray)
-    s = np.abs(m).max((0, 1)) if stack else float_maxabs(m[0] + m[1] + m[2])
+    if stack:
+        s = np.abs(m).max((0, 1))
+    else:
+        s = float_maxabs(m[0] + m[1] + m[2])
     t = tol * (1.0 + s)
     accept = semidefinite3(m, t)  # never where s is not finite
     if stack or accept:

@@ -93,8 +93,10 @@ COMPRESSION_REASONS = TUBE_GROUP_REASONS + (
 def symplectic_semigroup_reason(g, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when g compresses the full positive definite cone: symplectic,
     D invertible, and both D^T B and C D^T positive semidefinite."""
-    reads = _tube(_matrix6(g).tobytes())  # its first reason is is_symplectic's test
-    return reads[0] if reads[0] == TUBE_GROUP_REASONS[0] else _ask(reads, _psd_reason, tol)
+    reads = _tube(_matrix6(g).tobytes())
+    if reads[0] == TUBE_GROUP_REASONS[0]:  # is_symplectic's test
+        return "not symplectic"
+    return _ask(reads, _psd_reason, tol)
 
 
 def _psd_reason(reads, tol) -> str | None:
@@ -104,6 +106,7 @@ def _psd_reason(reads, tol) -> str | None:
     if singular:
         return "det D = 0"
     for name, S in (("D^T B", DtB), ("C D^T", CDt)):
+        # the rules' bound tests are written so that a NaN tol rejects
         if not is_semidefinite3(_symmetric_rows(S), tol):
             return f"{name} not positive semidefinite"
     return None
@@ -145,7 +148,11 @@ def _chart_reason(reads, tol) -> str | None:
 
 def _leaves_pattern(off, scale, tol):
     """The D^T B pattern rule on sym(D^T B)'s off-pattern mass and maxabs: a bool
-    on Python floats, a mask on arrays.  A NaN passes; the closed-cone rule rejects it."""
+    on Python floats, a mask on arrays.  A NaN passes it.  Past the tube test a
+    NaN comes only from a NaN tol or from a mirror gap inf - inf where a
+    coordinate of sym(D^T B) overflowed, and the closed-cone rule that follows
+    rejects both.  S[0, 1] is no coordinate, but it is finite there: each of
+    its six products has a pattern zero of B or D as a factor."""
     return off > tol * (1.0 + scale)
 
 
@@ -169,8 +176,9 @@ def compression_members(g) -> np.ndarray:
         return (
             _tube_members(g, stack_maxabs(g))
             & ~is_singular3(D)
-            # pattern_parts of S, symmetric to the bit: |S01|, and mirror gaps 0, or NaN
-            # where a coordinate is not finite, which the closed-cone rule rejects
+            # pattern_parts of S, symmetric to the bit: |S01|, finite past the tube
+            # mask (_leaves_pattern), and mirror gaps 0, or NaN where a coordinate
+            # is not finite, which the closed-cone rule rejects
             & ~_leaves_pattern(np.abs(S[:, 1]), np.abs(S).max(1), MEMBERSHIP_TOL)
             & is_semidefinite3(embed_stack(S[:, _MIRRORS[0]]).transpose(1, 2, 0), MEMBERSHIP_TOL)
             & _nonnegative(np.minimum(P[:, 0, 0], P[:, 1, 1]), stack_maxabs(P), MEMBERSHIP_TOL)
@@ -193,7 +201,8 @@ def compression_factors(g, tol: float = MEMBERSHIP_TOL) -> TripleFactors:
         raise DomainError(f"factor v outside the closed cone: {reason}")
     if not is_triangular_pattern(f.L):
         raise DomainError("factor L off the triangular pattern")
-    if not _nonnegative(min(u := f.u.tolist()), float_maxabs(u), tol):
+    u = f.u.tolist()
+    if not _nonnegative(min(u), float_maxabs(u), tol):  # a NaN entry fails through the bound
         raise DomainError("factor u has a negative entry")
     return f
 

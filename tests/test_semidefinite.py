@@ -251,3 +251,15 @@ def test_members_never_reach_eigvalsh(eigvalsh_calls):
     # a rejection that no diagonal proves (eigenvalue -1) is decided by eigvalsh, once
     assert compression_reason(dv.translation([1.0, 1.0, 1.0, 2.0, 0.0])) == "D^T B outside the closed cone"
     assert eigvalsh_calls == [(3, 3)]
+
+
+def test_closed_cone_reason_counts_its_eigvalsh_calls(eigvalsh_calls):
+    # the rule's own verdict and the eigenvalue the string prints are two
+    # calls where no diagonal proves the rejection; a rule that returned its
+    # measured eigenvalue (ROADMAP item 3) would make them one
+    assert closed_cone_reason([1.0, 1.0, 1.0, 2.0, 0.0]) == "eigenvalue -1.000e+00 below -tol"
+    assert eigvalsh_calls == [(3, 3), (3, 3)]
+    eigvalsh_calls.clear()
+    # a negative diagonal proves it: the string's call alone
+    assert closed_cone_reason(-dv.IDENTITY_POINT) == "eigenvalue -1.000e+00 below -tol"
+    assert eigvalsh_calls == [(3, 3)]

@@ -120,6 +120,22 @@ def test_the_member_mask_never_admits_a_non_member(monkeypatch):
     assert reasons[-1] == "not symplectic"
 
 
+def test_a_nan_in_the_dtb_pattern_slot_fails_the_symplectic_rule():
+    # the D^T B pattern rule passes a NaN; sym(D^T B)[0, 1] is NaN where
+    # (D^T B)[0, 1] and [1, 0] overflow to opposite infinities, and the
+    # symplectic rule has rejected that row, whose defect is then not finite
+    g = dv.sample_semigroup(np.random.default_rng(5), interior=True)
+    g[3:, 3:] = 4.0 * np.eye(3)
+    g[0, 4], g[1, 3] = 1e308, -1e308  # B[0, 1] and B[1, 0]
+    with np.errstate(all="ignore"):
+        S = g[3:, 3:].T @ g[:3, 3:]
+        assert np.isnan((S + S.T)[0, 1])
+        assert not np.isfinite(symplectic_defect(g))
+        assert not _tube_members(g[None], stack_maxabs(g[None]))[0]
+        assert not compression_members(g[None])[0]
+    assert compression_reason(g) == "not symplectic"
+
+
 def _broken(rng):
     # a member with A scaled by 1 + d: its defect is at least d
     g = dv.sample_semigroup(rng, interior=True)
