@@ -50,11 +50,19 @@ echo "::group::Derived child streams pin"
 # the search derives each sample's child seed with numpy's SeedSequence
 # algorithm instead of spawning it; a numpy release that changes that
 # algorithm moves these maxima (int, full-width, tuple and spawned seeds)
+# of the ratios of children 0-1999, sampled and measured as the search's
+# stacked pass does, with no witness row
 out="$(python -c "
-import numpy as np, dualvinberg as dv
+import numpy as np
+from dualvinberg import metric, streams
 rngs = (np.random.default_rng(0), np.random.default_rng(2**64 - 1), np.random.default_rng((7, 11)),
         np.random.default_rng(5).spawn(2)[1])
-print([dv.search_violations(rng, 2000, include_counterexample=False)[1].max_ratio for rng in rngs])
+z = np.zeros((2000, 22))
+maxima = []
+for rng in rngs:
+    streams.child_normals(rng, 0, out=z)
+    maxima.append(float(metric.contraction_ratios(*metric._sample_rows(z)).max()))
+print(maxima)
 ")"
 echo "$out"
 test "$out" = '[0.8743966720864171, 0.8878961940397084, 0.941162143995864, 0.9189356604327709]'
@@ -74,6 +82,29 @@ print(h.hexdigest())
 ")"
 echo "$out"
 test "$out" = e40c29f927493dd7274ac8faac74da26b87b6a37f6f99757c5661fb70eec3dd9
+echo "::endgroup::"
+
+echo "::group::Constructor pin"
+# the float64 bytes of the array constructors on random factors at three
+# spreads: congruence_embed of triangular and of general A, triple_compose
+# (u of either sign), congruence_matrix, and the isotropy generators
+out="$(python -c "
+import hashlib, numpy as np, dualvinberg as dv
+rng, h = np.random.default_rng(2029), hashlib.sha256()
+for s in (0.3, 1, 2.5):
+    for _ in range(100):
+        L = dv.sample_triangular(rng, s)
+        A = rng.standard_normal((3, 3))
+        f = dv.TripleFactors(v=s * rng.standard_normal(5), L=L, u=s * rng.standard_normal(2))
+        for a in (dv.congruence_embed(L), dv.congruence_embed(A), dv.triple_compose(f),
+                  dv.congruence_matrix(dv.sample_triangular(rng, s))):
+            h.update(np.asarray(a, dtype=np.float64).tobytes())
+for a in dv.isotropy_group():
+    h.update(np.asarray(a, dtype=np.float64).tobytes())
+print(h.hexdigest())
+")"
+echo "$out"
+test "$out" = 4b692b3a80b049b2fc50239e096b709029937c77aa24c078ac111b4fc17bc67d
 echo "::endgroup::"
 
 echo "::group::Membership routes pin"

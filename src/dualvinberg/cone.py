@@ -40,7 +40,7 @@ TRIANGULAR_ZEROS = ((0, 1), (0, 2), (1, 0), (1, 2))
 # Zero slots of the flat slice diag(u1, u2, 0).
 FLAT_ZEROS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
 
-# Flat (..., 9) slots: embed_stack writes coordinate _EMBED_COORDS[k] to _EMBED_SLOTS[k];
+# Flat (..., 9) slots: embed writes coordinate _EMBED_COORDS[k] to _EMBED_SLOTS[k];
 # pattern_parts reads the coordinates' mirror slots, and the gaps' (0,1), (1,0), (0,2), (1,2).
 _EMBED_SLOTS, _EMBED_COORDS = np.array([0, 4, 8, 2, 6, 5, 7]), np.array([0, 1, 2, 3, 3, 4, 4])
 _MIRRORS, _GAPS = np.array([[0, 4, 8, 2, 5], [0, 4, 8, 6, 7]]), np.array([1, 3, 2, 5])
@@ -48,21 +48,12 @@ _EYE3 = np.eye(3)  # embed(IDENTITY_POINT)
 
 
 def embed(x) -> np.ndarray:
-    """Patterned symmetric matrix of a coordinate vector (complex allowed)."""
+    """Patterned symmetric matrix of a coordinate vector (5,), or of each of
+    a stack (..., 5), as one scatter into flat rows (complex allowed);
+    ValueError for another last axis."""
     x = np.asarray(x)
-    m = np.zeros((3, 3), dtype=complex if np.iscomplexobj(x) else float)
-    m[0, 0] = x[0]
-    m[1, 1] = x[1]
-    m[2, 2] = x[2]
-    m[0, 2] = m[2, 0] = x[3]
-    m[1, 2] = m[2, 1] = x[4]
-    return m
-
-
-def embed_stack(x) -> np.ndarray:
-    """embed for one coordinate vector or a stack of them (..., 5), as one
-    scatter into flat rows; embed's own one-point form is twice as fast."""
-    x = np.asarray(x)
+    if x.shape[-1:] != (5,):
+        raise ValueError(f"expected 5 coordinates on the last axis, got shape {x.shape}")
     m = np.zeros(x.shape[:-1] + (9,), dtype=complex if np.iscomplexobj(x) else float)
     m[..., _EMBED_SLOTS] = x[..., _EMBED_COORDS]
     return m.reshape(x.shape[:-1] + (3, 3))
@@ -239,8 +230,8 @@ def congruence_matrix(A) -> np.ndarray:
     generator of the isotropy group, which is not triangular.
     """
     A = np.asarray(A, dtype=float)
-    cols = [unembed(A @ embed(e) @ A.T) for e in np.eye(5)]
-    return np.array(cols).T
+    with np.errstate(all="ignore"):  # the five images read as quietly as one matrix's read
+        return unembed(A @ embed(np.eye(5)) @ A.T).T  # column k is the image of e_k
 
 
 def positive_triangular(w) -> np.ndarray:

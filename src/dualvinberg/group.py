@@ -41,7 +41,6 @@ from .linalg import (
     adjugate3_flat,
     det3,
     float_maxabs,
-    inv3,
     inv3_stack,
     is_singular3,
     maxabs,
@@ -248,12 +247,17 @@ def dual_translation(u) -> np.ndarray:
 
 def congruence_embed(A) -> np.ndarray:
     """blockdiag(A, A^{-T}), the linear map z -> A z A^T inside the
-    symplectic group.  A must be invertible; it need not be triangular,
-    but only triangular A land in the tube group."""
+    symplectic group, for one A (3, 3) or each of a stack (..., 3, 3);
+    SingularityError for the first A that linalg.is_singular3 rejects.  A
+    need not be triangular, but only triangular A land in the tube group."""
     A = np.asarray(A, dtype=float)
-    g = np.zeros((6, 6))
-    g[:3, :3] = A
-    g[3:, 3:] = inv3(A).T
+    Ai, d = inv3_stack(A)
+    with np.errstate(over="ignore"):  # an overflowed bound is singular, as quietly as for one A
+        singular = is_singular3(A, d)
+    check_rows(singular, lambda r: SingularityError(SINGULAR_MESSAGE))
+    g = np.zeros(A.shape[:-2] + (6, 6))
+    g[..., :3, :3] = A
+    g[..., 3:, 3:] = np.swapaxes(Ai, -1, -2)
     return g
 
 
@@ -372,7 +376,7 @@ def _chart_factors(m, scale) -> TripleFactors:
     d = det3(D)
     if is_singular3(D, d):
         raise SingularityError("det D = 0")
-    Dinv = [x / d for x in adjugate3_flat(D)]  # inv3(D), with D's one singularity test
+    Dinv = [x / d for x in adjugate3_flat(D)]  # D^{-1}, after D's one singularity test
     f = m[0][3:] + m[1][3:] + m[2][3:] + Dinv + Dinv + m[3][:3] + m[4][:3] + m[5][:3]
     # 6 maxabs(g)**3 / |det D| bounds both products; 8 leaves room for round-off
     quiet = not 8.0 * scale * scale * scale / abs(d) < math.inf
@@ -388,7 +392,13 @@ def _chart_factors(m, scale) -> TripleFactors:
 
 
 def triple_compose(f: TripleFactors) -> np.ndarray:
-    """Multiply the three chart factors back together."""
-    lower = np.eye(6)
-    lower[3:, :3] = embed_diag_pair(f.u)
-    return translation(f.v) @ congruence_embed(f.L) @ lower
+    """Multiply the three chart factors back together: g (6, 6) from one
+    TripleFactors, or a stack (..., 6, 6) from fields stacked as v (..., 5),
+    L (..., 3, 3) and u (..., 2); SingularityError for the first singular L."""
+    g = congruence_embed(f.L)
+    eyes = np.zeros((2,) + g.shape)
+    eyes.reshape(eyes.shape[:-2] + (36,))[..., ::7] = 1.0  # the diagonals of flat rows
+    upper, lower = eyes
+    upper[..., :3, 3:] = embed(np.asarray(f.v, dtype=float))
+    lower[..., [3, 4], [0, 1]] = f.u
+    return upper @ g @ lower

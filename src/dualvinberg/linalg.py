@@ -3,12 +3,16 @@
 Determinants and inverses go through explicit cofactors rather than LU:
 the formulas are dtype-generic (real or complex) and keep exact zeros and
 small-integer arithmetic exact, which the reference values in the test
-suite rely on.  inv3_stack gathers adjugate3's cofactors from flat rows
-(..., 9); its a*adj00 + b*adj10 + c*adj20 is det3 with a sign moved
-exactly into a cofactor, so it agrees with adjugate3/det3 to the bit but
-for a zero determinant's sign, which is_singular3 rejects.  A stacked
-is_singular3 gathers those three cofactors alone.  semidefinite3
-proves semidefiniteness by LDL^T elimination on one matrix or a stack.
+suite rely on.  Two representations share the cofactors.  The one-matrix
+certificates of polar and membership read one matrix as nested Python
+floats: det3 and adjugate3_flat.  Every other route passes arrays, one
+matrix or a stack (..., 3, 3), to inv3_stack, which gathers the same
+cofactors from flat rows (..., 9); its a*adj00 + b*adj10 + c*adj20 is
+det3 with a sign moved exactly into a cofactor, so it agrees with
+adjugate3_flat/det3 to the bit but for a zero determinant's sign, which
+is_singular3 rejects.  A stacked is_singular3 gathers those three
+cofactors alone.  semidefinite3 proves semidefiniteness by LDL^T
+elimination on one matrix or a stack.
 
 One-matrix certificates follow one arithmetic rule: every matrix product
 is a numpy @, so the one-matrix and stacked routes agree to the bit, and
@@ -29,8 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import SingularityError
 
 SINGULAR_TOL = 1e-12
 SINGULAR_MESSAGE = "matrix is singular to working precision"
@@ -66,15 +68,11 @@ def det3(m):
     )
 
 
-def adjugate3(m) -> np.ndarray:
-    """Transposed cofactor matrix of one matrix, so that m @ adjugate3(m) =
-    det3(m) * I; m as det3 takes it.  The array of adjugate3_flat."""
-    return np.array(adjugate3_flat(m)).reshape(3, 3)
-
-
 def adjugate3_flat(m) -> list:
-    """adjugate3's nine entries row by row, scalars of m's type: Python
-    floats for the one-matrix factorizations, with no array round trip."""
+    """The transposed cofactor matrix of one matrix, m @ adj = det3(m) * I,
+    as its nine entries row by row; m as det3 takes it, the entries
+    scalars of m's type: Python floats for the one-matrix factorizations,
+    with no array round trip."""
     a, b, c = m[0]
     d, e, f = m[1]
     g, h, i = m[2]
@@ -109,16 +107,6 @@ def is_singular3(m, d=None):
     if stack:
         return ~regular
     return not regular
-
-
-def inv3(m: np.ndarray) -> np.ndarray:
-    """Inverse via adjugate over determinant; SingularityError when
-    is_singular3(m)."""
-    rows = m.tolist()
-    d = det3(rows)
-    if is_singular3(rows, d):
-        raise SingularityError(SINGULAR_MESSAGE)
-    return adjugate3(rows) / d
 
 
 def semidefinite3(m, t):
@@ -181,7 +169,7 @@ def midpoint(a, b):
     return np.where(over, a / 2 + b / 2, h) if np.count_nonzero(over) else h
 
 
-# adjugate3's row-major entries are f[P] * f[Q] - f[R] * f[S] of flat f; rows
+# adjugate3_flat's entries are f[P] * f[Q] - f[R] * f[S] of flat f; rows
 # P, Q, R, S.  Every third column, adj00, adj10 and adj20, gives the determinant.
 _COFACTOR_TERMS = np.array([[4, 2, 1, 5, 0, 2, 3, 1, 0], [8, 7, 5, 6, 8, 3, 7, 6, 4],
                             [5, 1, 2, 3, 2, 0, 4, 0, 1], [7, 8, 4, 8, 6, 5, 6, 7, 3]])
@@ -198,9 +186,9 @@ def _cofactors(f, terms):
 
 
 def inv3_stack(m):
-    """adjugate3/det3 of one matrix or every matrix of a stack (..., 3, 3),
-    and the determinants.  Raises nothing: a matrix that is_singular3
-    rejects gets a garbage inverse."""
+    """adjugate3_flat/det3 of one matrix or every matrix of a stack
+    (..., 3, 3), and the determinants.  Raises nothing: a matrix that
+    is_singular3 rejects gets a garbage inverse."""
     m = np.asarray(m)
     f = m.reshape(m.shape[:-2] + (9,))
     with np.errstate(all="ignore"):  # rejected rows run on with inf and NaN

@@ -24,7 +24,6 @@ import numpy as np
 from .cone import (
     IDENTITY_POINT,
     embed,
-    embed_stack,
     in_open_cone,
     log_char_function,
     positive_triangular,
@@ -33,12 +32,11 @@ from .cone import (
     refuse_off_pattern,
 )
 from .errors import DomainError, PatternError, check_rows
-from .group import act_real, mobius, translation, unembed_action
+from .group import TripleFactors, act_real, mobius, translation, triple_compose, unembed_action
 from .linalg import inv3_stack
 from .semigroup import (
     compression_members,
     compression_reason,
-    interior_element,
     symplectic_semigroup_reason,
 )
 
@@ -64,11 +62,11 @@ def _form(x, v, w):
         lambda r: DomainError("base point outside the open cone"),
     )
     # positive minors certify invertibility, so no singularity threshold
-    Xi, d = inv3_stack(embed_stack(x))
+    Xi, d = inv3_stack(embed(x))
     (x1, x2), (v1, v2), (w1, w2) = x.T[:2], v.T[:2], w.T[:2]
     first = -0.5 * (v1 * w1 / (x1 * x1) + v2 * w2 / (x2 * x2))
-    V = embed_stack(v)  # once where w is v, as the ratio pass calls it
-    Q = Xi @ V @ Xi @ (V if w is v else embed_stack(w))
+    V = embed(v)  # once where w is v, as the ratio pass calls it
+    Q = Xi @ V @ Xi @ (V if w is v else embed(w))
     # the trace as np.trace sums it: from 0, along the diagonal
     form = first + 2.0 * (0.0 + Q[..., 0, 0] + Q[..., 1, 1] + Q[..., 2, 2])
     check_rows(
@@ -171,8 +169,8 @@ def _stretch(g, x, v):
         check_rows(~v.any(-1), lambda r: DomainError("zero tangent vector"))
         check_rows(~np.isfinite(v).all(-1), lambda r: DomainError("tangent vector not finite"))
         # one kernel call gives both the image point and the pushforward
-        W, Mi = mobius(g, embed_stack(x))
-        yjv = unembed_action(np.concatenate((W, np.swapaxes(Mi, -1, -2) @ embed_stack(v) @ Mi)))
+        W, Mi = mobius(g, embed(x))
+        yjv = unembed_action(np.concatenate((W, np.swapaxes(Mi, -1, -2) @ embed(v) @ Mi)))
         tangents = np.concatenate((v, yjv[n:]))
         form = _form(np.concatenate((x, yjv[:n])), tangents, tangents)
         check_rows(form[:n] == 0, lambda r: DomainError("tangent form underflows to zero"))
@@ -245,7 +243,7 @@ def _sample_rows(z):
         T = positive_triangular(z[..., _TRIANGULAR_DRAWS])
         vx, off, refused = read_pattern(push_identity(T[..., 1:, :, :]))
         refuse_off_pattern(refused[..., 0], off[..., 0])
-        g = interior_element(T[..., 0, :, :], vx[..., 0, :], z[..., 10:12])
+        g = triple_compose(TripleFactors(vx[..., 0, :], T[..., 0, :, :], np.exp(z[..., 10:12])))
         refuse_off_pattern(refused[..., 1], off[..., 1])
         t = z[..., 17:22]
         # the BLAS dot of np.linalg.norm, row by row (a reduction along the
@@ -253,39 +251,37 @@ def _sample_rows(z):
         return g, vx[..., 1, :], t / np.sqrt(t[..., None, :] @ t[..., :, None])[..., 0]
 
 
-def search_violations(
-    rng, n_samples: int, include_counterexample: bool = True
-) -> tuple[list[ContractionRecord], SearchSummary]:
+def search_violations(rng, n_samples: int) -> tuple[list[ContractionRecord], SearchSummary]:
     """Random sweep for metric expansion over the patterned cone.
 
-    Sample i draws an interior semigroup element, an interior base point and
+    Row 0 is the frozen counterexample (its child draws nothing).  Sample
+    i >= 1 draws an interior semigroup element, an interior base point and
     a unit tangent from the i-th child generator of rng; the children are
-    derived, not spawned, so a rerun on rng repeats the sweep.  Row 0 is the
-    frozen counterexample unless disabled (its child draws nothing).  The
-    sweep is certified and measured in stacked passes of up to _BLOCK rows;
-    a failing sample raises what the one-sample calls raise.  Returns the
+    derived, not spawned, so a rerun on rng repeats the sweep.  The sweep
+    is certified and measured in stacked passes of up to _BLOCK rows; a
+    failing sample raises what the one-sample calls raise.  Returns the
     violating records, which own their arrays, and the sweep summary.
     """
     n_samples = operator.index(n_samples)
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     from .streams import child_normals  # here: the package import skips numpy.random
-    first = 1 if include_counterexample else 0
     violations: list[ContractionRecord] = []
     max_ratio = -np.inf
     # blocks of rows bound the memory of long sweeps; a failing block
     # raises before any later one, as the loop would
     for start in range(0, n_samples, _BLOCK):
         z = np.zeros((min(_BLOCK, n_samples - start), _DRAWS))
-        child_normals(rng, max(start, first), out=z[max(first - start, 0) :])
+        sampled = max(start, 1)  # the first sampled row
+        child_normals(rng, sampled, out=z[sampled - start :])
         try:
             g, x, v = _sample_rows(z)
         except (DomainError, PatternError):
             # the block reruns as the one-sample loop, which decides the error
-            for i in range(max(start, first), start + len(z)):
+            for i in range(sampled, start + len(z)):
                 contraction_ratios(*_sample_rows(z[i - start]))
             raise
-        if start < first:
+        if start == 0:
             g[0], x[0], v[0] = _WITNESS
         # with every row sampled, this raises what the loop raises
         ratios = contraction_ratios(g, x, v)

@@ -34,7 +34,6 @@ from .cone import (
     diag_pair,
     embed,
     embed_diag_pair,
-    embed_stack,
     is_flat_pattern,
     is_triangular_pattern,
     pattern_parts,
@@ -42,7 +41,7 @@ from .cone import (
     sample_positive_triangular,
     unembed,
 )
-from .errors import ConvergenceError, DomainError, InconsistencyError, SingularityError, check_rows
+from .errors import ConvergenceError, DomainError, InconsistencyError
 from .group import (
     TUBE_GROUP_REASONS,
     TripleFactors,
@@ -55,11 +54,9 @@ from .group import (
     triple_compose,
 )
 from .linalg import (
-    SINGULAR_MESSAGE,
     adjugate3_flat,
     det3,
     float_maxabs,
-    inv3_stack,
     is_semidefinite3,
     is_singular3,
     maxabs,
@@ -180,7 +177,7 @@ def compression_members(g) -> np.ndarray:
             # mask (_leaves_pattern), and mirror gaps 0, or NaN where a coordinate
             # is not finite, which the closed-cone rule rejects
             & ~_leaves_pattern(np.abs(S[:, 1]), np.abs(S).max(1), MEMBERSHIP_TOL)
-            & is_semidefinite3(embed_stack(S[:, _MIRRORS[0]]).transpose(1, 2, 0), MEMBERSHIP_TOL)
+            & is_semidefinite3(embed(S[:, _MIRRORS[0]]).transpose(1, 2, 0), MEMBERSHIP_TOL)
             & _nonnegative(np.minimum(P[:, 0, 0], P[:, 1, 1]), stack_maxabs(P), MEMBERSHIP_TOL)
         )
 
@@ -493,36 +490,20 @@ def polar_factor(g):
     return f[:9].reshape(3, 3), InvariantConeElement(v=np.array(v), u=np.array(u))
 
 
-# interior_element's upper, linear and lower factors before their blocks are written
-_FACTORS = np.array([1.0, 0.0, 1.0])[:, None, None] * np.eye(6)
-
-
-def interior_element(L, v, u) -> np.ndarray:
-    """triple_compose(v, L, exp(u)) for a unit L (..., 3, 3), a point v
-    (..., 5) and normals u (..., 2); SingularityError where L is singular."""
-    # congruence_embed(L) with inv3's singularity test
-    Li, d = inv3_stack(L)
-    check_rows(is_singular3(L, d), lambda r: SingularityError(SINGULAR_MESSAGE))
-    f = np.broadcast_to(_FACTORS, L.shape[:-2] + (3, 6, 6)).copy()
-    f[..., 0, :3, 3:] = embed_stack(v)
-    f[..., 1, :3, :3] = L
-    f[..., 1, 3:, 3:] = np.swapaxes(Li, -1, -2)
-    f[..., 2, [3, 4], [0, 1]] = np.exp(u)
-    return f[..., 0, :, :] @ f[..., 1, :, :] @ f[..., 2, :, :]
-
-
 def sample_semigroup(rng, interior: bool = True, sigma: float = 1.0) -> np.ndarray:
     """Random semigroup element from chart factors.
 
     interior=True keeps v in the open cone and u strictly positive
-    (interior_element of 12 normals: L, cone_point's factor and u);
+    (12 normals: L, cone_point's factor and log u);
     interior=False pushes v onto a random boundary orbit (congruence of a
     0/1 diagonal) and masks u entries to zero at random, so zeroed
     randomness gives the identity.
     """
     if interior:
         w = sigma * rng.standard_normal(12)
-        return interior_element(positive_triangular(w[:5]), cone_point(w[5:10]), w[10:])
+        return triple_compose(
+            TripleFactors(L=positive_triangular(w[:5]), v=cone_point(w[5:10]), u=np.exp(w[10:]))
+        )
     A = sample_positive_triangular(rng, sigma)
     L2 = sample_positive_triangular(rng, sigma)
     eps = (rng.random(3) >= 0.5).astype(float)

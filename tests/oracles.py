@@ -33,7 +33,7 @@ independent of the package's index gather, and in_positive_triangular
 the identity component of the triangular group.
 
 triple_decompose_reference is the chart factorization on numpy blocks:
-D^{-1} as the array adjugate3 over det3, v read by cone.unembed of
+D^{-1} as the array of adjugate3_flat over det3, v read by cone.unembed of
 B @ D^{-1} and u by cone.diag_pair of D^{-1} @ C; the dump references
 convert each entry with float().  s1_series_reference is the series of
 semigroup._s1 as a loop over its coefficients.  The package's factors,
@@ -90,7 +90,7 @@ from dualvinberg.errors import (
     SingularityError,
 )
 from dualvinberg.group import SYMPLECTIC_TOL, TUBE_GROUP_REASONS, symplectic_defect
-from dualvinberg.linalg import adjugate3, det3, float_maxabs, is_singular3, maxabs
+from dualvinberg.linalg import adjugate3_flat, det3, float_maxabs, is_singular3, maxabs
 
 # scale-relative off-algebra residue above which log_group refuses
 LOG_PATTERN_TOL = 1e-6
@@ -159,16 +159,16 @@ def spd_metric_triangular(x, v, w) -> tuple[float, float]:
     return float(2.0 * np.sum(av * aw.T)), float(2.0 * np.linalg.norm(av) * np.linalg.norm(aw))
 
 
-def search_violations_reference(rng, n_samples: int, include_counterexample: bool = True):
-    """The expansion search one sample at a time: sample_semigroup,
-    sample_cone and a normalised tangent from each child, then
-    contraction_ratio on the one-matrix route."""
+def search_violations_reference(rng, n_samples: int):
+    """The expansion search one sample at a time: the frozen counterexample
+    at row 0, then sample_semigroup, sample_cone and a normalised tangent
+    from each later child, and contraction_ratio on the one-matrix route."""
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     violations = []
     max_ratio = -np.inf
     for i, child in enumerate(rng.spawn(n_samples)):
-        if i == 0 and include_counterexample:
+        if i == 0:
             rec = dv.counterexample()
         else:
             g = dv.sample_semigroup(child, interior=True)
@@ -361,7 +361,7 @@ def polar_factor_reference(g):
 
 
 def triple_decompose_reference(g) -> group.TripleFactors:
-    """triple_decompose on numpy blocks, with inv3's singularity test."""
+    """triple_decompose on numpy blocks, with linalg.is_singular3's test."""
     g = np.asarray(g, dtype=float)
     A, B, C, D = blocks(g)
     scale = maxabs(g)
@@ -371,7 +371,7 @@ def triple_decompose_reference(g) -> group.TripleFactors:
     d = det3(rows)
     if is_singular3(rows, d):
         raise SingularityError("det D = 0")
-    Dinv = adjugate3(rows) / d
+    Dinv = np.array(adjugate3_flat(rows)).reshape(3, 3) / d
     v = unembed(B @ Dinv, atol=group.ACTION_PATTERN_TOL * (1.0 + scale * scale))
     return group.TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
 

@@ -11,7 +11,6 @@ from dualvinberg.cone import (
     diag_pair,
     embed,
     embed_diag_pair,
-    embed_stack,
     is_triangular_pattern,
     open_cone_reason,
     pattern_parts,
@@ -98,7 +97,7 @@ def test_stacked_pattern_reads_are_the_one_matrix_reads_row_by_row(seed, exponen
     # as (n, 3, 3) and (n, 2, 3, 3) stacks, contiguous and strided
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, 6, 6)) * 10.0**exponent
-    g[:, :3, :3], g[:, 3:, 3:] = embed_stack(rng.standard_normal((2, 4, 5)) * 10.0**exponent)
+    g[:, :3, :3], g[:, 3:, 3:] = embed(rng.standard_normal((2, 4, 5)) * 10.0**exponent)
     g.reshape(-1)[list(spoils)] = list(spoils.values())
     halves = g.reshape(4, 2, 3, 6)
     for W in (g[:, :3, :3].copy(), g[:, 3:, 3:], g[:, :3, 3:], halves[..., 3:].copy(), halves[..., :3]):
@@ -119,14 +118,34 @@ def test_stacked_pattern_reads_are_the_one_matrix_reads_row_by_row(seed, exponen
 @settings(max_examples=100, deadline=None)
 @given(hnp.arrays(np.float64, st.sampled_from([(5,), (1, 5), (4, 5), (3, 2, 5)]), elements=hostile))
 def test_embed_stack_is_embed_row_by_row(x):
+    # a stack (real, strided or complex) is its one-point embeds, and each
+    # is the pattern written out, zeros of the input's dtype
     strided = np.zeros(x.shape[:-1] + (10,))
     strided[..., ::2] = x
     z = np.zeros(x.shape, dtype=complex)
     z.real, z.imag = x, x[..., ::-1]
     for y in (x, strided[..., ::2], z):
-        got = embed_stack(y)
+        got = embed(y)
         assert got.shape == y.shape[:-1] + (3, 3)
-        assert all(same_bits(got[i], embed(y[i])) for i in np.ndindex(y.shape[:-1]))
+        for i in np.ndindex(y.shape[:-1]):
+            x1, x2, x3, x4, x5 = y[i]
+            want = np.array([[x1, 0, x4], [0, x2, x5], [x4, x5, x3]])
+            assert same_bits(got[i], embed(y[i])) and same_bits(got[i], want)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_a_point_of_another_length_is_refused_by_name(n):
+    # neither a dropped sixth coordinate nor an IndexError: the shape is named
+    x = np.arange(1.0, n + 1)
+    message = rf"expected 5 coordinates on the last axis, got shape \({n},\)"
+    with pytest.raises(ValueError, match=message):
+        embed(x)
+    with pytest.raises(ValueError, match=message):
+        dv.translation(x)
+    with pytest.raises(ValueError, match=message):
+        dv.triple_compose(dv.TripleFactors(v=x, L=np.eye(3), u=np.ones(2)))
+    with pytest.raises(ValueError, match=rf"got shape \(2, {n}\)"):
+        embed(np.stack([x, x]))
 
 
 def test_diag_pair_embedding():

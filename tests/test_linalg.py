@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,11 +11,11 @@ from dualvinberg.errors import SingularityError
 from dualvinberg.linalg import (
     _COFACTOR_TERMS,
     SINGULAR_TOL,
+    SINGULAR_MESSAGE,
     _cofactors,
-    adjugate3,
+    adjugate3_flat,
     det3,
     float_maxabs,
-    inv3,
     inv3_stack,
     is_singular3,
     maxabs,
@@ -39,35 +41,52 @@ def same_float(a, b) -> bool:
 
 
 def test_det_and_adjugate_match_lapack():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        m = rng.standard_normal((3, 3))
-        assert np.isclose(det3(m), np.linalg.det(m), rtol=1e-12, atol=1e-12)
-        assert np.allclose(m @ adjugate3(m), det3(m) * np.eye(3), atol=1e-12)
+    # the adjugate identity m @ adj = det3(m) I, adj = d * inv3_stack's inverse
+    m = np.random.default_rng(0).standard_normal((200, 3, 3))
+    inv, d = inv3_stack(m)
+    assert np.allclose(d, np.linalg.det(m), rtol=1e-12, atol=1e-12)
+    assert np.allclose(m @ (d[:, None, None] * inv), d[:, None, None] * np.eye(3), atol=1e-12)
+    for k in range(len(m)):
+        assert np.isclose(det3(m[k]), np.linalg.det(m[k]), rtol=1e-12, atol=1e-12)
+        one, dk = inv3_stack(m[k])
+        assert np.allclose(m[k] @ (dk * one), det3(m[k]) * np.eye(3), atol=1e-12)
 
 
 def test_complex_dtype_supported():
     rng = np.random.default_rng(1)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.isclose(det3(m), np.linalg.det(m))
-    assert np.allclose(inv3(m) @ m, np.eye(3), atol=1e-12)
+    m = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    inv, d = inv3_stack(m)
+    assert inv.dtype == d.dtype == complex
+    assert np.allclose(d, np.linalg.det(m))
+    assert np.allclose(inv @ m, np.eye(3), atol=1e-12)
+    assert np.isclose(det3(m[0]), np.linalg.det(m[0]))
+    assert np.allclose(inv3_stack(m[0])[0] @ m[0], np.eye(3), atol=1e-12)
 
 
 def test_identity_is_exact():
-    assert np.array_equal(inv3(np.eye(3)), np.eye(3))
+    inv, d = inv3_stack(np.eye(3))
+    assert np.array_equal(inv, np.eye(3)) and d == 1.0
+    assert np.array_equal(dv.congruence_embed(np.eye(3)), np.eye(6))
+    assert np.array_equal(dv.congruence_embed(np.stack([np.eye(3)] * 2)), np.stack([np.eye(6)] * 2))
 
 
 def test_singular_raises():
     m = np.ones((3, 3))
-    with pytest.raises(SingularityError):
-        inv3(m)
+    assert is_singular3(m, inv3_stack(m)[1])
+    with pytest.raises(SingularityError, match=f"^{SINGULAR_MESSAGE}$"):
+        dv.congruence_embed(m)
+    # a stack raises for its singular matrix, wherever it stands
+    with pytest.raises(SingularityError, match=f"^{SINGULAR_MESSAGE}$"):
+        dv.congruence_embed(np.stack([np.eye(3), m]))
 
 
 def test_nan_counts_as_singular():
     m = np.full((3, 3), np.nan)
     assert is_singular3(m)
+    assert is_singular3(m, inv3_stack(m)[1])
+    assert is_singular3(np.stack([np.eye(3), m])).tolist() == [False, True]
     with pytest.raises(SingularityError):
-        inv3(m)
+        dv.congruence_embed(m)
 
 
 @pytest.mark.parametrize("factor", [0.5, 1.0, 1.0 + 1e-6, 2.0])
@@ -84,13 +103,16 @@ def test_one_singularity_rule_decides_every_route(factor):
     assert is_singular3(D[None]).tolist() == [singular]
     assert triple_decomposition_reason(g) == ("det D = 0" if singular else None)
     assert symplectic_semigroup_reason(g) == ("det D = 0" if singular else None)
+    inv, d = inv3_stack(D)
+    assert is_singular3(D, d) == singular
     if singular:
         with pytest.raises(SingularityError):
-            inv3(D)
+            dv.congruence_embed(D)
         with pytest.raises(SingularityError):
             dv.act_real(g, dv.IDENTITY_POINT)
     else:
-        assert np.array_equal(inv3(D), np.diag([1.0, 1.0, 1.0 / t]))
+        assert np.array_equal(inv, np.diag([1.0, 1.0, 1.0 / t]))
+        assert np.array_equal(dv.congruence_embed(D)[3:, 3:], np.diag([1.0, 1.0, 1.0 / t]))
         assert dv.in_open_cone(dv.act_real(g, dv.IDENTITY_POINT))
 
 
@@ -99,8 +121,14 @@ def test_an_overflowing_bound_counts_as_singular():
     m = 1e110 * np.eye(3)
     with np.errstate(over="ignore"):
         assert is_singular3(m)
-        with pytest.raises(SingularityError):
-            inv3(m)
+        assert is_singular3(m, inv3_stack(m)[1])
+        assert is_singular3(m[None]).tolist() == [True]
+    # congruence_embed decides it quietly, for one matrix and for a stack
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (m, m[None]):
+            with pytest.raises(SingularityError):
+                dv.congruence_embed(a)
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,7 +166,7 @@ kernel_floats = st.one_of(
 
 
 def assert_kernel_is_the_one_matrix_route(m):
-    """inv3_stack and is_singular3 on m (..., 3, 3) against adjugate3/det3
+    """inv3_stack and is_singular3 on m (..., 3, 3) against adjugate3_flat/det3
     and the rule on each matrix's rows as Python floats."""
     with np.errstate(all="ignore"):
         inv, d = inv3_stack(m)
@@ -153,8 +181,8 @@ def assert_kernel_is_the_one_matrix_route(m):
             assert [mask[i] for mask in masks] == [singular, singular]
             if not singular:
                 assert same_float(np.asarray(d)[i], det3(rows))
-                want = adjugate3(rows) / det3(rows)
-                assert all(map(same_float, inv[i].ravel().tolist(), want.ravel().tolist()))
+                want = np.array(adjugate3_flat(rows)) / det3(rows)
+                assert all(map(same_float, inv[i].ravel().tolist(), want.tolist()))
 
 
 S = 5e102  # S**3 is finite, and the determinant -4 S**3 of this sign pattern overflows

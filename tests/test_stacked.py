@@ -6,12 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dualvinberg as dv
 from dualvinberg import metric, streams
-from dualvinberg.cone import embed, embed_stack, pattern_parts
+from dualvinberg.cone import embed, pattern_parts, positive_triangular
 from dualvinberg.errors import DomainError, PatternError, SingularityError
 from dualvinberg.group import _tube_members, symplectic_defect, tube_group_reason, unembed_action
 from dualvinberg.linalg import inv3_stack, stack_maxabs
@@ -275,18 +275,16 @@ def _assert_same_sweep(got, want):
 
 @pytest.mark.parametrize("seed", [*range(50), (10, 874)])
 def test_stacked_search_equals_the_one_sample_loop(seed):
-    for include in (True, False):
-        got = dv.search_violations(np.random.default_rng(seed), 32, include)
-        want = search_violations_reference(np.random.default_rng(seed), 32, include)
-        _assert_same_sweep(got, want)
+    got = dv.search_violations(np.random.default_rng(seed), 32)
+    want = search_violations_reference(np.random.default_rng(seed), 32)
+    _assert_same_sweep(got, want)
 
 
-@pytest.mark.parametrize("include", [True, False])
-def test_blocks_of_a_long_sweep_do_not_change_it(include, monkeypatch):
+def test_blocks_of_a_long_sweep_do_not_change_it(monkeypatch):
     # seed 119 holds a sampled violator at row 919, here in block 14
     monkeypatch.setattr(metric, "_BLOCK", 64)
-    got = dv.search_violations(np.random.default_rng(119), 1000, include)
-    want = search_violations_reference(np.random.default_rng(119), 1000, include)
+    got = dv.search_violations(np.random.default_rng(119), 1000)
+    want = search_violations_reference(np.random.default_rng(119), 1000)
     _assert_same_sweep(got, want)
     assert 919 in [r.seed_index for r in got[0]]
 
@@ -370,7 +368,7 @@ def test_derived_children_stop_at_numpy_s_one_word_index():
     got = _derived_normals(np.random.default_rng(ss), 0, 1)
     assert got.tobytes() == last.standard_normal(22).tobytes()
     with pytest.raises(OverflowError):
-        dv.search_violations(np.random.default_rng(ss), 2, include_counterexample=False)
+        dv.search_violations(np.random.default_rng(ss), 2)
 
 
 class _FixedState(np.random.bit_generator.ISeedSequence):
@@ -564,10 +562,10 @@ def test_cone_metric_sums_the_trace_as_np_trace(seed, spoils):
     v.reshape(-1)[[k % 40 for k in spoils]] = list(spoils.values())
     w.reshape(-1)[[k // 2 for k in spoils]] = list(spoils.values())
     with np.errstate(all="ignore"):
-        Xi, _ = inv3_stack(embed_stack(x))
+        Xi, _ = inv3_stack(embed(x))
         for b in (w, v):
             (x1, x2), (v1, v2), (w1, w2) = x.T[:2], v.T[:2], b.T[:2]
-            trace = np.trace(Xi @ embed_stack(v) @ Xi @ embed_stack(b), axis1=-2, axis2=-1)
+            trace = np.trace(Xi @ embed(v) @ Xi @ embed(b), axis1=-2, axis2=-1)
             want = -0.5 * (v1 * w1 / (x1 * x1) + v2 * w2 / (x2 * x2)) + 2.0 * trace
             if np.isfinite(want).all():
                 assert same_bits(dv.cone_metric(x, v, b), want)
@@ -592,6 +590,7 @@ spoiled_normal = st.sampled_from([800.0, -800.0, np.inf, -np.inf, np.nan, 0.0, -
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.dictionaries(st.integers(0, 6 * 22 - 1), spoiled_normal, max_size=8))
+@example(0, {2 * 22: -800.0, 4 * 22 + 1: -800.0})  # rows 2 and 4: L underflows to singular
 def test_sampled_rows_are_the_one_sample_calls_to_the_bit(seed, spoils):
     z = np.random.default_rng(seed).standard_normal(6 * 22)
     z[list(spoils)] = list(spoils.values())
@@ -605,6 +604,20 @@ def test_sampled_rows_are_the_one_sample_calls_to_the_bit(seed, spoils):
     errors = [b for b in want if isinstance(b[0], type)]
     # a stack raises for some failing row: the search reruns it as the loop
     assert stacked in errors if errors else all(map(same_bits, stacked, map(np.array, zip(*want))))
+    # the chart composer and its linear factor on the rows' own factors: a
+    # stack is its one-matrix calls to the bit, or the error of its first
+    # singular L
+    with np.errstate(all="ignore"):
+        L = positive_triangular(z[:, :5])
+        f = dv.TripleFactors(v=z[:, 5:10], L=L, u=np.exp(z[:, 10:12]))
+        for route, stack, rows in (
+            (dv.congruence_embed, L, list(L)),
+            (dv.triple_compose, f, [dv.TripleFactors(*r) for r in zip(f.v, f.L, f.u)]),
+        ):
+            want = [_first_error(route, r) or route(r) for r in rows]
+            got = _first_error(route, stack) or route(stack)
+            errors = [w for w in want if isinstance(w, tuple)]
+            assert got == errors[0] if errors else same_bits(got, np.array(want))
 
 
 @pytest.mark.parametrize(
