@@ -107,6 +107,37 @@ echo "$out"
 test "$out" = 4b692b3a80b049b2fc50239e096b709029937c77aa24c078ac111b4fc17bc67d
 echo "::endgroup::"
 
+echo "::group::Kernel pin"
+# the 3x3 cofactor readers behind the chart and the singularity rule: the
+# float64 bytes of triple_decompose's factors on 1500 chart matrices from
+# sample_triangular L (first two diagonal entries of either sign) and v, u
+# of either sign at three spreads, then is_singular3's verdicts on
+# diag(1, 1, t) 10**k straddling its threshold, one matrix at a time (read
+# as Python floats) and as stacks; the bound overflows from 10**103 on
+out="$(python -c "
+import hashlib, numpy as np, dualvinberg as dv
+from dualvinberg.linalg import is_singular3
+rng, h = np.random.default_rng(2036), hashlib.sha256()
+for s in (0.3, 1, 2.5):
+    for _ in range(500):
+        f = dv.TripleFactors(v=s * rng.standard_normal(5), L=dv.sample_triangular(rng, s), u=s * rng.standard_normal(2))
+        try:
+            t = dv.triple_decompose(dv.triple_compose(f))
+        except dv.SingularityError as exc:  # L far from the identity can fall under the rule
+            h.update(str(exc).encode())
+            continue
+        for a in (t.v, t.L, t.u):
+            h.update(np.asarray(a, dtype=np.float64).tobytes())
+m = np.array([np.diag([1.0, 1.0, c * 2e-12]) * 10.0**k for k in range(-4, 112, 3) for c in (0.25, 0.5, 0.5 + 1e-6, 1, 1 + 1e-6, 2)])
+with np.errstate(all='ignore'):
+    for a in ([is_singular3(x) for x in m], is_singular3(m), is_singular3(m.reshape(6, -1, 3, 3))):
+        h.update(np.asarray(a, dtype=np.float64).tobytes())
+print(h.hexdigest())
+")"
+echo "$out"
+test "$out" = 58276c318c29b756bd869f31649ad052ad367f628c3808c2cfd84232884183c4
+echo "::endgroup::"
+
 echo "::group::Membership routes pin"
 # every one-matrix route's answer, and the compression_factors and polar
 # payloads, on 600 queries: interior and boundary members, and translations

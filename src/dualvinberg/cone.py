@@ -109,8 +109,7 @@ def unembed(m, atol=None) -> np.ndarray:
 
 def embed_diag_pair(u) -> np.ndarray:
     """diag(u1, u2, 0), the flat slice of the pattern."""
-    u = np.asarray(u)
-    m = np.zeros((3, 3), dtype=complex if np.iscomplexobj(u) else float)
+    m = np.zeros((3, 3))
     m[0, 0] = u[0]
     m[1, 1] = u[1]
     return m
@@ -204,13 +203,12 @@ def triangular_params(A) -> np.ndarray:
     return np.array([A[0, 0], A[1, 1], A[2, 2], A[2, 0], A[2, 1]])
 
 
-def is_triangular_pattern(A, atol: float | None = None) -> bool:
+def is_triangular_pattern(A) -> bool:
     A = np.asarray(A)
     if A.shape != (3, 3):
         return False
     m = A.tolist()
-    if atol is None:
-        atol = PATTERN_TOL * (1.0 + float_maxabs(m[0] + m[1] + m[2]))
+    atol = PATTERN_TOL * (1.0 + float_maxabs(m[0] + m[1] + m[2]))
     return all(abs(m[i][j]) <= atol for i, j in TRIANGULAR_ZEROS)
 
 

@@ -38,8 +38,7 @@ from .cone import (
 from .errors import DomainError, PatternError, SingularityError, check_rows
 from .linalg import (
     SINGULAR_MESSAGE,
-    adjugate3_flat,
-    det3,
+    cofactors3,
     float_maxabs,
     inv3_stack,
     is_singular3,
@@ -157,7 +156,7 @@ def _tube(key: bytes) -> tuple:
         reason = TUBE_GROUP_REASONS[6]
     else:
         reason = None
-    singular = is_singular3([row[3:] for row in m[3:]])
+    singular = is_singular3(m[3][3:] + m[4][3:] + m[5][3:])
     return reason, scale, m, singular, P[3:, 3:].T.tolist(), (g[3:, :3] @ g[3:, 3:].T).tolist(), {}
 
 
@@ -302,7 +301,9 @@ def mobius(g, Z) -> tuple[np.ndarray, np.ndarray]:
     A, B, C, D = g[..., :3, :3], g[..., :3, 3:], g[..., 3:, :3], g[..., 3:, 3:]
     M = C @ Z + D
     Mi, d = inv3_stack(M)
-    check_rows(is_singular3(M, d), lambda r: SingularityError(SINGULAR_MESSAGE))
+    with np.errstate(over="ignore"):  # an overflowed bound is singular, as quietly as for one row
+        singular = is_singular3(M, d)
+    check_rows(singular, lambda r: SingularityError(SINGULAR_MESSAGE))
     return (A @ Z + B) @ Mi, Mi
 
 
@@ -372,11 +373,11 @@ def triple_decompose(g) -> TripleFactors:
 def _chart_factors(m, scale) -> TripleFactors:
     """triple_decompose on g's rows m as Python floats, left as they are, and
     their finite maxabs; B D^{-1} and D^{-1} C are one stacked @ (linalg)."""
-    D = [row[3:] for row in m[3:]]
-    d = det3(D)
+    D = m[3][3:] + m[4][3:] + m[5][3:]
+    adj, d = cofactors3(D)
     if is_singular3(D, d):
         raise SingularityError("det D = 0")
-    Dinv = [x / d for x in adjugate3_flat(D)]  # D^{-1}, after D's one singularity test
+    Dinv = [x / d for x in adj]  # D^{-1}, after D's one singularity test
     f = m[0][3:] + m[1][3:] + m[2][3:] + Dinv + Dinv + m[3][:3] + m[4][:3] + m[5][:3]
     # 6 maxabs(g)**3 / |det D| bounds both products; 8 leaves room for round-off
     quiet = not 8.0 * scale * scale * scale / abs(d) < math.inf

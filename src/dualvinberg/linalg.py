@@ -3,16 +3,15 @@
 Determinants and inverses go through explicit cofactors rather than LU:
 the formulas are dtype-generic (real or complex) and keep exact zeros and
 small-integer arithmetic exact, which the reference values in the test
-suite rely on.  Two representations share the cofactors.  The one-matrix
-certificates of polar and membership read one matrix as nested Python
-floats: det3 and adjugate3_flat.  Every other route passes arrays, one
-matrix or a stack (..., 3, 3), to inv3_stack, which gathers the same
-cofactors from flat rows (..., 9); its a*adj00 + b*adj10 + c*adj20 is
-det3 with a sign moved exactly into a cofactor, so it agrees with
-adjugate3_flat/det3 to the bit but for a zero determinant's sign, which
-is_singular3 rejects.  A stacked is_singular3 gathers those three
-cofactors alone.  semidefinite3 proves semidefiniteness by LDL^T
-elimination on one matrix or a stack.
+suite rely on.  One table, _COFACTOR_TERMS, holds the cofactors, and two
+readers read it, each from a matrix's flat row, its nine entries row by
+row.  cofactors3 reads one flat row of Python floats, for the one-matrix
+certificates of polar and membership; inv3_stack reads arrays, one
+matrix or a stack (..., 3, 3), as flat rows (..., 9).  Both take the
+determinant as a*adj00 + b*adj10 + c*adj20, left to right, so on floats
+they agree to the bit.  is_singular3 takes a missing determinant from
+the reader of m's representation.  semidefinite3 proves
+semidefiniteness by LDL^T elimination on one matrix or a stack.
 
 One-matrix certificates follow one arithmetic rule: every matrix product
 is a numpy @, so the one-matrix and stacked routes agree to the bit, and
@@ -58,51 +57,37 @@ def float_maxabs(values) -> float:
     return top
 
 
-def det3(m):
-    """Cofactor determinant of one matrix, as an array or nested lists;
-    entries are read as m[i][j].  Stacks take inv3_stack's kernel."""
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def adjugate3_flat(m) -> list:
-    """The transposed cofactor matrix of one matrix, m @ adj = det3(m) * I,
-    as its nine entries row by row; m as det3 takes it, the entries
-    scalars of m's type: Python floats for the one-matrix factorizations,
-    with no array round trip."""
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    return [
-        e * i - f * h, c * h - b * i, b * f - c * e,
-        f * g - d * i, a * i - c * g, c * d - a * f,
-        d * h - e * g, b * g - a * h, a * e - b * d,
-    ]
+def cofactors3(f):
+    """The adjugate adj (m @ adj = det * I) and the determinant of one matrix
+    m given as its flat row f of Python scalars, adj a flat row too: the
+    table's products and inv3_stack's sum, with no array round trip.
+    Arrays take inv3_stack."""
+    adj = []
+    for p, q, r, s in _COFACTOR_ROWS:  # a loop costs less than a comprehension's frame
+        adj.append(f[p] * f[q] - f[r] * f[s])
+    return adj, f[0] * adj[0] + f[1] * adj[3] + f[2] * adj[6]
 
 
 def is_singular3(m, d=None):
     """The package's one singularity rule for 3x3 matrices: |det m| <=
     1e-12 * (1 + maxabs(m)**3), a NaN determinant, or an overflowed bound;
-    given the determinant d or computing it.  One matrix, as an array or
-    its rows as Python floats, gives a bool; a stack (..., 3, 3) gives a
-    mask, and computes only the three cofactors of its determinant, which
-    is inv3_stack's to the bit."""
+    given the determinant d or taking it from the reader of m's
+    representation.  One matrix, as an array (3, 3) or its flat row of
+    Python floats, gives a bool (cofactors3); a stack (..., 3, 3) gives a
+    mask (inv3_stack)."""
     stack = isinstance(m, np.ndarray) and m.ndim > 2
     if stack:
-        if d is None:  # it warns where it overflows, as the bound does
-            d = _cofactors(m.reshape(m.shape[:-2] + (9,)), _COFACTOR_TERMS[:, ::3])[1]
+        if d is None:
+            d = inv3_stack(m)[1]
         s = stack_maxabs(m)
     else:
         if isinstance(m, np.ndarray):
-            m = m.tolist()
+            m = m.reshape(9).tolist()
         if d is None:
-            d = det3(m)
+            d = cofactors3(m)[1]
         # a NaN entry gives a NaN determinant and an inf entry an inf bound:
         # both count as singular, whatever the builtin max makes of a NaN
-        s = max(map(abs, m[0] + m[1] + m[2]))
+        s = max(map(abs, m))
     regular = abs(d) > SINGULAR_TOL * (1.0 + s * s * s)
     if stack:
         return ~regular
@@ -169,28 +154,25 @@ def midpoint(a, b):
     return np.where(over, a / 2 + b / 2, h) if np.count_nonzero(over) else h
 
 
-# adjugate3_flat's entries are f[P] * f[Q] - f[R] * f[S] of flat f; rows
-# P, Q, R, S.  Every third column, adj00, adj10 and adj20, gives the determinant.
+# The adjugate's entries, row by row, are f[P] * f[Q] - f[R] * f[S] of a
+# matrix's flat rows f; rows P, Q, R, S.  Columns 0, 3 and 6, adj00, adj10
+# and adj20, give the determinant.  _COFACTOR_ROWS is the same table as one
+# (P, Q, R, S) per entry, for Python floats.
 _COFACTOR_TERMS = np.array([[4, 2, 1, 5, 0, 2, 3, 1, 0], [8, 7, 5, 6, 8, 3, 7, 6, 4],
                             [5, 1, 2, 3, 2, 0, 4, 0, 1], [7, 8, 4, 8, 6, 5, 6, 7, 3]])
-
-
-def _cofactors(f, terms):
-    """f[P] * f[Q] - f[R] * f[S] of flat rows f (..., 9) for all nine or every
-    third column of terms, and a*adj00 + b*adj10 + c*adj20, left to right."""
-    t = f[..., terms]
-    p = t[..., ::2, :] * t[..., 1::2, :]
-    c = p[..., 0, :] - p[..., 1, :]
-    p = f[..., :3] * c[..., :: len(terms[0]) // 3]
-    return c, p[..., 0] + p[..., 1] + p[..., 2]
+_COFACTOR_ROWS = tuple(zip(*_COFACTOR_TERMS.tolist()))
 
 
 def inv3_stack(m):
-    """adjugate3_flat/det3 of one matrix or every matrix of a stack
-    (..., 3, 3), and the determinants.  Raises nothing: a matrix that
-    is_singular3 rejects gets a garbage inverse."""
+    """The inverse adj / det of one matrix or every matrix of a stack
+    (..., 3, 3), and the determinants, cofactors3's to the bit.  Raises
+    nothing: a matrix that is_singular3 rejects gets a garbage inverse."""
     m = np.asarray(m)
     f = m.reshape(m.shape[:-2] + (9,))
     with np.errstate(all="ignore"):  # rejected rows run on with inf and NaN
-        adj, d = _cofactors(f, _COFACTOR_TERMS)
+        t = f[..., _COFACTOR_TERMS]
+        p = t[..., ::2, :] * t[..., 1::2, :]
+        adj = p[..., 0, :] - p[..., 1, :]
+        p = f[..., :3] * adj[..., ::3]
+        d = p[..., 0] + p[..., 1] + p[..., 2]
         return (adj / d[..., None]).reshape(m.shape), d

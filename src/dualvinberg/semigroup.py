@@ -54,8 +54,7 @@ from .group import (
     triple_compose,
 )
 from .linalg import (
-    adjugate3_flat,
-    det3,
+    cofactors3,
     float_maxabs,
     is_semidefinite3,
     is_singular3,
@@ -441,7 +440,7 @@ def polar_factor(g):
     singular by linalg's rule), X outside the wedge (NaN included) or a
     recomposition residual above POLAR_RESIDUAL_TOL is a ConvergenceError
     that carries the measured value.  Each certificate reads the factors
-    as built: the wedge rule runs on (v, u), A on its diagonal and det3,
+    as built: the wedge rule runs on (v, u), A on its diagonal and determinant,
     and the residual forms A exp(X)[:3] and A^{-T} exp(X)[3:] in one
     (2, 3, 3) @ (2, 3, 6) product.  g is read once: the memoised tube read
     (group._tube) keeps maxabs(g) and g's rows, which the unit solve reads.
@@ -467,9 +466,9 @@ def polar_factor(g):
         with np.errstate(divide="ignore", invalid="ignore"):
             diag = np.array([m[0][0], m[1][1], a3]) / [e1, e2, 1.0]
         raise ConvergenceError(f"polar unit factor has diagonal {diag}") from None
-    rows = [[a1, 0.0, 0.0], [0.0, a2, 0.0], [a4, a5, a3]]  # triangular(a1, ..., a5)
-    d = det3(rows)
-    if not (a1 > 0 and a2 > 0 and a3 > 0) or is_singular3(rows, d):
+    A = [a1, 0.0, 0.0, 0.0, a2, 0.0, a4, a5, a3]  # triangular(a1, ..., a5), row by row
+    adj, d = cofactors3(A)  # A^{-T} is adj^T / d
+    if not (a1 > 0 and a2 > 0 and a3 > 0) or is_singular3(A, d):
         raise ConvergenceError(f"polar unit factor has diagonal {np.array([a1, a2, a3])}")
     # E12[2,2] of A^{-1} g[:3, 3:], by substitution down its last column
     corner = (m[2][5] - a4 * (m[0][5] / a1) - a5 * (m[1][5] / a2)) / a3
@@ -480,8 +479,7 @@ def polar_factor(g):
             f"recovered generator outside the wedge: {reason} "
             f"(v = {np.array(v)}, u = {np.array(u)})"
         )
-    adj = adjugate3_flat(rows)  # A^{-T} is adj^T / d
-    f = np.array(rows[0] + rows[1] + rows[2] + [x / d for x in adj[0::3] + adj[1::3] + adj[2::3]]
+    f = np.array(A + [x / d for x in adj[0::3] + adj[1::3] + adj[2::3]]
                  + _exp_rows(v, u, dc, ds), dtype=float)
     recomposed = f[:18].reshape(2, 3, 3) @ f[18:].reshape(2, 3, 6)
     residual = maxabs(recomposed.reshape(6, 6) - g) / (1.0 + scale)

@@ -33,14 +33,15 @@ independent of the package's index gather, and in_positive_triangular
 the identity component of the triangular group.
 
 triple_decompose_reference is the chart factorization on numpy blocks:
-D^{-1} as the array of adjugate3_flat over det3, v read by cone.unembed of
-B @ D^{-1} and u by cone.diag_pair of D^{-1} @ C; the dump references
-convert each entry with float().  s1_series_reference is the series of
-semigroup._s1 as a loop over its coefficients.  The package's factors,
-dumps and series must equal them bit for bit.  compression_factors_reference
-is the certified factorization as a chain of public calls: the chart
-verdict, a decomposition that reads g afresh, then the three factor
-certificates; the package factors the rows of g's memoised read.
+D^{-1} as the array of linalg.cofactors3's adjugate over its determinant,
+v read by cone.unembed of B @ D^{-1} and u by cone.diag_pair of D^{-1} @ C;
+the dump references convert each entry with float().  s1_series_reference
+is the series of semigroup._s1 as a loop over its coefficients.  The
+package's factors, dumps and series must equal them bit for bit.
+compression_factors_reference is the certified factorization as a chain
+of public calls: the chart verdict, a decomposition that reads g afresh,
+then the three factor certificates; the package factors the rows of g's
+memoised read.
 
 cross_check_membership_reference is the cross-check with each route
 forming its own chart products and verdict, each rule run on a fresh
@@ -90,7 +91,7 @@ from dualvinberg.errors import (
     SingularityError,
 )
 from dualvinberg.group import SYMPLECTIC_TOL, TUBE_GROUP_REASONS, symplectic_defect
-from dualvinberg.linalg import adjugate3_flat, det3, float_maxabs, is_singular3, maxabs
+from dualvinberg.linalg import cofactors3, float_maxabs, is_singular3, maxabs
 
 # scale-relative off-algebra residue above which log_group refuses
 LOG_PATTERN_TOL = 1e-6
@@ -220,14 +221,18 @@ def tube_group_reason_reference(g) -> str | None:
     g = np.asarray(g, dtype=float)
     A, B, C, D = blocks(g)
     atol = PATTERN_TOL * (1.0 + maxabs(g))
+
+    def triangular(M):  # the slots of TRIANGULAR_ZEROS at g's scale
+        return all(abs(M[i, j]) <= atol for i, j in TRIANGULAR_ZEROS)
+
     bound = float(SYMPLECTIC_TOL * (1.0 + np.float64(maxabs(g)) ** 2))
     if not (bound < np.inf and symplectic_defect(g) <= bound):
         return TUBE_GROUP_REASONS[0]
-    if not is_triangular_pattern(A, atol):
+    if not triangular(A):
         return TUBE_GROUP_REASONS[1]
     if not A[2, 2] > 0:
         return TUBE_GROUP_REASONS[2]
-    if not is_triangular_pattern(D.T, atol):
+    if not triangular(D.T):
         return TUBE_GROUP_REASONS[3]
     if not D[2, 2] > 0:
         return TUBE_GROUP_REASONS[4]
@@ -270,7 +275,7 @@ def tube_read_reference(key: bytes) -> tuple:
     D = g[3:, 3:]
     with np.errstate(all="ignore"):
         DtB, CDt = (D.T @ g[:3, 3:]).tolist(), (g[3:, :3] @ D.T).tolist()
-    return reason, scale, m, is_singular3(D.tolist()), DtB, CDt, {}
+    return reason, scale, m, is_singular3(D.ravel().tolist()), DtB, CDt, {}
 
 
 def invariant_cone_reason_reference(X, tol: float = MEMBERSHIP_TOL) -> str | None:
@@ -367,11 +372,11 @@ def triple_decompose_reference(g) -> group.TripleFactors:
     scale = maxabs(g)
     if not scale < np.inf:
         raise DomainError("entry not finite")
-    rows = D.tolist()
-    d = det3(rows)
-    if is_singular3(rows, d):
+    f = D.ravel().tolist()
+    adj, d = cofactors3(f)
+    if is_singular3(f, d):
         raise SingularityError("det D = 0")
-    Dinv = np.array(adjugate3_flat(rows)).reshape(3, 3) / d
+    Dinv = np.array(adj).reshape(3, 3) / d
     v = unembed(B @ Dinv, atol=group.ACTION_PATTERN_TOL * (1.0 + scale * scale))
     return group.TripleFactors(v=v, L=Dinv.T.copy(), u=diag_pair(Dinv @ C))
 

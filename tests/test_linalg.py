@@ -9,12 +9,9 @@ from hypothesis.extra import numpy as hnp
 import dualvinberg as dv
 from dualvinberg.errors import SingularityError
 from dualvinberg.linalg import (
-    _COFACTOR_TERMS,
     SINGULAR_TOL,
     SINGULAR_MESSAGE,
-    _cofactors,
-    adjugate3_flat,
-    det3,
+    cofactors3,
     float_maxabs,
     inv3_stack,
     is_singular3,
@@ -41,15 +38,18 @@ def same_float(a, b) -> bool:
 
 
 def test_det_and_adjugate_match_lapack():
-    # the adjugate identity m @ adj = det3(m) I, adj = d * inv3_stack's inverse
+    # the adjugate identity m @ adj = det(m) I: cofactors3's adj, and
+    # d * inv3_stack's inverse
     m = np.random.default_rng(0).standard_normal((200, 3, 3))
     inv, d = inv3_stack(m)
     assert np.allclose(d, np.linalg.det(m), rtol=1e-12, atol=1e-12)
     assert np.allclose(m @ (d[:, None, None] * inv), d[:, None, None] * np.eye(3), atol=1e-12)
     for k in range(len(m)):
-        assert np.isclose(det3(m[k]), np.linalg.det(m[k]), rtol=1e-12, atol=1e-12)
+        adj, det = cofactors3(m[k].ravel().tolist())
+        assert np.isclose(det, np.linalg.det(m[k]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(m[k] @ np.reshape(adj, (3, 3)), det * np.eye(3), atol=1e-12)
         one, dk = inv3_stack(m[k])
-        assert np.allclose(m[k] @ (dk * one), det3(m[k]) * np.eye(3), atol=1e-12)
+        assert np.allclose(m[k] @ (dk * one), det * np.eye(3), atol=1e-12)
 
 
 def test_complex_dtype_supported():
@@ -59,13 +59,17 @@ def test_complex_dtype_supported():
     assert inv.dtype == d.dtype == complex
     assert np.allclose(d, np.linalg.det(m))
     assert np.allclose(inv @ m, np.eye(3), atol=1e-12)
-    assert np.isclose(det3(m[0]), np.linalg.det(m[0]))
+    adj, det = cofactors3(m[0].ravel().tolist())  # a flat row of Python complex numbers
+    assert isinstance(det, complex) and np.isclose(det, np.linalg.det(m[0]))
+    assert np.allclose(np.reshape(adj, (3, 3)) @ m[0], det * np.eye(3), atol=1e-12)
     assert np.allclose(inv3_stack(m[0])[0] @ m[0], np.eye(3), atol=1e-12)
 
 
 def test_identity_is_exact():
     inv, d = inv3_stack(np.eye(3))
     assert np.array_equal(inv, np.eye(3)) and d == 1.0
+    eye = np.eye(3).ravel().tolist()
+    assert cofactors3(eye) == (eye, 1.0)
     assert np.array_equal(dv.congruence_embed(np.eye(3)), np.eye(6))
     assert np.array_equal(dv.congruence_embed(np.stack([np.eye(3)] * 2)), np.stack([np.eye(6)] * 2))
 
@@ -144,7 +148,7 @@ def test_float_maxabs_equals_the_numpy_reduction(values):
 def test_is_singular3_reads_rows_as_it_reads_the_array(values):
     m = np.array(values).reshape(3, 3)
     with np.errstate(all="ignore"):
-        assert is_singular3(m.tolist()) == is_singular3(m)
+        assert is_singular3(m.ravel().tolist()) == is_singular3(m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -166,23 +170,20 @@ kernel_floats = st.one_of(
 
 
 def assert_kernel_is_the_one_matrix_route(m):
-    """inv3_stack and is_singular3 on m (..., 3, 3) against adjugate3_flat/det3
-    and the rule on each matrix's rows as Python floats."""
+    """inv3_stack and is_singular3 on m (..., 3, 3) against cofactors3 and
+    the rule on each matrix's flat row of Python floats."""
     with np.errstate(all="ignore"):
         inv, d = inv3_stack(m)
         masks = np.asarray(is_singular3(m)), np.asarray(is_singular3(m, d))
-        # a stack's rule gathers only the determinant's cofactors, to the same bits
-        f = np.reshape(m, m.shape[:-2] + (9,))
-        assert same_bits(_cofactors(f, _COFACTOR_TERMS[:, ::3])[1], d)
         for i in np.ndindex(m.shape[:-2]):
-            rows = m[i].tolist()
-            singular = is_singular3(rows)
-            # the rule, det +-0 included; the kernel's determinant decides as det3's
+            f = m[i].ravel().tolist()
+            adj, det = cofactors3(f)
+            singular = is_singular3(f)
+            # the rule, det +-0 included, and one determinant, its zero's sign included
             assert [mask[i] for mask in masks] == [singular, singular]
+            assert same_float(np.asarray(d)[i], det)
             if not singular:
-                assert same_float(np.asarray(d)[i], det3(rows))
-                want = np.array(adjugate3_flat(rows)) / det3(rows)
-                assert all(map(same_float, inv[i].ravel().tolist(), want.tolist()))
+                assert all(map(same_float, inv[i].ravel().tolist(), [x / det for x in adj]))
 
 
 S = 5e102  # S**3 is finite, and the determinant -4 S**3 of this sign pattern overflows

@@ -542,6 +542,12 @@ def test_a_stacked_mobius_raises_for_a_singular_row():
     Z = np.zeros((3, 3, 3))
     with pytest.raises(dv.SingularityError, match="singular to working precision"):
         dv.group.mobius(g, Z)
+    # C Z + D = 1e120 I: the bound overflows, which is singular, as quietly as for one row
+    g[1] = np.eye(6)
+    g[1, 3:, 3:] *= 1e120
+    for one_or_stack in ((g[1], Z[0]), (g, Z)):
+        with pytest.raises(dv.SingularityError, match="singular to working precision"):
+            dv.group.mobius(*one_or_stack)
     W, Mi = dv.group.mobius(g[[0, 2]], np.stack([I3, 2.0 * I3]))
     assert np.array_equal(W, np.stack([I3, 2.0 * I3]))
     assert np.array_equal(Mi, np.stack([I3, I3]))
