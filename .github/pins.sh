@@ -138,6 +138,43 @@ echo "$out"
 test "$out" = 58276c318c29b756bd869f31649ad052ad367f628c3808c2cfd84232884183c4
 echo "::endgroup::"
 
+echo "::group::Builder pin"
+# the float64 bytes of the generators and the fractional-linear kernel at
+# three spreads: translation, dual_translation (+ 0.0 reads a zero of
+# either sign as +0), InvariantConeElement.matrix, mobius's (W, Mi) for
+# one g and for a stack of 32 semigroup members at cone points, then act
+# on complex points, act_real and action_jacobian; then the SingularityError
+# of a congruence_embed stack and of a mobius stack with one singular row
+out="$(python -c "
+import hashlib, numpy as np, dualvinberg as dv
+from dualvinberg import group
+rng, h = np.random.default_rng(2037), hashlib.sha256()
+def put(*arrays):
+    for a in arrays:
+        h.update(np.asarray(a, dtype=np.float64).tobytes())
+for s in (0.3, 1, 2.5):
+    for _ in range(100):
+        v, u = s * rng.standard_normal(5), s * rng.standard_normal(2)
+        X = dv.InvariantConeElement(v=dv.sample_cone(rng, s), u=np.abs(u))
+        put(dv.translation(v), dv.dual_translation(u) + 0.0, X.matrix())
+    G = np.array([dv.sample_semigroup(rng, i % 2 == 0, s) for i in range(32)])
+    x = np.array([dv.sample_cone(rng, s) for _ in range(32)])
+    t = s * rng.standard_normal((32, 5))
+    put(*group.mobius(G[0], dv.embed(x[0])), *group.mobius(G, dv.embed(x)))
+    for g, y, w in zip(G, x, t):
+        put(dv.act(g, w + 1j * y).view(np.float64), dv.act_real(g, y), dv.action_jacobian(g, y, w))
+for build, args in ((dv.congruence_embed, (np.array([np.eye(3), np.diag([1.0, 1.0, 0.0]), np.eye(3)]),)),
+                    (group.mobius, (np.array([np.eye(6), dv.inversion(), np.eye(6)]), np.zeros((3, 3, 3))))):
+    try:
+        build(*args)
+    except dv.SingularityError as exc:
+        h.update(f'{type(exc).__name__}: {exc}'.encode())
+print(h.hexdigest())
+")"
+echo "$out"
+test "$out" = 08b47537f12a95dae68d0553b6e3d6b28d02c75e56a33c5930b7bf6a864400d3
+echo "::endgroup::"
+
 echo "::group::Membership routes pin"
 # every one-matrix route's answer, and the compression_factors and polar
 # payloads, on 600 queries: interior and boundary members, and translations

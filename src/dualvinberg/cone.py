@@ -47,13 +47,19 @@ _MIRRORS, _GAPS = np.array([[0, 4, 8, 2, 5], [0, 4, 8, 6, 7]]), np.array([1, 3, 
 _EYE3 = np.eye(3)  # embed(IDENTITY_POINT)
 
 
+def _last_axis(x, n: int, what: str):
+    """The array x, refused by a ValueError that names its shape unless its
+    last axis holds n of what."""
+    if x.shape[-1:] != (n,):
+        raise ValueError(f"expected {n} {what} on the last axis, got shape {x.shape}")
+    return x
+
+
 def embed(x) -> np.ndarray:
     """Patterned symmetric matrix of a coordinate vector (5,), or of each of
     a stack (..., 5), as one scatter into flat rows (complex allowed);
     ValueError for another last axis."""
-    x = np.asarray(x)
-    if x.shape[-1:] != (5,):
-        raise ValueError(f"expected 5 coordinates on the last axis, got shape {x.shape}")
+    x = _last_axis(np.asarray(x), 5, "coordinates")
     m = np.zeros(x.shape[:-1] + (9,), dtype=complex if np.iscomplexobj(x) else float)
     m[..., _EMBED_SLOTS] = x[..., _EMBED_COORDS]
     return m.reshape(x.shape[:-1] + (3, 3))
@@ -107,14 +113,6 @@ def unembed(m, atol=None) -> np.ndarray:
     return x
 
 
-def embed_diag_pair(u) -> np.ndarray:
-    """diag(u1, u2, 0), the flat slice of the pattern."""
-    m = np.zeros((3, 3))
-    m[0, 0] = u[0]
-    m[1, 1] = u[1]
-    return m
-
-
 def diag_pair(m) -> np.ndarray:
     """First two diagonal entries of a matrix in the flat slice."""
     m = np.asarray(m)
@@ -158,8 +156,7 @@ def _embed_rows(x):
 def closed_cone_reason(x, tol: float = MEMBERSHIP_TOL) -> str | None:
     """None when embed(x) is positive semidefinite within a scale-relative
     tol; otherwise why not."""
-    # the coordinates as Python floats; a list needs no array round trip
-    x = list(map(float, x)) if isinstance(x, list) else np.asarray(x, dtype=float).tolist()
+    x = np.asarray(x, dtype=float).tolist()  # the coordinates as Python floats
     if not all(map(math.isfinite, x)):
         return "coordinate not finite"
     if is_semidefinite3(_embed_rows(x), tol):
@@ -188,9 +185,7 @@ def triangular(params) -> np.ndarray:
     """Build [[a1,0,0],[0,a2,0],[a4,a5,a3]] from (a1, a2, a3, a4, a5), or
     each matrix of a stack of parameters (..., 5); ValueError for another
     last axis."""
-    a = np.asarray(params, dtype=float)
-    if a.shape[-1:] != (5,):
-        raise ValueError(f"expected 5 parameters on the last axis, got shape {a.shape}")
+    a = _last_axis(np.asarray(params, dtype=float), 5, "parameters")
     m = np.zeros(a.shape[:-1] + (3, 3))
     m[..., [0, 1, 2], [0, 1, 2]] = a[..., :3]
     m[..., 2, :2] = a[..., 3:]

@@ -8,11 +8,11 @@ arguments by the fractional linear map
 The symplectic condition makes the result symmetric; the subgroup
 preserving the patterned tube domain (imaginary part in the open cone) is
 cut out by block patterns on A, B, C, D.  On the dense chart where D is
-invertible every element factors uniquely as
+invertible every element factors uniquely, by triple_compose, as
 
-    translation(v) @ congruence_embed(L) @ [[I, 0], [U, I]]
+    translation(v) @ congruence_embed(L) @ dual_translation(-u)
 
-with v in the patterned subspace, L triangular and U = diag(u1, u2, 0).
+with v in the patterned subspace, L triangular and u = (u1, u2).
 """
 
 from __future__ import annotations
@@ -27,20 +27,19 @@ from .cone import (
     FLAT_ZEROS,
     PATTERN_TOL,
     TRIANGULAR_ZEROS,
+    _last_axis,
     embed,
-    embed_diag_pair,
     in_open_cone,
     is_flat_pattern,
     pattern_parts,
     refuse_off_pattern,
     unembed,
 )
-from .errors import DomainError, PatternError, SingularityError, check_rows
+from .errors import DomainError, PatternError, SingularityError
 from .linalg import (
-    SINGULAR_MESSAGE,
     cofactors3,
     float_maxabs,
-    inv3_stack,
+    inv3,
     is_singular3,
     maxabs,
     stack_maxabs,
@@ -50,6 +49,7 @@ SYMPLECTIC_FORM = np.block(
     [[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]]
 )
 SYMPLECTIC_FORM.flags.writeable = False  # symplectic_defect subtracts it
+_EYE6 = np.eye(6)  # the generators add it to zeros of their leading shape
 
 SYMPLECTIC_TOL = 1e-10
 # pattern tolerance of computed action results, which carry round-off
@@ -230,33 +230,33 @@ def in_tube_group_alt(g) -> bool:
 
 
 def translation(v) -> np.ndarray:
-    """z -> z + v for v in the patterned subspace."""
-    g = np.eye(6)
-    g[:3, 3:] = embed(np.asarray(v, dtype=float))
+    """z -> z + v for v in the patterned subspace, for one v (5,) or each of
+    a stack (..., 5); embed's ValueError for another last axis."""
+    V = embed(np.asarray(v, dtype=float))
+    g = _EYE6 + np.zeros(V.shape[:-2] + (6, 6))
+    g[..., :3, 3:] = V
     return g
 
 
 def dual_translation(u) -> np.ndarray:
     """The inversion conjugate of a flat translation: [[I, 0], [-U, I]]
-    with U = diag(u1, u2, 0)."""
-    g = np.eye(6)
-    g[3:, :3] = -embed_diag_pair(np.asarray(u, dtype=float))
+    with U = diag(u1, u2, 0), for one u (2,) or each of a stack (..., 2),
+    whose other zeros are +0.0; ValueError for another last axis."""
+    u = _last_axis(np.asarray(u, dtype=float), 2, "entries")
+    g = _EYE6 + np.zeros(u.shape[:-1] + (6, 6))
+    g[..., [3, 4], [0, 1]] = -u
     return g
 
 
 def congruence_embed(A) -> np.ndarray:
     """blockdiag(A, A^{-T}), the linear map z -> A z A^T inside the
     symplectic group, for one A (3, 3) or each of a stack (..., 3, 3);
-    SingularityError for the first A that linalg.is_singular3 rejects.  A
+    SingularityError for the first A that linalg.inv3 refuses.  A
     need not be triangular, but only triangular A land in the tube group."""
     A = np.asarray(A, dtype=float)
-    Ai, d = inv3_stack(A)
-    with np.errstate(over="ignore"):  # an overflowed bound is singular, as quietly as for one A
-        singular = is_singular3(A, d)
-    check_rows(singular, lambda r: SingularityError(SINGULAR_MESSAGE))
     g = np.zeros(A.shape[:-2] + (6, 6))
     g[..., :3, :3] = A
-    g[..., 3:, 3:] = np.swapaxes(Ai, -1, -2)
+    g[..., 3:, 3:] = np.swapaxes(inv3(A), -1, -2)
     return g
 
 
@@ -292,18 +292,13 @@ def mobius(g, Z) -> tuple[np.ndarray, np.ndarray]:
     (C Z + D)^{-1} for one g (6, 6) and Z (3, 3), real or complex, or row
     by row for stacks (n, 6, 6) and (n, 3, 3).
 
-    SingularityError for the first row where C Z + D is singular
-    (linalg.is_singular3's rule).
+    SingularityError for the first row where linalg.inv3 refuses C Z + D.
     """
     g = np.asarray(g, dtype=float)
     if g.shape[-2:] != (6, 6):
         raise ValueError(f"expected 6x6 matrices, got shape {g.shape}")
     A, B, C, D = g[..., :3, :3], g[..., :3, 3:], g[..., 3:, :3], g[..., 3:, 3:]
-    M = C @ Z + D
-    Mi, d = inv3_stack(M)
-    with np.errstate(over="ignore"):  # an overflowed bound is singular, as quietly as for one row
-        singular = is_singular3(M, d)
-    check_rows(singular, lambda r: SingularityError(SINGULAR_MESSAGE))
+    Mi = inv3(C @ Z + D)
     return (A @ Z + B) @ Mi, Mi
 
 
@@ -351,7 +346,7 @@ def triple_decomposition_reason(g) -> str | None:
 
 @dataclass(frozen=True)
 class TripleFactors:
-    """Factors of g = translation(v) @ congruence_embed(L) @ [[I,0],[U,I]]."""
+    """Factors of g = translation(v) @ congruence_embed(L) @ dual_translation(-u)."""
 
     v: np.ndarray
     L: np.ndarray
@@ -393,13 +388,8 @@ def _chart_factors(m, scale) -> TripleFactors:
 
 
 def triple_compose(f: TripleFactors) -> np.ndarray:
-    """Multiply the three chart factors back together: g (6, 6) from one
-    TripleFactors, or a stack (..., 6, 6) from fields stacked as v (..., 5),
-    L (..., 3, 3) and u (..., 2); SingularityError for the first singular L."""
+    """The chart factors' product g (6, 6), or a stack (..., 6, 6) from
+    fields stacked as v (..., 5), L (..., 3, 3) and u (..., 2); the first
+    singular L's SingularityError comes first, and -(-u) is u to the bit."""
     g = congruence_embed(f.L)
-    eyes = np.zeros((2,) + g.shape)
-    eyes.reshape(eyes.shape[:-2] + (36,))[..., ::7] = 1.0  # the diagonals of flat rows
-    upper, lower = eyes
-    upper[..., :3, 3:] = embed(np.asarray(f.v, dtype=float))
-    lower[..., [3, 4], [0, 1]] = f.u
-    return upper @ g @ lower
+    return translation(f.v) @ g @ dual_translation(np.negative(f.u))

@@ -10,8 +10,9 @@ certificates of polar and membership; inv3_stack reads arrays, one
 matrix or a stack (..., 3, 3), as flat rows (..., 9).  Both take the
 determinant as a*adj00 + b*adj10 + c*adj20, left to right, so on floats
 they agree to the bit.  is_singular3 takes a missing determinant from
-the reader of m's representation.  semidefinite3 proves
-semidefiniteness by LDL^T elimination on one matrix or a stack.
+the reader of m's representation; inv3 raises where it rejects.
+semidefinite3 proves semidefiniteness by LDL^T elimination on one matrix
+or a stack.
 
 One-matrix certificates follow one arithmetic rule: every matrix product
 is a numpy @, so the one-matrix and stacked routes agree to the bit, and
@@ -32,6 +33,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import SingularityError, check_rows
 
 SINGULAR_TOL = 1e-12
 SINGULAR_MESSAGE = "matrix is singular to working precision"
@@ -176,3 +179,14 @@ def inv3_stack(m):
         p = f[..., :3] * adj[..., ::3]
         d = p[..., 0] + p[..., 1] + p[..., 2]
         return (adj / d[..., None]).reshape(m.shape), d
+
+
+def inv3(m):
+    """inv3_stack's inverse of an array (..., 3, 3), with SingularityError
+    for the first matrix that is_singular3 rejects, quietly where its bound
+    overflows."""
+    inv, d = inv3_stack(m)
+    with np.errstate(over="ignore"):
+        singular = is_singular3(m, d)
+    check_rows(singular, lambda r: SingularityError(SINGULAR_MESSAGE))
+    return inv

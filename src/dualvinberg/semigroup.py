@@ -29,11 +29,11 @@ from .cone import (
     _MIRRORS,
     MEMBERSHIP_TOL,
     _embed_rows,
+    _last_axis,
     closed_cone_reason,
     cone_point,
     diag_pair,
     embed,
-    embed_diag_pair,
     is_flat_pattern,
     is_triangular_pattern,
     pattern_parts,
@@ -239,7 +239,7 @@ def lie_element(A, v, u) -> np.ndarray:
     X = np.zeros((6, 6))
     X[:3, :3] = A
     X[:3, 3:] = embed(np.asarray(v, dtype=float))
-    X[3:, :3] = embed_diag_pair(np.asarray(u, dtype=float))
+    X[[3, 4], [0, 1]] = _last_axis(np.asarray(u, dtype=float), 2, "entries")
     X[3:, 3:] = -A.T
     return X
 
@@ -510,13 +510,13 @@ def sample_semigroup(rng, interior: bool = True, sigma: float = 1.0) -> np.ndarr
     return triple_compose(TripleFactors(v=v, L=A, u=u))
 
 
-def sample_symplectic_semigroup(rng, sigma: float = 1.0) -> np.ndarray:
+def sample_symplectic_semigroup(rng) -> np.ndarray:
     """Random interior compression of the full positive definite cone:
     unipotent times well-conditioned linear times dual unipotent, with
     strictly positive definite unipotent blocks."""
     q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    A = q1 @ np.diag(np.exp(rng.uniform(-sigma, sigma, 3))) @ q2
+    A = q1 @ np.diag(np.exp(rng.uniform(-1.0, 1.0, 3))) @ q2
     w1 = rng.standard_normal((3, 3)) / np.sqrt(3.0)
     w2 = rng.standard_normal((3, 3)) / np.sqrt(3.0)
     B = w1 @ w1.T + 1e-3 * np.eye(3)

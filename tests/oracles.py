@@ -77,7 +77,6 @@ from dualvinberg.cone import (
     closed_cone_reason,
     diag_pair,
     embed,
-    embed_diag_pair,
     is_flat_pattern,
     is_triangular_pattern,
     triangular_params,
@@ -328,7 +327,7 @@ def exp_wedge_reference(v, u, dc, ds) -> np.ndarray:
     E = np.empty((6, 6))
     E[:3, :3] = top
     E[:3, 3:] = V + Vds @ V
-    E[3:, :3] = embed_diag_pair(u) @ (np.eye(3) + Vds)
+    E[3:, :3] = np.diag([u[0], u[1], 0.0]) @ (np.eye(3) + Vds)
     E[3:, 3:] = top.T
     return E
 

@@ -10,7 +10,6 @@ from dualvinberg.cone import (
     closed_cone_reason,
     diag_pair,
     embed,
-    embed_diag_pair,
     is_triangular_pattern,
     open_cone_reason,
     pattern_parts,
@@ -146,12 +145,23 @@ def test_a_point_of_another_length_is_refused_by_name(n):
         dv.triple_compose(dv.TripleFactors(v=x, L=np.eye(3), u=np.ones(2)))
     with pytest.raises(ValueError, match=rf"got shape \(2, {n}\)"):
         embed(np.stack([x, x]))
+    # so is a pair one entry short or long
+    u, pair = x[: n - 3], rf"expected 2 entries on the last axis, got shape \({n - 3},\)"
+    for build in (
+        dv.dual_translation,
+        lambda u: dv.lie_element(np.eye(3), np.ones(5), u),
+        lambda u: dv.triple_compose(dv.TripleFactors(v=np.ones(5), L=np.eye(3), u=u)),
+    ):
+        with pytest.raises(ValueError, match=pair):
+            build(u)
 
 
 def test_diag_pair_embedding():
+    # the flat block of a Lie element and of a dual translation by -u, zeros +0.0
     u = np.array([2.0, -3.0])
-    assert np.array_equal(embed_diag_pair(u), np.diag([2.0, -3.0, 0.0]))
-    assert np.array_equal(diag_pair(embed_diag_pair(u)), u)
+    for U in (dv.lie_element(np.zeros((3, 3)), np.zeros(5), u)[3:, :3], dv.dual_translation(-u)[3:, :3]):
+        assert same_bits(U, np.diag([2.0, -3.0, 0.0]))
+        assert np.array_equal(diag_pair(U), u)
 
 
 def test_minors_frozen_example():
@@ -233,7 +243,7 @@ def test_closed_cone_rejects_a_nan_tolerance():
     st.sampled_from([1e-9, 0.0, 1e-3, -1e-12, np.nan]),
 )
 def test_closed_cone_reason_reads_a_list_as_it_reads_an_array(x, tol):
-    # the certificates hand their coordinates over as lists of Python floats
+    # a list of coordinates reads as the array does
     with np.errstate(all="ignore"):
         assert closed_cone_reason(x.tolist(), tol) == closed_cone_reason(x, tol)
         y = np.abs(x) * [1.0, 1.0, 1.0, 0.0, 0.0]  # diagonal points, members when finite

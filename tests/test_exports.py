@@ -16,9 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dualvinberg"
 
 PAPER_ENTRY_POINTS = (
-    ("dual_translation", "a generator of the group; the tests' off-chart corpus is built from it"),
     ("isotropy_rotation", "a generator of the group; the tests' off-chart corpus is built from it"),
-    ("act", "the tube-domain action that defines the group; act_real is its real form"),
     ("log_wedge", "the closed-form log on the wedge; polar_factor runs its list form"),
 )
 

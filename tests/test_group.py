@@ -41,6 +41,14 @@ def test_the_chart_routes_reject_a_wrong_shape():
             route(np.eye(5))
 
 
+def test_the_action_names_a_wrong_shape():
+    for g, shape in ((np.eye(5), r"\(5, 5\)"), (np.eye(5)[None], r"\(1, 5, 5\)")):
+        with pytest.raises(ValueError, match=rf"^expected 6x6 matrices, got shape {shape}$"):
+            dv.group.mobius(g, np.eye(3))
+        with pytest.raises(ValueError, match=rf"got shape {shape}$"):
+            dv.act_real(g, dv.IDENTITY_POINT)
+
+
 def test_symplectic_defect_matches_form_residual():
     rng = np.random.default_rng(20)
     J = SYMPLECTIC_FORM

@@ -259,6 +259,8 @@ def test_lie_element_round_trip_and_pattern_guard():
     assert np.array_equal(X[3:, 3:], -A.T)
     with pytest.raises(DomainError):
         dv.lie_element(np.eye(3) + 0.1 * np.eye(3, k=1), v, u)
+    with pytest.raises(DomainError):  # a grade-zero part of another shape
+        dv.lie_element(np.eye(2), v, u)
 
 
 def test_algebra_closed_under_bracket():

@@ -619,6 +619,8 @@ def test_sampled_rows_are_the_one_sample_calls_to_the_bit(seed, spoils):
         for route, stack, rows in (
             (dv.congruence_embed, L, list(L)),
             (dv.triple_compose, f, [dv.TripleFactors(*r) for r in zip(f.v, f.L, f.u)]),
+            (dv.translation, f.v, list(f.v)),
+            (dv.dual_translation, f.u, list(f.u)),
         ):
             want = [_first_error(route, r) or route(r) for r in rows]
             got = _first_error(route, stack) or route(stack)
